@@ -198,10 +198,19 @@ def sample_clayton_exponential(
     info = _seed_info(gen)
     boost = gen.standard_gamma(1.0 / beta + 1.0, size=n_users)
     log_v = np.log(boost) + beta * np.log(gen.uniform(size=n_users))
-    e = gen.standard_exponential(size=(n_users, n_ports))
+    # gains = -log(-expm1(-logaddexp(0, log E - log V) / beta)), evaluated
+    # in place: one buffer instead of a temporary per step keeps large
+    # blocks in cache, and every step rounds exactly as the expression does
+    gains = gen.standard_exponential(size=(n_users, n_ports))
     with np.errstate(divide="ignore"):
-        log_u = -np.logaddexp(0.0, np.log(e) - log_v[:, None]) / beta
-    gains = -np.log(-np.expm1(log_u))
+        np.log(gains, out=gains)
+    gains -= log_v[:, None]
+    np.logaddexp(0.0, gains, out=gains)
+    gains /= -beta
+    np.expm1(gains, out=gains)
+    np.negative(gains, out=gains)
+    np.log(gains, out=gains)
+    np.negative(gains, out=gains)
     _finite_or_raise(gains, "clayton sampler")
     return PortGainMatrix(gains=gains, seed_info=info)
 
@@ -273,12 +282,14 @@ def sample_gaussian_jakes(
     # degenerate layouts (e.g. zero aperture) come out exactly low-rank
     eigval = np.where(eigval < 1e-12 * eigval.max(), 0.0, eigval)
     factor = eigvec * np.sqrt(eigval)
-    z = (
-        gen.standard_normal((n_users, geometry.n_ports))
-        + 1j * gen.standard_normal((n_users, geometry.n_ports))
-    ) / np.sqrt(2.0)
-    h = z @ factor.T
-    gains = np.abs(h) ** 2
+    # z = (x + 1j y) / sqrt(2) and |z A^T|^2, built in place: the same
+    # values with half the temporaries of the plain expressions
+    z = np.empty((n_users, geometry.n_ports), dtype=complex)
+    z.real = gen.standard_normal(z.shape)
+    z.imag = gen.standard_normal(z.shape)
+    z /= np.sqrt(2.0)
+    gains = np.abs(z @ factor.T)
+    gains **= 2
     _finite_or_raise(gains, "gaussian-jakes sampler")
     return PortGainMatrix(gains=gains, seed_info=info)
 

@@ -101,42 +101,43 @@ DEFAULTS = {
 }
 
 _NUMERIC = (int, float)
+_COUNT = "count"  # a number that must be whole; 3.0 is accepted, 3.9 is not
 _SCHEMA = {
     "system": {
-        "K": _NUMERIC,
-        "N": _NUMERIC,
+        "K": _COUNT,
+        "N": _COUNT,
         "W": _NUMERIC,
         "p_max": _NUMERIC,
         "p_max_dbm": _NUMERIC,
         "sigma2": _NUMERIC,
         "sigma2_dbm": _NUMERIC,
         "tau": _NUMERIC,
-        "d": _NUMERIC,
+        "d": _COUNT,
     },
     "mc": {
-        "trials": _NUMERIC,
-        "seed": _NUMERIC,
-        "threads": _NUMERIC,
-        "s_target": _NUMERIC,
+        "trials": _COUNT,
+        "seed": _COUNT,
+        "threads": _COUNT,
+        "s_target": _COUNT,
         "tau_grid": (list,),
         "n_grid": (list,),
         "gain_grid": (list,),
-        "diag_rows": _NUMERIC,
+        "diag_rows": _COUNT,
         "diag_betas": (list,),
         "variants": (list,),
     },
     "fl": {
-        "clients": _NUMERIC,
-        "rounds": _NUMERIC,
+        "clients": _COUNT,
+        "rounds": _COUNT,
         "lr": _NUMERIC,
-        "batch": _NUMERIC,
-        "hidden": _NUMERIC,
-        "local_steps": _NUMERIC,
+        "batch": _COUNT,
+        "hidden": _COUNT,
+        "local_steps": _COUNT,
         "optimizer": (str,),
         "data": (str,),
-        "classes": _NUMERIC,
-        "dims": _NUMERIC,
-        "samples": _NUMERIC,
+        "classes": _COUNT,
+        "dims": _COUNT,
+        "samples": _COUNT,
         "separation": _NUMERIC,
         "split": _NUMERIC,
         "mnist_images": (str, type(None)),
@@ -149,11 +150,11 @@ _SCHEMA = {
         "smoothness": _NUMERIC,
         "grad_norm_bound": _NUMERIC,
         "grad_variance": _NUMERIC,
-        "batch": _NUMERIC,
-        "n_users": _NUMERIC,
+        "batch": _COUNT,
+        "n_users": _COUNT,
         "f1_gap": _NUMERIC,
-        "rounds": _NUMERIC,
-        "participants": _NUMERIC,
+        "rounds": _COUNT,
+        "participants": _COUNT,
         "mse": _NUMERIC,
         "schedule": (list, type(None)),
     },
@@ -175,11 +176,19 @@ def _validate_layer(layer: dict, source: str) -> None:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{source}: unknown key `{section}.{key}`")
             allowed = _SCHEMA[section][key]
+            count = allowed == _COUNT
+            if count:
+                allowed = _NUMERIC
             if not isinstance(value, allowed) or isinstance(value, bool):
                 names = "/".join(t.__name__ for t in allowed)
                 raise ConfigError(
                     f"{source}: key `{section}.{key}` must be {names}, "
                     f"got {type(value).__name__}"
+                )
+            if count and not float(value).is_integer():
+                raise ConfigError(
+                    f"{source}: key `{section}.{key}` must be a whole number, "
+                    f"got {value!r}"
                 )
 
 
@@ -209,11 +218,8 @@ def load_config(
         (s, k): "default" for s, body in DEFAULTS.items() for k in body
     }
     if config_path is not None:
-        try:
-            with open(config_path) as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise exc
+        with open(config_path) as fh:
+            raw = fh.read()
         try:
             file_cfg = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -636,7 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument("--trials", type=int, default=None, help="MC trials")
-    common.add_argument("--threads", type=int, default=None, help="trial-loop threads")
+    common.add_argument(
+        "--threads", type=int, default=None, help="threads that run Monte-Carlo trial blocks"
+    )
     for name, help_text in [
         ("cdf-mse", "aggregation-error CDF vs Monte Carlo"),
         ("pmf-users", "participant-count PMF vs Monte Carlo"),

@@ -26,7 +26,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ota
-from .channel import DependenceSpec, RngLike, sample_port_gains, select_ports
+from .channel import (
+    DependenceSpec,
+    RngLike,
+    as_generator,
+    sample_port_gains,
+    select_ports,
+)
 
 __all__ = [
     "TrainingDivergedError",
@@ -117,7 +123,7 @@ def _split(
 ) -> Dataset:
     if not (0 < split <= 1):
         raise ValueError("split must be in (0, 1]")
-    gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    gen = as_generator(rng)
     n = x.shape[0]
     order = gen.permutation(n)
     n_train = int(round(split * n))
@@ -167,7 +173,7 @@ def synthesize_dataset(
         raise ValueError("classes must be >= 2")
     if dims < classes:
         raise ValueError("dims must be >= classes")
-    gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    gen = as_generator(rng)
     means = np.zeros((classes, dims))
     means[np.arange(classes), np.arange(classes)] = 1.0
     means = separation * (means - means.mean(axis=0))
@@ -195,7 +201,7 @@ def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> list[Client
     n = dataset.train_x.shape[0]
     if n_clients > n:
         raise ValueError(f"cannot split {n} training samples into {n_clients} shards")
-    gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    gen = as_generator(rng)
     order = gen.permutation(n)
     shards = np.array_split(order, n_clients)
     return [
@@ -234,7 +240,7 @@ class MlpModel:
 
     def init_params(self, rng: RngLike) -> np.ndarray:
         """Uniform Xavier/Glorot weights, zero biases."""
-        gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        gen = as_generator(rng)
         lim1 = np.sqrt(6.0 / (self.n_inputs + self.n_hidden))
         lim2 = np.sqrt(6.0 / (self.n_hidden + self.n_classes))
         w1 = gen.uniform(-lim1, lim1, size=(self.n_inputs, self.n_hidden))
@@ -377,7 +383,7 @@ def local_update(
     batch at the incoming global parameters.  Adam moments live in the
     client state and carry across rounds.
     """
-    gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    gen = as_generator(rng)
     w = w_global.copy()
     first_loss = None
     for _ in range(cfg.local_steps):

@@ -1,15 +1,22 @@
 """Monte Carlo experiments that check the closed forms against simulation.
 
 Each experiment draws channel realizations, computes an empirical law, and
-compares it to the matching closed form point by point.  A grid point
-passes when |empirical - analytic| <= max(3 * stderr, 1e-3) with
-stderr = sqrt(p (1 - p) / trials) taken at the analytic probability p;
-a report aggregates the points and the sup gap.
+compares it to the matching closed form point by point.  Every grid point
+is an exact two-sided binomial test of its count under Bin(trials, p) at
+the analytic probability p.  The tests are Bonferroni-corrected over
+points x variants, so all checks of one experiment call together raise a
+false alarm on correct code with probability at most FAMILY_ALPHA (the
+participation mean checks count as one more point per variant); reports
+record it as meta["family_alpha"] and aggregate the points and the sup gap.
 
-Determinism and parallelism: every trial gets its own RNG sub-stream,
-spawned from the master seed with ``numpy.random.SeedSequence.spawn``
-(variant v uses child v of the root, trial t child t of the variant), so
-the trial loop can be chunked across threads without changing any result.
+Determinism and parallelism: trials run in fixed-size blocks of
+max(1, BLOCK_VALUES // (K * n)) trials, n being the number of ports
+sampled per user.  Block b of variant v draws from
+SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b] with one sampler call
+on a (rows * K) x n matrix, reduced to integer counts per grid point.
+The layout depends only on (seed, K, n, trials), never on ``threads``,
+which only dispatches blocks to a thread pool; the counts sum exactly in
+any order, so every thread count gives the same result.
 
 Experiments
 -----------
@@ -26,13 +33,12 @@ run_copula_diagnostics : marginal KS checks, Kendall-tau identity,
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.stats import kendalltau, kstest
+from scipy.stats import binom, kendalltau, kstest
 
 from .analytics import (
     AnalyticCurve,
@@ -52,7 +58,8 @@ from .channel import (
 )
 
 __all__ = [
-    "PASS_FLOOR",
+    "BLOCK_VALUES",
+    "FAMILY_ALPHA",
     "KS_CRIT_1PCT",
     "McPlan",
     "GridPointCheck",
@@ -66,7 +73,9 @@ __all__ = [
     "run_copula_diagnostics",
 ]
 
-PASS_FLOOR = 1e-3
+# gain values drawn per sampler call (trials per block x K x ports)
+BLOCK_VALUES = 1 << 16
+FAMILY_ALPHA = 1e-3
 # asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_CRIT_1PCT = 1.6276
 
@@ -180,50 +189,28 @@ class ComparisonReport:
                 )
 
 
-def _check_points(xs, empirical, analytic, trials) -> list:
-    points = []
-    for x, e, a in zip(xs, empirical, analytic):
-        # band width from the analytic probability, so the test is a plain
-        # known-null binomial check and never degenerates when the
-        # empirical frequency hits exactly 0 or 1
-        se = float(np.sqrt(a * (1.0 - a) / trials))
-        tol = max(3.0 * se, PASS_FLOOR)
-        points.append(
-            GridPointCheck(
-                x=float(x),
-                empirical=float(e),
-                analytic=float(a),
-                stderr=se,
-                passed=bool(abs(e - a) <= tol),
-            )
-        )
-    return points
+def _check_points(xs, counts, analytic, trials, alpha) -> list:
+    """Exact two-sided binomial test of each count under Bin(trials, analytic).
 
-
-def trial_streams(seed, trials: int) -> list:
-    """One RNG sub-stream per trial: SeedSequence(seed).spawn(trials)."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return root.spawn(trials)
-
-
-def _for_each_trial(
-    streams: Sequence, fn: Callable[[int, np.random.Generator], None], threads: int
-) -> None:
-    """Run fn(trial_index, generator) for every trial, optionally threaded.
-
-    fn must write only to its own trial's slot, so chunk scheduling cannot
-    change results.
+    A point passes when its p-value, min(1, 2 min(P[X <= k], P[X >= k])),
+    exceeds alpha.  stderr is reported at the analytic probability, so it
+    never degenerates when a count hits 0 or trials.
     """
-    if threads <= 1:
-        for i, ss in enumerate(streams):
-            fn(i, np.random.default_rng(ss))
-        return
-    chunks = np.array_split(np.arange(len(streams)), threads * 4)
-    def run_chunk(idx):
-        for i in idx:
-            fn(int(i), np.random.default_rng(streams[int(i)]))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_chunk, chunks))
+    p = np.clip(np.asarray(analytic, dtype=float), 0.0, 1.0)
+    k = np.asarray(counts)
+    tails = np.minimum(binom.cdf(k, trials, p), binom.sf(k - 1, trials, p))
+    p_values = np.minimum(1.0, 2.0 * tails)
+    stderr = np.sqrt(p * (1.0 - p) / trials)
+    return [
+        GridPointCheck(float(x), float(c / trials), float(a), float(se), bool(pv > alpha))
+        for x, c, a, se, pv in zip(xs, k, analytic, stderr, p_values)
+    ]
+
+
+def trial_streams(seed, blocks: int) -> list:
+    """One RNG stream per trial block: SeedSequence(seed).spawn(blocks)."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return root.spawn(blocks)
 
 
 def _closed_form_dist(dep: DependenceSpec, n_ports: int) -> GainDistribution:
@@ -232,8 +219,66 @@ def _closed_form_dist(dep: DependenceSpec, n_ports: int) -> GainDistribution:
     return GainDistribution(n_ports=n_ports, dependence=dep)
 
 
-def _variant_roots(plan: McPlan) -> list:
-    return np.random.SeedSequence(plan.seed).spawn(len(plan.variants))
+def _simulate(plan: McPlan, dep, root, n_sampled: int, statistic: Callable):
+    """Sum of ``statistic`` over the trial blocks of one variant.
+
+    Block b draws one (rows * K) x n_sampled matrix from stream b and hands
+    it to ``statistic`` as (rows, K, n_sampled); statistics are integer
+    counts, so the sum is exact in any block order.
+    """
+    k = plan.n_users
+    per = max(1, BLOCK_VALUES // (k * n_sampled))
+    rows = [min(per, plan.trials - start) for start in range(0, plan.trials, per)]
+
+    def block(n, stream):
+        gains = sample_port_gains(dep, n * k, n_sampled, stream).gains
+        return statistic(gains.reshape(n, k, n_sampled))
+
+    streams = trial_streams(root, len(rows))
+    if plan.threads <= 1:
+        return sum(map(block, rows, streams))
+    with ThreadPoolExecutor(max_workers=plan.threads) as pool:
+        return sum(pool.map(block, rows, streams))
+
+
+def _compare(plan, xs, n_sampled, statistic, law, meta, mean_law=None) -> dict:
+    """Variant, block streams, per-block counts, empirical law, report.
+
+    ``statistic`` maps a (rows, K, n_sampled) gain block to counts at
+    ``xs``; ``law(dist)`` is the closed form there.  With ``mean_law`` the
+    counts are a histogram over xs = 0..K, and the total count is also
+    checked against Bin(K * trials, mean_law(dist)).  All checks of one
+    call share the family-wise false-alarm rate FAMILY_ALPHA.
+    Returns {variant label: (analytic values, ComparisonReport)}.
+    """
+    dists = [_closed_form_dist(dep, plan.n_ports) for _, dep in plan.variants]
+    alpha = FAMILY_ALPHA / (len(dists) * (len(xs) + (mean_law is not None)))
+    roots = np.random.SeedSequence(plan.seed).spawn(len(dists))
+    out = {}
+    for (label, dep), dist, root in zip(plan.variants, dists, roots):
+        counts = _simulate(plan, dep, root, n_sampled, statistic)
+        analytic = law(dist)
+        report_meta = dict(meta, variant=label, n_users=plan.n_users, trials=plan.trials,
+                           seed=plan.seed, family_alpha=FAMILY_ALPHA)
+        if mean_law is not None:
+            q, heard = mean_law(dist), int(counts @ xs)
+            (total,) = _check_points([0], [heard], [q], plan.n_users * plan.trials, alpha)
+            report_meta["mean_check"] = {
+                "empirical_mean": heard / plan.trials,
+                "analytic_mean": plan.n_users * q,
+                "stderr": float(np.sqrt(plan.n_users * q * (1.0 - q) / plan.trials)),
+                "passed": total.passed,
+            }
+        points = _check_points(xs, counts, analytic, plan.trials, alpha)
+        out[label] = (analytic, ComparisonReport(label, points, report_meta))
+    return out
+
+
+def _with_curves(results: dict, xs) -> dict:
+    return {
+        label: (AnalyticCurve(xs, law, dict(report.meta, kind="analytic")), report)
+        for label, (law, report) in results.items()
+    }
 
 
 def run_mse_cdf_experiment(plan: McPlan) -> dict:
@@ -241,98 +286,47 @@ def run_mse_cdf_experiment(plan: McPlan) -> dict:
 
     Returns {variant label: (AnalyticCurve, ComparisonReport)}.
     """
-    out = {}
-    roots = _variant_roots(plan)
-    for (label, dep), root in zip(plan.variants, roots):
-        scores = np.empty(plan.trials)
+    rank, grid = plan.s_target - 1, plan.tau_grid
 
-        def one_trial(i, gen, _dep=dep, _scores=scores):
-            gains = sample_port_gains(_dep, plan.n_users, plan.n_ports, gen)
-            best = gains.gains.max(axis=1)
-            theta = 1.0 / (plan.p_max * best)
-            _scores[i] = np.partition(theta, plan.s_target - 1)[plan.s_target - 1]
+    def below_tau(gains):
+        theta = 1.0 / (plan.p_max * gains.max(axis=2))
+        score = np.partition(theta, rank, axis=1)[:, rank]
+        return (score[:, None] < grid).sum(axis=0)
 
-        _for_each_trial(trial_streams(root, plan.trials), one_trial, plan.threads)
-        ranked = np.sort(scores)
-        empirical = np.searchsorted(ranked, plan.tau_grid, side="left") / plan.trials
-        dist = _closed_form_dist(dep, plan.n_ports)
-        analytic = normalized_mse_cdf(
-            dist, plan.n_users, plan.s_target, plan.p_max, plan.tau_grid
-        )
-        meta = {
-            "experiment": "mse-cdf",
-            "variant": label,
-            "n_users": plan.n_users,
-            "n_ports": plan.n_ports,
-            "s_target": plan.s_target,
-            "p_max": plan.p_max,
-            "trials": plan.trials,
-            "seed": plan.seed,
-        }
-        curve = AnalyticCurve(plan.tau_grid, analytic, dict(meta, kind="analytic"))
-        report = ComparisonReport(
-            label=label,
-            points=_check_points(plan.tau_grid, empirical, analytic, plan.trials),
-            meta=meta,
-        )
-        out[label] = (curve, report)
-    return out
+    def law(dist):
+        return normalized_mse_cdf(dist, plan.n_users, plan.s_target, plan.p_max, grid)
+
+    meta = {"experiment": "mse-cdf", "n_ports": plan.n_ports,
+            "s_target": plan.s_target, "p_max": plan.p_max}
+    return _with_curves(_compare(plan, grid, plan.n_ports, below_tau, law, meta), grid)
+
+
+def _threshold_meta(plan: McPlan, experiment: str) -> dict:
+    return {"experiment": experiment, "p_max": plan.p_max, "sigma2": plan.sigma2,
+            "tau": plan.tau, "threshold": plan.sigma2 / (plan.p_max * plan.tau)}
 
 
 def run_participation_experiment(plan: McPlan) -> dict:
     """Empirical vs analytic PMF of the participant count.
 
-    Each report also carries a mean check: the empirical mean count vs
-    K * q within 3 standard errors (meta["mean_check"]).
+    Each report also carries a mean check: the total participant count of
+    all trials vs Bin(K * trials, q), in meta["mean_check"].
     """
-    threshold = plan.sigma2 / (plan.p_max * plan.tau)
-    out = {}
-    roots = _variant_roots(plan)
-    for (label, dep), root in zip(plan.variants, roots):
-        counts = np.empty(plan.trials, dtype=np.int64)
+    meta = dict(_threshold_meta(plan, "participation"), n_ports=plan.n_ports)
+    threshold = meta["threshold"]
 
-        def one_trial(i, gen, _dep=dep, _counts=counts):
-            gains = sample_port_gains(_dep, plan.n_users, plan.n_ports, gen)
-            best = gains.gains.max(axis=1)
-            _counts[i] = int(np.sum(best >= threshold))
+    def histogram(gains):
+        heard = (gains.max(axis=2) >= threshold).sum(axis=1)
+        return np.bincount(heard, minlength=plan.n_users + 1)
 
-        _for_each_trial(trial_streams(root, plan.trials), one_trial, plan.threads)
-        hist = np.bincount(counts, minlength=plan.n_users + 1) / plan.trials
-        dist = _closed_form_dist(dep, plan.n_ports)
-        analytic = participation_pmf_vector(
-            dist, plan.n_users, plan.p_max, plan.sigma2, plan.tau
-        )
-        q = qualify_probability(dist, threshold)
-        emp_mean = float(counts.mean())
-        mean_se = float(np.sqrt(plan.n_users * q * (1 - q) / plan.trials))
-        mean_tol = max(3.0 * mean_se, PASS_FLOOR)
-        meta = {
-            "experiment": "participation",
-            "variant": label,
-            "n_users": plan.n_users,
-            "n_ports": plan.n_ports,
-            "p_max": plan.p_max,
-            "sigma2": plan.sigma2,
-            "tau": plan.tau,
-            "threshold": threshold,
-            "trials": plan.trials,
-            "seed": plan.seed,
-            "mean_check": {
-                "empirical_mean": emp_mean,
-                "analytic_mean": plan.n_users * q,
-                "stderr": mean_se,
-                "passed": bool(abs(emp_mean - plan.n_users * q) <= mean_tol),
-            },
-        }
-        report = ComparisonReport(
-            label=label,
-            points=_check_points(
-                np.arange(plan.n_users + 1), hist, analytic, plan.trials
-            ),
-            meta=meta,
-        )
-        out[label] = report
-    return out
+    def law(dist):
+        return participation_pmf_vector(dist, plan.n_users, plan.p_max, plan.sigma2, plan.tau)
+
+    results = _compare(
+        plan, np.arange(plan.n_users + 1), plan.n_ports, histogram, law, meta,
+        mean_law=lambda dist: qualify_probability(dist, threshold),
+    )
+    return {label: report for label, (_, report) in results.items()}
 
 
 def run_port_sweep(plan: McPlan) -> dict:
@@ -342,52 +336,24 @@ def run_port_sweep(plan: McPlan) -> dict:
     ports are sampled once at max(n_grid) and each grid value n uses the
     first n columns (exact for the margin-consistent copula variants).
     """
-    threshold = plan.sigma2 / (plan.p_max * plan.tau)
+    meta = _threshold_meta(plan, "port-sweep")
+    threshold = meta["threshold"]
     n_grid = np.asarray(plan.n_grid, dtype=int)
-    n_max = int(n_grid.max())
-    out = {}
-    roots = _variant_roots(plan)
-    for (label, dep), root in zip(plan.variants, roots):
-        if isinstance(dep, GaussianJakes):
-            raise TypeError("port sweep covers the closed-form variants only")
-        full = np.empty((plan.trials, n_grid.size), dtype=bool)
 
-        def one_trial(i, gen, _dep=dep, _full=full):
-            gains = sample_port_gains(_dep, plan.n_users, n_max, gen)
-            prefix_best = np.maximum.accumulate(gains.gains, axis=1)
-            qualified = prefix_best >= threshold
-            _full[i] = qualified.all(axis=0)[n_grid - 1]
+    def all_heard(gains):
+        prefix_best = np.maximum.accumulate(gains, axis=2)
+        full = (prefix_best >= threshold).all(axis=1)
+        return full[:, n_grid - 1].sum(axis=0)
 
-        _for_each_trial(trial_streams(root, plan.trials), one_trial, plan.threads)
-        empirical = full.mean(axis=0)
-        analytic = np.array(
-            [
-                qualify_probability(_closed_form_dist(dep, int(n)), threshold)
-                ** plan.n_users
-                for n in n_grid
-            ]
-        )
-        meta = {
-            "experiment": "port-sweep",
-            "variant": label,
-            "n_users": plan.n_users,
-            "p_max": plan.p_max,
-            "sigma2": plan.sigma2,
-            "tau": plan.tau,
-            "threshold": threshold,
-            "trials": plan.trials,
-            "seed": plan.seed,
-        }
-        curve = AnalyticCurve(
-            n_grid.astype(float), analytic, dict(meta, kind="analytic")
-        )
-        report = ComparisonReport(
-            label=label,
-            points=_check_points(n_grid, empirical, analytic, plan.trials),
-            meta=meta,
-        )
-        out[label] = (curve, report)
-    return out
+    def law(dist):
+        return np.array([
+            qualify_probability(GainDistribution(int(n), dist.dependence), threshold)
+            ** plan.n_users
+            for n in n_grid
+        ])
+
+    results = _compare(plan, n_grid, int(n_grid.max()), all_heard, law, meta)
+    return _with_curves(results, n_grid.astype(float))
 
 
 @dataclass
@@ -434,10 +400,10 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
     root = np.random.SeedSequence(plan.seed)
     beta_streams = root.spawn(len(plan.diag_betas) + 1)
     ks_crit = KS_CRIT_1PCT / np.sqrt(rows)
+    alpha = FAMILY_ALPHA / (len(plan.diag_betas) * len(plan.gain_grid))
     marginal_checks = []
     tau_checks = []
     cdf_reports = {}
-    empirical_max = {}
     for beta, stream in zip(plan.diag_betas, beta_streams[:-1]):
         dep = Clayton(beta)
         gains = sample_port_gains(dep, rows, plan.n_ports, stream).gains
@@ -464,16 +430,20 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
             }
         )
         best = gains.max(axis=1)
-        empirical = (best[:, None] < plan.gain_grid).mean(axis=0)
+        counts = (best[:, None] < plan.gain_grid).sum(axis=0)
         analytic = channel_gain_cdf(
             GainDistribution(plan.n_ports, dep), plan.gain_grid
         )
         label = f"clayton-{beta:g}"
-        empirical_max[label] = empirical
         cdf_reports[label] = ComparisonReport(
             label=label,
-            points=_check_points(plan.gain_grid, empirical, analytic, rows),
-            meta={"experiment": "copula-max-cdf", "beta": beta, "rows": rows},
+            points=_check_points(plan.gain_grid, counts, analytic, rows, alpha),
+            meta={
+                "experiment": "copula-max-cdf",
+                "beta": beta,
+                "rows": rows,
+                "family_alpha": FAMILY_ALPHA,
+            },
         )
     jakes = sample_port_gains(
         GaussianJakes(plan.jakes_aperture), rows, plan.n_ports, beta_streams[-1]

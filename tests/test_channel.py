@@ -95,6 +95,32 @@ def test_same_seed_reproduces_gains_exactly():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("beta", [1e-4, 1.0, 2.0, 1e3])
+def test_clayton_in_place_evaluation_matches_the_plain_expression(beta):
+    # reference: the latent-frailty formula as one expression, same draws
+    gen = np.random.default_rng(5)
+    log_v = np.log(gen.standard_gamma(1.0 / beta + 1.0, size=300))
+    log_v += beta * np.log(gen.uniform(size=300))
+    e = gen.standard_exponential(size=(300, 7))
+    with np.errstate(divide="ignore"):
+        log_u = -np.logaddexp(0.0, np.log(e) - log_v[:, None]) / beta
+    expected = -np.log(-np.expm1(log_u))
+    got = sample_clayton_exponential(300, 7, beta, rng=5).gains
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("aperture", [0.0, 0.5, 3.0])
+def test_jakes_in_place_evaluation_matches_the_plain_expression(aperture):
+    geometry = PortGeometry(n_ports=6, aperture=aperture)
+    eigval, eigvec = np.linalg.eigh(jakes_correlation_matrix(geometry))
+    eigval = np.where(eigval < 1e-12 * eigval.max(), 0.0, eigval)
+    gen = np.random.default_rng(8)
+    z = (gen.standard_normal((300, 6)) + 1j * gen.standard_normal((300, 6))) / np.sqrt(2.0)
+    expected = np.abs(z @ (eigvec * np.sqrt(eigval)).T) ** 2
+    got = sample_gaussian_jakes(300, geometry, rng=8).gains
+    assert np.array_equal(got, expected)
+
+
 def test_seed_info_records_entropy():
     out = sample_independent(3, 2, rng=np.random.SeedSequence(99))
     assert out.seed_info["entropy"] == 99

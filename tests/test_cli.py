@@ -141,6 +141,21 @@ def test_config_error_exits_2(tmp_path, capsys):
     assert "config error" in err and "system.tau" in err
 
 
+@pytest.mark.parametrize("command, key", [("cdf-mse", "mc.trials"), ("bound", "bound.rounds")])
+def test_fractional_counts_exit_2(tmp_path, capsys, command, key):
+    # int() would truncate 3.9 to 3 and run silently
+    rc = main([command, "--out", str(tmp_path / "a"), "--set", f"{key}=3.9"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "whole number" in err
+    assert not (tmp_path / "a" / "manifest.json").exists()
+
+
+def test_whole_float_counts_are_accepted(tmp_path):
+    assert main(["bound", "--out", str(tmp_path), "--set", "bound.rounds=3.0"]) == 0
+    assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
+
+
 def test_ideal_is_not_an_mc_variant(tmp_path, capsys):
     rc = main(
         ["cdf-mse", "--out", str(tmp_path), "--set", 'mc.variants=["ideal"]']

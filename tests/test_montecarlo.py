@@ -9,8 +9,16 @@ import json
 import numpy as np
 import pytest
 
-from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence
+from fluidfed import montecarlo
+from fluidfed.channel import (
+    Clayton,
+    GaussianJakes,
+    Independent,
+    PerfectDependence,
+    sample_port_gains,
+)
 from fluidfed.montecarlo import (
+    BLOCK_VALUES,
     ComparisonReport,
     GridPointCheck,
     McPlan,
@@ -54,15 +62,94 @@ def test_plan_validation():
 
 def test_trial_streams_are_distinct_and_reproducible():
     a = trial_streams(7, 5)
-    b = trial_streams(7, 5)
+    b = trial_streams(np.random.SeedSequence(7), 5)
     assert len(a) == 5
     for sa, sb in zip(a, b):
+        assert sa.spawn_key == sb.spawn_key
         assert np.array_equal(
             np.random.default_rng(sa).integers(0, 2**32, 4),
             np.random.default_rng(sb).integers(0, 2**32, 4),
         )
     draws = {tuple(np.random.default_rng(s).integers(0, 2**32, 4)) for s in a}
     assert len(draws) == 5
+
+
+def _direct_trials(plan, v, n_sampled):
+    """Variant v's (trials, K, n_sampled) gains, drawn straight from the
+    stated layout: blocks of max(1, BLOCK_VALUES // (K n)) trials, block b
+    from SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b]."""
+    k = plan.n_users
+    per = max(1, BLOCK_VALUES // (k * n_sampled))
+    n_blocks = -(-plan.trials // per)
+    root = np.random.SeedSequence(plan.seed).spawn(len(plan.variants))[v]
+    dep = plan.variants[v][1]
+    blocks = []
+    for b, stream in enumerate(root.spawn(n_blocks)):
+        rows = min(per, plan.trials - b * per)
+        gains = sample_port_gains(dep, rows * k, n_sampled, stream).gains
+        blocks.append(gains.reshape(rows, k, n_sampled))
+    return np.concatenate(blocks), n_blocks
+
+
+def test_blocks_follow_the_stated_seed_path(monkeypatch):
+    # trials=5000 at K=8 spans 4 blocks of N=5 ports and 5 blocks of the
+    # sweep's 8 ports; the per-trial loop below is the reference reduction
+    plan = _small_plan(trials=5000)
+    calls = []
+    real = montecarlo.sample_port_gains
+
+    def counted(dep, n_users, n_ports, rng):
+        calls.append((n_users, n_ports))
+        return real(dep, n_users, n_ports, rng)
+
+    monkeypatch.setattr(montecarlo, "sample_port_gains", counted)
+    cdf = run_mse_cdf_experiment(plan)
+    pmf = run_participation_experiment(plan)
+    sweep = run_port_sweep(plan)
+    threshold = plan.sigma2 / (plan.p_max * plan.tau)
+    n_grid = np.asarray(plan.n_grid)
+    expected_calls = []
+    for v, (label, _) in enumerate(plan.variants):
+        gains, n_blocks = _direct_trials(plan, v, plan.n_ports)
+        assert gains.shape == (5000, 8, 5) and n_blocks == 4
+        scores, heard = [], []
+        for trial in gains:
+            best = trial.max(axis=1)
+            scores.append(np.sort(1.0 / (plan.p_max * best))[plan.s_target - 1])
+            heard.append(int(np.sum(best >= threshold)))
+        scores = np.array(scores)
+        assert [p.empirical for p in cdf[label][1].points] == [
+            np.mean(scores < tau) for tau in plan.tau_grid
+        ]
+        assert [p.empirical for p in pmf[label].points] == list(
+            np.bincount(heard, minlength=plan.n_users + 1) / plan.trials
+        )
+        assert pmf[label].meta["mean_check"]["empirical_mean"] == sum(heard) / plan.trials
+
+        wide, sweep_blocks = _direct_trials(plan, v, int(n_grid.max()))
+        assert sweep_blocks == 5
+        full = [
+            [all(trial[:, :n].max(axis=1) >= threshold) for n in n_grid]
+            for trial in wide
+        ]
+        assert [p.empirical for p in sweep[label][1].points] == list(
+            np.mean(full, axis=0)
+        )
+    per = BLOCK_VALUES // 40
+    cdf_calls = [(per * 8, 5)] * 3 + [((5000 - 3 * per) * 8, 5)]
+    sweep_calls = [(1024 * 8, 8)] * 4 + [((5000 - 4 * 1024) * 8, 8)]
+    assert calls == cdf_calls * 4 + cdf_calls * 4 + sweep_calls * 4
+
+
+def test_threaded_results_are_identical():
+    # 4 blocks (5 for the sweep) shared out over 3 threads
+    seq_plan, par_plan = _small_plan(trials=5000), _small_plan(trials=5000, threads=3)
+    for run in (run_mse_cdf_experiment, run_participation_experiment, run_port_sweep):
+        seq, par = run(seq_plan), run(par_plan)
+        for label in seq:
+            a = seq[label] if run is run_participation_experiment else seq[label][1]
+            b = par[label] if run is run_participation_experiment else par[label][1]
+            assert a.to_json_dict() == b.to_json_dict(), (run.__name__, label)
 
 
 def test_mse_cdf_experiment_passes_and_is_seed_stable():
@@ -72,18 +159,30 @@ def test_mse_cdf_experiment_passes_and_is_seed_stable():
     assert set(out1) == {"independent", "clayton-1", "clayton-2", "fpa"}
     for label, (curve, report) in out1.items():
         assert report.all_pass, (label, [p for p in report.failing_points()])
+        assert report.meta["family_alpha"] == montecarlo.FAMILY_ALPHA
         assert curve.values.shape == plan.tau_grid.shape
         # same seed -> identical empirical points
         for p1, p2 in zip(report.points, out2[label][1].points):
             assert p1.empirical == p2.empirical
 
 
-def test_mse_cdf_threaded_results_are_identical():
-    seq = run_mse_cdf_experiment(_small_plan(trials=1200))
-    par = run_mse_cdf_experiment(_small_plan(trials=1200, threads=3))
-    for label in seq:
-        for p1, p2 in zip(seq[label][1].points, par[label][1].points):
-            assert p1.empirical == p2.empirical
+@pytest.mark.parametrize(
+    "run", [run_mse_cdf_experiment, run_participation_experiment, run_port_sweep]
+)
+def test_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, run):
+    # power of the calibrated gate at the default plan (K=20, N=10, 10k
+    # trials): the sampler draws Clayton(1) where the law is Clayton(2)
+    real = montecarlo.sample_port_gains
+
+    def clayton_1(dep, n_users, n_ports, rng):
+        return real(Clayton(1.0) if dep == Clayton(2.0) else dep, n_users, n_ports, rng)
+
+    monkeypatch.setattr(montecarlo, "sample_port_gains", clayton_1)
+    out = run(McPlan(variants=(("clayton-2", Clayton(2.0)),)))
+    report = out["clayton-2"]
+    report = report if isinstance(report, ComparisonReport) else report[1]
+    assert not report.all_pass
+    assert report.failing_points()
 
 
 def test_participation_experiment_bins_and_mean():
