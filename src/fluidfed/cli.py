@@ -18,8 +18,11 @@ state ``system.tau`` explicitly.
 
 Every run writes its result tables (CSV + JSON) plus ``manifest.json``
 recording the tool version, resolved config, master seed, timestamps, and
-sha256 of each output.  Exit codes: 0 success, 1 statistical check failure
-or training divergence, 2 usage/config error, 3 I/O error.
+sha256 of each output; ``train`` adds per-variant telemetry (rounds,
+skipped rounds, client updates and their rate, per-round wall time and
+norm scale), which no hashed output contains.  Exit codes: 0 success,
+1 statistical check failure or training divergence, 2 usage/config
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import copy
 import hashlib
 import json
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,7 +61,6 @@ DEFAULTS = {
     "mc": {
         "trials": 10_000,
         "seed": 0,
-        "threads": 1,
         "s_target": 15,
         "tau_grid": [1.0, 4.0, 30],  # log10 start, log10 stop, points
         "n_grid": [1, 20],
@@ -117,11 +120,11 @@ _SCHEMA = {
     "mc": {
         "trials": _COUNT,
         "seed": _COUNT,
-        "threads": _COUNT,
         "s_target": _COUNT,
-        "tau_grid": (list,),
-        "n_grid": (list,),
-        "gain_grid": (list,),
+        # fixed-layout lists: one kind per entry
+        "tau_grid": [_NUMERIC, _NUMERIC, _COUNT],  # log10 start, log10 stop, points
+        "n_grid": [_COUNT, _COUNT],
+        "gain_grid": [_NUMERIC, _NUMERIC, _COUNT],
         "diag_rows": _COUNT,
         "diag_betas": (list,),
         "variants": (list,),
@@ -175,21 +178,28 @@ def _validate_layer(layer: dict, source: str) -> None:
         for key, value in body.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{source}: unknown key `{section}.{key}`")
-            allowed = _SCHEMA[section][key]
-            count = allowed == _COUNT
-            if count:
-                allowed = _NUMERIC
-            if not isinstance(value, allowed) or isinstance(value, bool):
-                names = "/".join(t.__name__ for t in allowed)
+            kinds = _SCHEMA[section][key]
+            if not isinstance(kinds, list):
+                _check_value(source, f"{section}.{key}", kinds, value)
+            elif not isinstance(value, list) or len(value) != len(kinds):
                 raise ConfigError(
-                    f"{source}: key `{section}.{key}` must be {names}, "
-                    f"got {type(value).__name__}"
+                    f"{source}: key `{section}.{key}` must be a list of {len(kinds)} numbers"
                 )
-            if count and not float(value).is_integer():
-                raise ConfigError(
-                    f"{source}: key `{section}.{key}` must be a whole number, "
-                    f"got {value!r}"
-                )
+            else:
+                for i, (kind, entry) in enumerate(zip(kinds, value)):
+                    _check_value(source, f"{section}.{key}[{i}]", kind, entry)
+
+
+def _check_value(source: str, name: str, allowed, value) -> None:
+    count = allowed == _COUNT
+    if count:
+        allowed = _NUMERIC
+    if not isinstance(value, allowed) or isinstance(value, bool):
+        names = "/".join(t.__name__ for t in allowed)
+        got = type(value).__name__
+        raise ConfigError(f"{source}: key `{name}` must be {names}, got {got}")
+    if count and not float(value).is_integer():
+        raise ConfigError(f"{source}: key `{name}` must be a whole number, got {value!r}")
 
 
 def _parse_set_override(spec: str) -> tuple[str, str, object]:
@@ -313,7 +323,6 @@ def _build_plan(cfg: dict, include_ideal: bool = False) -> montecarlo.McPlan:
             s_target=int(mc["s_target"]),
             trials=int(mc["trials"]),
             seed=int(mc["seed"]),
-            threads=int(mc["threads"]),
             tau_grid=tau_grid,
             n_grid=np.arange(int(n_lo), int(n_hi) + 1),
             gain_grid=np.linspace(float(g_lo), float(g_hi), int(g_pts)),
@@ -341,6 +350,7 @@ def _write_manifest(
     outputs: list[Path],
     started: str,
     status: str,
+    telemetry: dict | None = None,
 ) -> None:
     manifest = {
         "tool": "fluidfed",
@@ -356,6 +366,8 @@ def _write_manifest(
             {"path": p.name, "sha256": _sha256(p)} for p in sorted(outputs)
         ],
     }
+    if telemetry is not None:
+        manifest["telemetry"] = telemetry
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -384,83 +396,42 @@ def _report_failures(reports) -> bool:
     return ok
 
 
-def _cmd_cdf_mse(cfg: dict, source: dict, out_dir: Path) -> int:
+# comparison commands -> montecarlo experiment, looked up when the command runs
+_COMPARISONS = {
+    "cdf-mse": "run_mse_cdf_experiment",
+    "pmf-users": "run_participation_experiment",
+    "port-sweep": "run_port_sweep",
+}
+
+
+def _cmd_compare(command: str, cfg: dict, source: dict, out_dir: Path) -> int:
+    """Run one analytic-vs-Monte-Carlo experiment; write a CSV per variant."""
     started = datetime.now(timezone.utc).isoformat()
     plan = _build_plan(cfg)
-    results = montecarlo.run_mse_cdf_experiment(plan)
+    prefix = _COMMAND_DIRS[command]
+    results = getattr(montecarlo, _COMPARISONS[command])(plan)
+    # cdf-mse and port-sweep return (analytic values, report) pairs
+    reports = {label: r[1] if isinstance(r, tuple) else r for label, r in results.items()}
     outputs = []
-    report_blob = {}
-    for label, (curve, report) in results.items():
-        path = out_dir / f"cdf_mse_{label}.csv"
+    for label, report in reports.items():
+        path = out_dir / f"{prefix}_{label}.csv"
         report.to_csv(path)
         outputs.append(path)
-        report_blob[label] = report.to_json_dict()
-        print(f"{label}: sup gap {report.sup_gap:.4g} "
-              f"({'pass' if report.all_pass else 'FAIL'})")
-    json_path = out_dir / "cdf_mse_report.json"
+        mean = report.meta.get("mean_check")
+        summary = f"sup gap {report.sup_gap:.4g}"
+        if mean is not None:
+            summary = (f"mean participants {mean['empirical_mean']:.3f} "
+                       f"(analytic {mean['analytic_mean']:.3f})")
+        print(f"{label}: {summary} ({'pass' if report.all_pass else 'FAIL'})")
+    json_path = out_dir / f"{prefix}_report.json"
+    blob = {label: report.to_json_dict() for label, report in reports.items()}
     with open(json_path, "w") as fh:
-        json.dump(report_blob, fh, indent=2, sort_keys=True)
+        json.dump(blob, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs.append(json_path)
-    ok = _report_failures(r for _, r in results.values())
+    ok = _report_failures(reports.values())
     _write_manifest(
-        out_dir, "cdf-mse", cfg, source, plan.seed, outputs, started,
-        "pass" if ok else "statistical-failure",
-    )
-    return 0 if ok else 1
-
-
-def _cmd_pmf_users(cfg: dict, source: dict, out_dir: Path) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    plan = _build_plan(cfg)
-    results = montecarlo.run_participation_experiment(plan)
-    outputs = []
-    report_blob = {}
-    for label, report in results.items():
-        path = out_dir / f"pmf_users_{label}.csv"
-        report.to_csv(path)
-        outputs.append(path)
-        report_blob[label] = report.to_json_dict()
-        mean = report.meta["mean_check"]
-        print(
-            f"{label}: mean participants {mean['empirical_mean']:.3f} "
-            f"(analytic {mean['analytic_mean']:.3f}) "
-            f"({'pass' if report.all_pass else 'FAIL'})"
-        )
-    json_path = out_dir / "pmf_users_report.json"
-    with open(json_path, "w") as fh:
-        json.dump(report_blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(json_path)
-    ok = _report_failures(results.values())
-    _write_manifest(
-        out_dir, "pmf-users", cfg, source, plan.seed, outputs, started,
-        "pass" if ok else "statistical-failure",
-    )
-    return 0 if ok else 1
-
-
-def _cmd_port_sweep(cfg: dict, source: dict, out_dir: Path) -> int:
-    started = datetime.now(timezone.utc).isoformat()
-    plan = _build_plan(cfg)
-    results = montecarlo.run_port_sweep(plan)
-    outputs = []
-    report_blob = {}
-    for label, (curve, report) in results.items():
-        path = out_dir / f"port_sweep_{label}.csv"
-        report.to_csv(path)
-        outputs.append(path)
-        report_blob[label] = report.to_json_dict()
-        print(f"{label}: sup gap {report.sup_gap:.4g} "
-              f"({'pass' if report.all_pass else 'FAIL'})")
-    json_path = out_dir / "port_sweep_report.json"
-    with open(json_path, "w") as fh:
-        json.dump(report_blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(json_path)
-    ok = _report_failures(r for _, r in results.values())
-    _write_manifest(
-        out_dir, "port-sweep", cfg, source, plan.seed, outputs, started,
+        out_dir, command, cfg, source, plan.seed, outputs, started,
         "pass" if ok else "statistical-failure",
     )
     return 0 if ok else 1
@@ -482,8 +453,8 @@ def _cmd_copula_check(cfg: dict, source: dict, out_dir: Path) -> int:
     outputs.append(json_path)
     for check in diag.marginal_checks:
         print(
-            f"beta={check['beta']:g}: max KS {check['max_ks_statistic']:.5f} "
-            f"(crit {check['critical_value']:.5f}) "
+            f"beta={check['beta']:g}: max KS {check['max_ks_statistic']:.5f}, "
+            f"min p {check['min_p_value']:.3g} (alpha {check['alpha']:.3g}) "
             f"({'pass' if check['passed'] else 'FAIL'})"
         )
     for check in diag.tau_checks:
@@ -534,6 +505,21 @@ def _fl_config(cfg: dict, benchmark: str) -> fedlearn.FlConfig:
         raise ConfigError(str(exc))
 
 
+def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
+    """What one variant's training did and where its time went (not hashed)."""
+    updates = sum(r.participants for r in records)
+    return {
+        "rounds": len(records),
+        "skipped_rounds": sum(r.participants == 0 for r in records),
+        "client_updates": updates,
+        "diverged": diverged,
+        "seconds": seconds,
+        "updates_per_s": updates / seconds if seconds > 0 else None,
+        "round_wall_time": [r.wall_time for r in records],
+        "round_norm_scale": [r.norm_scale for r in records],
+    }
+
+
 def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
     started = datetime.now(timezone.utc).isoformat()
     sysc = cfg["system"]
@@ -546,17 +532,21 @@ def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
     )
     outputs = []
     diverged = []
+    telemetry = {}
     for spec in cfg["fl"]["variants"]:
         label, dep = parse_variant(spec, aperture=float(sysc["W"]))
         benchmark = "ideal" if dep == "ideal" else "ota"
         fl = _fl_config(cfg, benchmark)
         dep_obj = Independent() if dep == "ideal" else dep
+        t0 = time.perf_counter()
         try:
             records = fedlearn.run_training(fl, link, dep_obj, seed=seed)
         except fedlearn.TrainingDivergedError as exc:
             records = exc.records
             diverged.append(label)
             print(f"{label}: DIVERGED ({exc})", file=sys.stderr)
+        seconds = time.perf_counter() - t0
+        telemetry[label] = _train_telemetry(records, seconds, label in diverged)
         csv_path = out_dir / f"train_{label}.csv"
         jsonl_path = out_dir / f"train_{label}.jsonl"
         fedlearn.records_to_csv(records, csv_path)
@@ -572,7 +562,7 @@ def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
     ok = not diverged
     _write_manifest(
         out_dir, "train", cfg, source, seed, outputs, started,
-        "pass" if ok else "diverged",
+        "pass" if ok else "diverged", telemetry,
     )
     return 0 if ok else 1
 
@@ -642,9 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument("--trials", type=int, default=None, help="MC trials")
-    common.add_argument(
-        "--threads", type=int, default=None, help="threads that run Monte-Carlo trial blocks"
-    )
     for name, help_text in [
         ("cdf-mse", "aggregation-error CDF vs Monte Carlo"),
         ("pmf-users", "participant-count PMF vs Monte Carlo"),
@@ -691,9 +678,6 @@ def main(argv=None) -> int:
         if args.trials is not None:
             cfg["mc"]["trials"] = args.trials
             source["mc.trials"] = "flag"
-        if args.threads is not None:
-            cfg["mc"]["threads"] = args.threads
-            source["mc.threads"] = "flag"
         if getattr(args, "benchmark", None) is not None:
             if args.benchmark == "ideal":
                 cfg["fl"]["variants"] = ["ideal"]
@@ -704,12 +688,8 @@ def main(argv=None) -> int:
             source["fl.variants"] = "flag"
         out_dir = Path(args.out) if args.out else Path("runs") / _COMMAND_DIRS[args.command]
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "cdf-mse":
-            return _cmd_cdf_mse(cfg, source, out_dir)
-        if args.command == "pmf-users":
-            return _cmd_pmf_users(cfg, source, out_dir)
-        if args.command == "port-sweep":
-            return _cmd_port_sweep(cfg, source, out_dir)
+        if args.command in _COMPARISONS:
+            return _cmd_compare(args.command, cfg, source, out_dir)
         if args.command == "copula-check":
             return _cmd_copula_check(cfg, source, out_dir)
         if args.command == "train":

@@ -2,8 +2,9 @@
 
 One server, K clients, IID data partition.  Each round: sample every
 client's fluid-antenna channel, keep the clients whose best-port gain
-passes the participation threshold, run one local optimizer step on each
-participant, and aggregate the resulting parameter vectors over the air
+passes the participation threshold (the round's cohort; the ideal
+benchmark's cohort is every client), run the cohort's local optimizer
+steps, and aggregate the resulting parameter vectors over the air
 (zero-forcing scaling + receiver noise).  The transmitted vectors are
 normalized by the round's maximum update norm (a shared scalar) and
 denormalized after aggregation, so with zero noise and full participation
@@ -11,8 +12,11 @@ the round reproduces plain FedAvg to float rounding.
 
 The model is a single-hidden-layer MLP (ReLU hidden, softmax output,
 cross-entropy loss) in plain float64 numpy, trained with Adam or SGD.
-Data comes from IDX image/label files or from a synthetic Gaussian-blob
-generator.
+A round's local updates are one ``local_update`` call on (S, .) stacks:
+one ``loss_and_grad`` call per local step and batch length, with Adam
+moments kept as run-level (K, P) stacks.  Every slice equals a
+per-client computation bit for bit.  Data comes from IDX image/label
+files or from a synthetic Gaussian-blob generator.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,6 +42,7 @@ __all__ = [
     "TrainingDivergedError",
     "Dataset",
     "ClientState",
+    "AdamMoments",
     "MlpModel",
     "FlConfig",
     "RoundRecord",
@@ -81,12 +86,7 @@ class Dataset:
 
     @property
     def n_classes(self) -> int:
-        labels = (
-            np.concatenate([self.train_y, self.test_y])
-            if self.test_y.size
-            else self.train_y
-        )
-        return int(labels.max()) + 1
+        return int(max(self.train_y.max(), self.test_y.max(initial=0))) + 1
 
 
 def _read_idx(path, expected_magic: int, kind: str) -> np.ndarray:
@@ -96,9 +96,7 @@ def _read_idx(path, expected_magic: int, kind: str) -> np.ndarray:
         raise ValueError(f"{kind} file {path} is truncated")
     magic, count = struct.unpack(">II", raw[:8])
     if magic != expected_magic:
-        raise ValueError(
-            f"{kind} file {path} has magic {magic}, expected {expected_magic}"
-        )
+        raise ValueError(f"{kind} file {path} has magic {magic}, expected {expected_magic}")
     if expected_magic == IDX_IMAGE_MAGIC:
         if len(raw) < 16:
             raise ValueError(f"{kind} file {path} is truncated")
@@ -112,15 +110,11 @@ def _read_idx(path, expected_magic: int, kind: str) -> np.ndarray:
         return body.reshape(count, rows * cols)
     body = np.frombuffer(raw, dtype=np.uint8, offset=8)
     if body.size != count:
-        raise ValueError(
-            f"{kind} file {path}: expected {count} labels, found {body.size}"
-        )
+        raise ValueError(f"{kind} file {path}: expected {count} labels, found {body.size}")
     return body
 
 
-def _split(
-    x: np.ndarray, y: np.ndarray, split: float, rng: RngLike
-) -> Dataset:
+def _split(x: np.ndarray, y: np.ndarray, split: float, rng: RngLike) -> Dataset:
     if not (0 < split <= 1):
         raise ValueError("split must be in (0, 1]")
     gen = as_generator(rng)
@@ -130,27 +124,16 @@ def _split(
     if n >= 2:
         n_train = min(max(n_train, 1), n - 1)
     idx_train, idx_test = order[:n_train], order[n_train:]
-    return Dataset(
-        train_x=x[idx_train],
-        train_y=y[idx_train],
-        test_x=x[idx_test],
-        test_y=y[idx_test],
-    )
+    return Dataset(x[idx_train], y[idx_train], x[idx_test], y[idx_test])
 
 
-def ingest_mnist(
-    images_path, labels_path, split: float = 0.9, rng: RngLike = 0
-) -> Dataset:
+def ingest_mnist(images_path, labels_path, split: float = 0.9, rng: RngLike = 0) -> Dataset:
     """Load IDX image/label files, scale pixels to [0, 1], shuffle, split."""
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if images.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"image count {images.shape[0]} != label count {labels.shape[0]}"
-        )
-    x = images.astype(np.float64) / 255.0
-    y = labels.astype(np.int64)
-    return _split(x, y, split, rng)
+        raise ValueError(f"image count {images.shape[0]} != label count {labels.shape[0]}")
+    return _split(images.astype(np.float64) / 255.0, labels.astype(np.int64), split, rng)
 
 
 def synthesize_dataset(
@@ -184,14 +167,11 @@ def synthesize_dataset(
 
 @dataclass
 class ClientState:
-    """One client's shard plus persistent optimizer state."""
+    """One client's data shard."""
 
     client_id: int
     x: np.ndarray
     y: np.ndarray
-    adam_m: Optional[np.ndarray] = None
-    adam_v: Optional[np.ndarray] = None
-    step: int = 0
 
 
 def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> list[ClientState]:
@@ -231,12 +211,7 @@ class MlpModel:
 
     @property
     def n_params(self) -> int:
-        return (
-            self.n_inputs * self.n_hidden
-            + self.n_hidden
-            + self.n_hidden * self.n_classes
-            + self.n_classes
-        )
+        return (self.n_inputs + 1) * self.n_hidden + (self.n_hidden + 1) * self.n_classes
 
     def init_params(self, rng: RngLike) -> np.ndarray:
         """Uniform Xavier/Glorot weights, zero biases."""
@@ -250,22 +225,20 @@ class MlpModel:
         )
 
     def unpack(self, w: np.ndarray):
+        """Views of W1, b1, W2, b2; a leading axis of ``w`` is kept on each."""
         i, h, c = self.n_inputs, self.n_hidden, self.n_classes
-        a = 0
-        w1 = w[a : a + i * h].reshape(i, h)
-        a += i * h
-        b1 = w[a : a + h]
-        a += h
-        w2 = w[a : a + h * c].reshape(h, c)
-        a += h * c
-        b2 = w[a : a + c]
-        return w1, b1, w2, b2
+        w1, b1, w2, b2 = np.split(w, [i * h, (i + 1) * h, (i + 1 + c) * h], axis=-1)
+        return w1.reshape(*w.shape[:-1], i, h), b1, w2.reshape(*w.shape[:-1], h, c), b2
 
     def _logits(self, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden activations and output logits, (..., b, h) and (..., b, c)."""
         w1, b1, w2, b2 = self.unpack(w)
-        z1 = x @ w1 + b1
-        a1 = np.maximum(z1, 0.0)
-        return z1, a1 @ w2 + b2
+        z1 = x @ w1
+        z1 += b1[..., None, :]
+        a1 = np.maximum(z1, 0.0, out=z1)
+        z2 = a1 @ w2
+        z2 += b2[..., None, :]
+        return a1, z2
 
     def predict_proba(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         _, z2 = self._logits(w, x)
@@ -273,29 +246,40 @@ class MlpModel:
         e = np.exp(z2)
         return e / e.sum(axis=1, keepdims=True)
 
-    def loss_and_grad(
-        self, w: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Mean cross-entropy and its gradient wrt the flat parameters."""
-        w1, b1, w2, b2 = self.unpack(w)
-        n = x.shape[0]
-        z1 = x @ w1 + b1
-        a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ w2 + b2
-        shift = z2 - z2.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(shift).sum(axis=1, keepdims=True))
-        log_probs = shift - log_norm
-        loss = -float(log_probs[np.arange(n), y].mean())
+    def loss_and_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
+        """Mean cross-entropy and its gradient wrt the flat parameters.
+
+        ``x`` (b, in) and ``y`` (b,) give a float loss and a (P,) gradient.
+        With a leading cohort axis, ``x`` (S, b, in) and ``y`` (S, b), the
+        parameters ``w`` are (P,) shared by all S clients or (S, P), and the
+        result is (S,) losses and (S, P) gradients.  Stacked matmul runs one
+        GEMM per slice, so each slice equals its single-client call bit for
+        bit.
+        """
+        single = x.ndim == 2
+        if single:
+            x, y = x[None], y[None]
+        s, n = y.shape
+        _, _, w2, _ = self.unpack(w)
+        a1, z2 = self._logits(w, x)
+        z2 -= z2.max(axis=-1, keepdims=True)
+        log_probs = z2 - np.log(np.exp(z2).sum(axis=-1, keepdims=True))
+        rows, cols = np.arange(s)[:, None], np.arange(n)
+        loss = -log_probs[rows, cols, y].mean(axis=-1)
         dz2 = np.exp(log_probs)
-        dz2[np.arange(n), y] -= 1.0
+        dz2[rows, cols, y] -= 1.0
         dz2 /= n
-        dw2 = a1.T @ dz2
-        db2 = dz2.sum(axis=0)
-        da1 = dz2 @ w2.T
-        dz1 = da1 * (z1 > 0)
-        dw1 = x.T @ dz1
-        db1 = dz1.sum(axis=0)
-        grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        grad = np.empty((s, self.n_params))
+        gw1, gb1, gw2, gb2 = self.unpack(grad)
+        np.matmul(a1.transpose(0, 2, 1), dz2, out=gw2)
+        np.sum(dz2, axis=1, out=gb2)
+        active = a1 > 0
+        da1 = np.matmul(dz2, np.swapaxes(w2, -1, -2), out=a1)
+        da1 *= active
+        np.matmul(x.transpose(0, 2, 1), da1, out=gw1)
+        np.sum(da1, axis=1, out=gb1)
+        if single:
+            return float(loss[0]), grad[0]
         return loss, grad
 
     def accuracy(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -352,8 +336,9 @@ class RoundRecord:
     """One training round's outcome.
 
     ``mse``, ``eta``, ``train_loss`` are None when undefined (skipped round
-    or the ideal benchmark); ``wall_time`` stays in memory and is not
-    serialized so reruns are byte-identical.
+    or the ideal benchmark); ``norm_scale`` is None unless the round went
+    over the air.  ``wall_time`` and ``norm_scale`` stay in memory and are
+    not serialized, so reruns are byte-identical.
     """
 
     round: int
@@ -363,6 +348,7 @@ class RoundRecord:
     train_loss: Optional[float]
     test_acc: float
     wall_time: float = 0.0
+    norm_scale: Optional[float] = None
 
 
 ADAM_BETA1 = 0.9
@@ -370,41 +356,87 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+@dataclass
+class AdamMoments:
+    """Adam state of every client: rows of ``m``, ``v`` and ``steps`` per client."""
+
+    m: np.ndarray
+    v: np.ndarray
+    steps: np.ndarray
+
+    @classmethod
+    def zeros(cls, n_clients: int, n_params: int) -> "AdamMoments":
+        shape = (n_clients, n_params)
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(n_clients, dtype=np.int64))
+
+
+def _bias_correction(beta: float, steps: np.ndarray) -> np.ndarray:
+    # Python's float pow per client: numpy's vectorized power differs from
+    # it in the last bit on some steps
+    return np.array([[1 - beta ** int(s)] for s in steps])
+
+
 def local_update(
     model: MlpModel,
-    client: ClientState,
+    clients: Sequence[ClientState],
+    cohort: np.ndarray,
     w_global: np.ndarray,
     cfg: FlConfig,
-    rng: RngLike,
-) -> tuple[np.ndarray, float]:
-    """One client round: minibatch step(s) from the current global model.
+    streams: Sequence[RngLike],
+    adam: Optional[AdamMoments] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minibatch step(s) from w_global for the clients in ``cohort``.
 
-    Returns the client's new parameter vector and the loss of its first
-    batch at the incoming global parameters.  Adam moments live in the
-    client state and carry across rounds.
+    Client ``cohort[j]`` draws its batches from ``streams[j]``.  Clients of
+    equal batch length (at most two lengths, as shard sizes differ by at
+    most one) share one ``loss_and_grad`` call per step.  Adam moments are
+    gathered from and scattered back to the run-level ``adam`` stacks (zero
+    moments when None).  Returns the (S, P) new parameters and the (S,)
+    losses of each client's first batch at w_global.
     """
-    gen = as_generator(rng)
-    w = w_global.copy()
-    first_loss = None
-    for _ in range(cfg.local_steps):
-        n = client.x.shape[0]
-        batch = gen.choice(n, size=min(cfg.batch_size, n), replace=False)
-        loss, grad = model.loss_and_grad(w, client.x[batch], client.y[batch])
-        if first_loss is None:
+    gens = [as_generator(s) for s in streams]
+    members = [clients[k] for k in cohort]
+    sizes = [c.x.shape[0] for c in members]
+    lengths = [min(cfg.batch_size, n) for n in sizes]
+    groups = [np.flatnonzero(np.equal(lengths, n)) for n in sorted(set(lengths))]
+    whole = np.array_equal(cohort, np.arange(len(clients)))  # Adam stacks used in place
+    w = w_global
+    for step in range(cfg.local_steps):
+        loss, grad = np.empty(len(members)), np.empty((len(members), w_global.size))
+        for pos in groups:
+            batches = [gens[i].choice(sizes[i], size=lengths[i], replace=False) for i in pos]
+            x = np.stack([members[i].x[b] for i, b in zip(pos, batches)])
+            y = np.stack([members[i].y[b] for i, b in zip(pos, batches)])
+            loss[pos], grad[pos] = model.loss_and_grad(w if w.ndim == 1 else w[pos], x, y)
+        if step == 0:
             first_loss = loss
+        # in place, rounding exactly as the plain expressions w - lr * g
+        # and w - lr * m_hat / (sqrt(v_hat) + eps) do
         if cfg.optimizer == "sgd":
-            w = w - cfg.lr * grad
+            grad *= cfg.lr
+            w = np.subtract(w, grad, out=grad)
             continue
-        if client.adam_m is None:
-            client.adam_m = np.zeros_like(w)
-            client.adam_v = np.zeros_like(w)
-        client.step += 1
-        client.adam_m = ADAM_BETA1 * client.adam_m + (1 - ADAM_BETA1) * grad
-        client.adam_v = ADAM_BETA2 * client.adam_v + (1 - ADAM_BETA2) * grad**2
-        m_hat = client.adam_m / (1 - ADAM_BETA1**client.step)
-        v_hat = client.adam_v / (1 - ADAM_BETA2**client.step)
-        w = w - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return w, float(first_loss)
+        if step == 0:
+            adam = adam if adam is not None else AdamMoments.zeros(len(clients), w_global.size)
+            m, v, steps = (adam.m, adam.v, adam.steps) if whole else (
+                adam.m[cohort], adam.v[cohort], adam.steps[cohort])
+        steps += 1
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * grad
+        grad *= grad
+        grad *= 1 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += grad
+        m_hat = m / _bias_correction(ADAM_BETA1, steps)
+        denom = np.divide(v, _bias_correction(ADAM_BETA2, steps), out=grad)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        m_hat *= cfg.lr
+        m_hat /= denom
+        w = np.subtract(w, m_hat, out=m_hat)
+    if cfg.optimizer == "adam" and not whole:
+        adam.m[cohort], adam.v[cohort], adam.steps[cohort] = m, v, steps
+    return w, first_loss
 
 
 def _build_dataset(cfg: FlConfig, rng: RngLike) -> Dataset:
@@ -417,6 +449,12 @@ def _build_dataset(cfg: FlConfig, rng: RngLike) -> Dataset:
     )
 
 
+def _client_stream(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
+    """``root.spawn(n)[k]`` for any n > k, built without its siblings."""
+    key = root.spawn_key + (k,)
+    return np.random.SeedSequence(root.entropy, spawn_key=key, pool_size=root.pool_size)
+
+
 def run_training(
     fl: FlConfig,
     link: ota.OtaConfig,
@@ -427,9 +465,12 @@ def run_training(
     """Run T federated rounds and return one record per round.
 
     The RNG tree is spawned from ``seed``: data/partition, model init, then
-    per-round children split into channel, uplink noise, and one stream per
-    client, so client work can run in parallel without changing results.
-    The link config's vector length is overridden with the model dimension.
+    per-round children split into channel, uplink noise, and a clients root
+    whose child k (built only for the cohort; equal to ``spawn(K)[k]``) is
+    client k's stream.  Each round is one ``local_update`` call: on every
+    client for the ideal benchmark, then averaged; on the selected clients
+    for the OTA path, then normalized and aggregated over the air.  The
+    link config's vector length is overridden with the model dimension.
     """
     root = np.random.SeedSequence(seed)
     data_ss, init_ss, rounds_ss = root.spawn(3)
@@ -442,74 +483,36 @@ def run_training(
 
     model = MlpModel(dataset.n_features, fl.hidden, dataset.n_classes)
     w = model.init_params(np.random.default_rng(init_ss))
-    import dataclasses as _dc
-
-    link = _dc.replace(link, d=model.n_params)
+    link = replace(link, d=model.n_params)
+    adam = AdamMoments.zeros(fl.n_clients, model.n_params) if fl.optimizer == "adam" else None
 
     records: list[RoundRecord] = []
-    round_streams = rounds_ss.spawn(fl.rounds)
-    for t in range(1, fl.rounds + 1):
+    for t, round_ss in enumerate(rounds_ss.spawn(fl.rounds), start=1):
         t0 = time.monotonic()
-        ch_ss, noise_ss, clients_root = round_streams[t - 1].spawn(3)
-        client_streams = clients_root.spawn(fl.n_clients)
-
+        ch_ss, noise_ss, clients_root = round_ss.spawn(3)
         if fl.benchmark == "ideal":
-            locals_w = []
-            losses = []
-            for k in range(fl.n_clients):
-                wk, loss = local_update(model, clients[k], w, fl, client_streams[k])
-                locals_w.append(wk)
-                losses.append(loss)
-            w = np.mean(locals_w, axis=0)
-            participants, mse, eta, train_loss = fl.n_clients, 0.0, None, float(np.mean(losses))
+            cohort = np.arange(fl.n_clients)
         else:
-            gains = sample_port_gains(dep, fl.n_clients, fl.n_ports, ch_ss)
-            effective = select_ports(gains)
-            selected = ota.select_users(effective, link)
-            if selected.size == 0:
-                records.append(
-                    RoundRecord(
-                        round=t,
-                        participants=0,
-                        mse=None,
-                        eta=None,
-                        train_loss=None,
-                        test_acc=model.accuracy(w, dataset.test_x, dataset.test_y),
-                        wall_time=time.monotonic() - t0,
-                    )
-                )
-                continue
-            outcome = ota.zf_power_control(effective, selected, link)
-            locals_w = []
-            losses = []
-            for k in selected:
-                wk, loss = local_update(model, clients[k], w, fl, client_streams[k])
-                locals_w.append(wk)
-                losses.append(loss)
-            stack = np.asarray(locals_w)
-            norm_scale = float(np.max(np.linalg.norm(stack, axis=1)))
-            if norm_scale == 0.0:
-                norm_scale = 1.0
-            estimate = ota.ota_aggregate(stack / norm_scale, outcome, link, noise_ss)
-            w = norm_scale * estimate
-            participants = int(selected.size)
-            mse, eta, train_loss = outcome.realized_mse, outcome.eta, float(np.mean(losses))
-
-        if not np.all(np.isfinite(w)):
-            raise TrainingDivergedError(
-                f"parameters went nonfinite at round {t}", records
-            )
-        records.append(
-            RoundRecord(
-                round=t,
-                participants=participants,
-                mse=mse,
-                eta=eta,
-                train_loss=train_loss,
-                test_acc=model.accuracy(w, dataset.test_x, dataset.test_y),
-                wall_time=time.monotonic() - t0,
-            )
-        )
+            effective = select_ports(sample_port_gains(dep, fl.n_clients, fl.n_ports, ch_ss))
+            cohort = ota.select_users(effective, link)
+        rec = RoundRecord(t, int(cohort.size), None, None, None, float("nan"))
+        if cohort.size:
+            streams = [_client_stream(clients_root, int(k)) for k in cohort]
+            stack, losses = local_update(model, clients, cohort, w, fl, streams, adam)
+            rec.train_loss = float(np.mean(losses))
+            if fl.benchmark == "ideal":
+                w, rec.mse = stack.mean(axis=0), 0.0
+            else:
+                outcome = ota.zf_power_control(effective, cohort, link)
+                rec.mse, rec.eta = outcome.realized_mse, outcome.eta
+                rec.norm_scale = float(np.max(np.linalg.norm(stack, axis=1))) or 1.0
+                estimate = ota.ota_aggregate(stack / rec.norm_scale, outcome, link, noise_ss)
+                w = rec.norm_scale * estimate
+            if not np.all(np.isfinite(w)):
+                raise TrainingDivergedError(f"parameters went nonfinite at round {t}", records)
+        rec.test_acc = model.accuracy(w, dataset.test_x, dataset.test_y)
+        rec.wall_time = time.monotonic() - t0
+        records.append(rec)
     return records
 
 
@@ -521,11 +524,7 @@ _RECORD_FIELDS = ("round", "participants", "mse", "eta", "train_loss", "test_acc
 
 
 def _field_str(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
 
 def records_to_csv(records: Sequence[RoundRecord], path) -> None:
@@ -538,8 +537,7 @@ def records_to_csv(records: Sequence[RoundRecord], path) -> None:
 def records_to_jsonl(records: Sequence[RoundRecord], path) -> None:
     with open(path, "w") as fh:
         for r in records:
-            fh.write(json.dumps({f: getattr(r, f) for f in _RECORD_FIELDS}))
-            fh.write("\n")
+            fh.write(json.dumps({f: getattr(r, f) for f in _RECORD_FIELDS}) + "\n")
 
 
 def schedule_from_records(path) -> list[tuple[int, float]]:
@@ -552,13 +550,10 @@ def schedule_from_records(path) -> list[tuple[int, float]]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         try:
-            i_part = header.index("participants")
-            i_mse = header.index("mse")
+            i_part, i_mse = header.index("participants"), header.index("mse")
         except ValueError as exc:
             raise ValueError(f"{path} is not a round-record CSV: {exc}") from exc
         for line in fh:
             cells = line.rstrip("\n").split(",")
-            participants = int(cells[i_part])
-            mse = float(cells[i_mse]) if cells[i_mse] else 0.0
-            out.append((participants, mse))
+            out.append((int(cells[i_part]), float(cells[i_mse] or 0.0)))
     return out

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config precedence, exit codes, outputs, manifests."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -151,6 +152,39 @@ def test_fractional_counts_exit_2(tmp_path, capsys, command, key):
     assert not (tmp_path / "a" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, spec, key",
+    [
+        ("port-sweep", "mc.n_grid=[1,8.7]", "mc.n_grid[1]"),
+        ("cdf-mse", "mc.tau_grid=[1.0,3.0,6.9]", "mc.tau_grid[2]"),
+        ("copula-check", "mc.gain_grid=[0.05,6.0,2.5]", "mc.gain_grid[2]"),
+    ],
+)
+def test_fractional_list_counts_exit_2(tmp_path, capsys, command, spec, key):
+    # int() would sweep n = 1..8 or truncate the point count without a word
+    rc = main([command, "--out", str(tmp_path / "a"), "--set", spec])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "whole number" in err
+    assert not (tmp_path / "a" / "manifest.json").exists()
+
+
+def test_grid_lists_must_have_their_layout(tmp_path, capsys):
+    assert main(["port-sweep", "--out", str(tmp_path), "--set", "mc.n_grid=[1,4,8]"]) == 2
+    assert "mc.n_grid" in capsys.readouterr().err
+    # a whole float point count is accepted, like the scalar counts
+    cfg, _ = load_config(None, ["mc.tau_grid=[1.0,3.0,8.0]"])
+    assert cfg["mc"]["tau_grid"] == [1.0, 3.0, 8.0]
+
+
+def test_threads_flag_and_key_are_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cdf-mse", "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert main(["cdf-mse", "--out", str(tmp_path), "--set", "mc.threads=1"]) == 2
+    assert "unknown key `mc.threads`" in capsys.readouterr().err
+
+
 def test_whole_float_counts_are_accepted(tmp_path):
     assert main(["bound", "--out", str(tmp_path), "--set", "bound.rounds=3.0"]) == 0
     assert len((tmp_path / "bound.csv").read_text().splitlines()) == 4
@@ -270,6 +304,65 @@ def test_train_reruns_byte_identical(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("train_ideal.csv", "train_independent.csv", "train_independent.jsonl"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_train_manifest_records_telemetry(tmp_path):
+    out = tmp_path / "t"
+    assert main(["train", "--out", str(out), *FAST_FL, "--set", "system.tau=0.5"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    telemetry = manifest["telemetry"]
+    assert set(telemetry) == {"ideal", "independent"}
+    for label, block in telemetry.items():
+        records = (out / f"train_{label}.csv").read_text().splitlines()[1:]
+        participants = [int(r.split(",")[1]) for r in records]
+        assert block["rounds"] == len(records) == 2
+        assert block["skipped_rounds"] == participants.count(0)
+        assert block["client_updates"] == sum(participants)
+        assert block["diverged"] is False
+        assert block["updates_per_s"] == pytest.approx(sum(participants) / block["seconds"])
+        assert len(block["round_wall_time"]) == 2
+        assert all(t > 0 for t in block["round_wall_time"])
+    # only rounds that went over the air have a norm scale
+    assert telemetry["ideal"]["round_norm_scale"] == [None, None]
+    for scale, n in zip(telemetry["independent"]["round_norm_scale"], participants):
+        assert (scale is None) == (n == 0) and (scale is None or scale > 0)
+    # the telemetry stays out of the hashed data files
+    for name in ("train_ideal.csv", "train_independent.jsonl"):
+        assert "wall_time" not in (out / name).read_text()
+        assert "norm_scale" not in (out / name).read_text()
+
+
+# sha256 of the seed-0 data files, frozen before training ran as one batched
+# call per round; the second run has 12 rounds of 3 Adam steps (bias
+# corrections past step 8) and ragged shards of 61/60/60 rows in one cohort
+TRAIN_GOLDEN = [
+    (
+        [],
+        {
+            "train_ideal.csv": "3b9b8661de068ab973f7d3b4bff5d4d7e95b2d5c9b445194d1f7a55d1b324c74",
+            "train_ideal.jsonl": "0955695313a5c4ec2f5f3b79cccc99336fd4a83c0016d94dea3892f8fc40f451",
+            "train_independent.csv": "854c12a5e0a56ef35a969bc349a00c8aad25f2e5acdd4c89a3ffcad5854c2d1b",
+            "train_independent.jsonl": "324110f13a292a2ceaf99edb5947df96c6aa21cbdefd2f7c3f685fe1d061f684",
+        },
+    ),
+    (
+        ["--set", "fl.rounds=12", "--set", "fl.samples=201",
+         "--set", "fl.local_steps=3", "--set", "fl.batch=100"],
+        {
+            "train_ideal.csv": "fd8b0f66c347a9def8f86581f83532be69eb232b44d304caf2b7c185ca671dc1",
+            "train_ideal.jsonl": "6d5f3059ffc5fe17a345aa486b4567040f911e3e681bc77345808ff5d9b54082",
+            "train_independent.csv": "db810af46cce2c9efac940a0de53ac9b726ff5c04018c166b441553e830e5552",
+            "train_independent.jsonl": "6a1b2922a9c74e9c556453545c8cba6d3cb0197015b08e3e4b06ab6a4d724e16",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("extra, golden", TRAIN_GOLDEN, ids=["fast", "adam-ragged"])
+def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
+    assert main(["train", "--out", str(tmp_path), *FAST_FL, *extra, "--seed", "0"]) == 0
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_bound_constant_schedule(tmp_path, capsys):

@@ -8,6 +8,10 @@ import pytest
 from fluidfed import fedlearn, ota
 from fluidfed.channel import Clayton, Independent, PerfectDependence
 from fluidfed.fedlearn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamMoments,
     FlConfig,
     MlpModel,
     TrainingDivergedError,
@@ -198,16 +202,137 @@ def test_sgd_local_update_is_one_explicit_step():
     rng = np.random.default_rng(3)
     model = MlpModel(4, 5, 2)
     ds = synthesize_dataset(classes=2, dims=4, samples=50, rng=0)
-    clients = partition_iid(ds, 1, rng=0)
+    clients = partition_iid(ds, 2, rng=0)
     cfg = FlConfig(optimizer="sgd", lr=0.2, batch_size=8, classes=2, dims=4)
     w0 = model.init_params(rng)
-    w1, loss = local_update(model, clients[0], w0, cfg, rng=99)
+    w1, loss = local_update(model, clients, np.array([1]), w0, cfg, [99])
+    assert w1.shape == (1, model.n_params) and loss.shape == (1,)
     # replay the same batch draw and apply w - lr*g by hand
     gen = np.random.default_rng(99)
-    batch = gen.choice(clients[0].x.shape[0], size=8, replace=False)
-    ref_loss, g = model.loss_and_grad(w0, clients[0].x[batch], clients[0].y[batch])
-    assert loss == pytest.approx(ref_loss)
-    assert np.allclose(w1, w0 - 0.2 * g, atol=0, rtol=0)
+    batch = gen.choice(clients[1].x.shape[0], size=8, replace=False)
+    ref_loss, g = model.loss_and_grad(w0, clients[1].x[batch], clients[1].y[batch])
+    assert loss[0] == ref_loss
+    assert np.array_equal(w1[0], w0 - 0.2 * g)
+
+
+def _reference_loss_and_grad(model, w, x, y):
+    # one client, written out on its own (b, in) batch
+    w1, b1, w2, b2 = model.unpack(w)
+    n = x.shape[0]
+    z1 = x @ w1 + b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ w2 + b2
+    shift = z2 - z2.max(axis=1, keepdims=True)
+    log_probs = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    loss = -float(log_probs[np.arange(n), y].mean())
+    dz2 = np.exp(log_probs)
+    dz2[np.arange(n), y] -= 1.0
+    dz2 /= n
+    dz1 = (dz2 @ w2.T) * (z1 > 0)
+    grad = np.concatenate(
+        [(x.T @ dz1).ravel(), dz1.sum(axis=0), (a1.T @ dz2).ravel(), dz2.sum(axis=0)]
+    )
+    return loss, grad
+
+
+def _reference_local_update(model, client, w_global, cfg, stream, state):
+    # one client's round; ``state`` holds its Adam m, v and step count
+    gen = np.random.default_rng(stream)
+    w = w_global.copy()
+    first_loss = None
+    for _ in range(cfg.local_steps):
+        n = client.x.shape[0]
+        batch = gen.choice(n, size=min(cfg.batch_size, n), replace=False)
+        loss, grad = _reference_loss_and_grad(model, w, client.x[batch], client.y[batch])
+        first_loss = loss if first_loss is None else first_loss
+        if cfg.optimizer == "sgd":
+            w = w - cfg.lr * grad
+            continue
+        state["step"] += 1
+        state["m"] = ADAM_BETA1 * state["m"] + (1 - ADAM_BETA1) * grad
+        state["v"] = ADAM_BETA2 * state["v"] + (1 - ADAM_BETA2) * grad**2
+        m_hat = state["m"] / (1 - ADAM_BETA1 ** state["step"])
+        v_hat = state["v"] / (1 - ADAM_BETA2 ** state["step"])
+        w = w - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return w, first_loss
+
+
+def test_cohort_loss_and_grad_slices_equal_single_client_calls():
+    rng = np.random.default_rng(8)
+    model = MlpModel(6, 9, 4)
+    x = rng.standard_normal((5, 11, 6))
+    y = rng.integers(0, 4, size=(5, 11))
+    shared = model.init_params(rng)
+    stacked = shared + 0.1 * rng.standard_normal((5, model.n_params))
+    for w in (shared, stacked):
+        loss, grad = model.loss_and_grad(w, x, y)
+        assert loss.shape == (5,) and grad.shape == (5, model.n_params)
+        for j in range(5):
+            wj = w if w.ndim == 1 else w[j]
+            ref_loss, ref_grad = _reference_loss_and_grad(model, wj, x[j], y[j])
+            assert loss[j] == ref_loss
+            assert np.array_equal(grad[j], ref_grad)
+            # the 2-D call keeps its (float, (P,)) form
+            one_loss, one_grad = model.loss_and_grad(wj, x[j], y[j])
+            assert isinstance(one_loss, float) and one_loss == ref_loss
+            assert np.array_equal(one_grad, ref_grad)
+
+
+@pytest.mark.parametrize(
+    "optimizer, local_steps, batch_size",
+    [
+        ("adam", 1, 8),
+        ("adam", 3, 8),
+        ("sgd", 1, 8),
+        ("sgd", 3, 8),
+        # shards of 10, 10, 9, 9, 9 rows: one cohort holds two batch lengths
+        ("adam", 3, 10),
+        ("sgd", 1, 10),
+        ("adam", 1, 50),
+        ("sgd", 3, 50),
+    ],
+)
+def test_cohort_update_equals_per_client_loop_bitwise(optimizer, local_steps, batch_size):
+    model = MlpModel(4, 6, 3)
+    ds = synthesize_dataset(classes=3, dims=4, samples=52, rng=2)
+    clients = partition_iid(ds, 5, rng=3)
+    assert [c.x.shape[0] for c in clients] == [10, 10, 9, 9, 9]
+    cfg = FlConfig(optimizer=optimizer, local_steps=local_steps, batch_size=batch_size,
+                   lr=0.05, classes=3, dims=4)
+    w = model.init_params(np.random.default_rng(4))
+    adam = AdamMoments.zeros(5, model.n_params)
+    states = [{"m": 0.0, "v": 0.0, "step": 0} for _ in clients]
+    # changing cohorts, the whole population among them, so Adam state is
+    # gathered from and scattered back to the stacks across 12 steps
+    cohorts = [[0, 2, 3], [1, 2], [0, 1, 2, 3, 4], [4], [0, 3, 4], [0, 1, 2, 3, 4]]
+    for r, cohort in enumerate(cohorts):
+        streams = [np.random.SeedSequence([r, k]) for k in cohort]
+        new_w, losses = local_update(model, clients, np.array(cohort), w, cfg, streams, adam)
+        for j, k in enumerate(cohort):
+            ref_w, ref_loss = _reference_local_update(
+                model, clients[k], w, cfg, streams[j], states[k]
+            )
+            assert np.array_equal(new_w[j], ref_w), (r, k)
+            assert losses[j] == ref_loss, (r, k)
+        w = new_w.mean(axis=0)
+    if optimizer == "adam":
+        for k, state in enumerate(states):
+            assert np.array_equal(adam.m[k], np.broadcast_to(state["m"], adam.m[k].shape))
+            assert np.array_equal(adam.v[k], np.broadcast_to(state["v"], adam.v[k].shape))
+            assert adam.steps[k] == state["step"]
+
+
+def test_client_streams_are_built_without_their_siblings():
+    clients_root = np.random.SeedSequence(5).spawn(3)[1].spawn(3)[2]
+    spawned = np.random.SeedSequence(5).spawn(3)[1].spawn(3)[2].spawn(100)
+    for k in (0, 1, 37, 99):
+        lazy = fedlearn._client_stream(clients_root, k)
+        assert lazy.spawn_key == spawned[k].spawn_key
+        assert np.array_equal(lazy.generate_state(4), spawned[k].generate_state(4))
+        assert np.array_equal(
+            np.random.default_rng(lazy).integers(0, 2**32, 8),
+            np.random.default_rng(spawned[k]).integers(0, 2**32, 8),
+        )
 
 
 def test_gradient_vanishes_at_symmetric_origin():

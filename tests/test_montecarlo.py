@@ -1,4 +1,4 @@
-"""Monte Carlo harness tests: reports, determinism, threading, diagnostics.
+"""Monte Carlo harness tests: reports, determinism, block layout, diagnostics.
 
 Trial counts here are kept modest; the full-size statistical gates live in
 the acceptance suite.
@@ -54,8 +54,6 @@ def _small_plan(**kw):
 def test_plan_validation():
     with pytest.raises(ValueError):
         _small_plan(trials=0)
-    with pytest.raises(ValueError):
-        _small_plan(threads=0)
     with pytest.raises(ValueError):
         _small_plan(s_target=9)  # > n_users
 
@@ -141,17 +139,6 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
     assert calls == cdf_calls * 4 + cdf_calls * 4 + sweep_calls * 4
 
 
-def test_threaded_results_are_identical():
-    # 4 blocks (5 for the sweep) shared out over 3 threads
-    seq_plan, par_plan = _small_plan(trials=5000), _small_plan(trials=5000, threads=3)
-    for run in (run_mse_cdf_experiment, run_participation_experiment, run_port_sweep):
-        seq, par = run(seq_plan), run(par_plan)
-        for label in seq:
-            a = seq[label] if run is run_participation_experiment else seq[label][1]
-            b = par[label] if run is run_participation_experiment else par[label][1]
-            assert a.to_json_dict() == b.to_json_dict(), (run.__name__, label)
-
-
 def test_mse_cdf_experiment_passes_and_is_seed_stable():
     plan = _small_plan()
     out1 = run_mse_cdf_experiment(plan)
@@ -230,6 +217,35 @@ def test_copula_diagnostics_pass_and_serialize():
     blob = diag.to_json_dict()
     json.dumps(blob)  # must be JSON-clean
     assert blob["all_pass"] is True
+
+
+def test_copula_marginal_gate_is_bonferroni_corrected():
+    diag = run_copula_diagnostics(_small_plan())
+    for check in diag.marginal_checks:
+        assert check["family_alpha"] == montecarlo.FAMILY_ALPHA
+        # 2 betas x 5 ports share the family-wise rate
+        assert check["alpha"] == pytest.approx(montecarlo.FAMILY_ALPHA / 10)
+        assert check["passed"] == (check["min_p_value"] > check["alpha"])
+        assert 0 < check["max_ks_statistic"] < 1
+
+
+def test_copula_marginal_gate_rejects_scaled_exponential_marginals(monkeypatch):
+    # power at the default 100k rows and 10 ports: every port is
+    # Exp(scale 1.05) instead of Exp(1), a sup distance of about 0.018.  One
+    # beta keeps the test fast; the rejection also holds at the stricter
+    # per-test level of the default plan's 4 betas x 10 ports.
+    real = montecarlo.sample_port_gains
+
+    def stretched(dep, n_users, n_ports, rng):
+        out = real(dep, n_users, n_ports, rng)
+        return type(out)(gains=1.05 * out.gains, seed_info=out.seed_info)
+
+    monkeypatch.setattr(montecarlo, "sample_port_gains", stretched)
+    diag = run_copula_diagnostics(McPlan(diag_betas=(1.0,)))
+    (check,) = diag.marginal_checks
+    assert not check["passed"]
+    assert check["min_p_value"] < montecarlo.FAMILY_ALPHA / 40
+    assert not diag.all_pass
 
 
 def test_report_all_pass_logic():
