@@ -19,6 +19,7 @@ from .channel import (  # noqa: F401
     PortGeometry,
     SamplingError,
     jakes_correlation_matrix,
+    sample_best_gains,
     sample_clayton_exponential,
     sample_gaussian_jakes,
     sample_independent,
@@ -44,7 +45,6 @@ from .ota import (  # noqa: F401
     SelectionOutcome,
     dbm_to_linear,
     gain_threshold,
-    mse_realization,
     ota_aggregate,
     select_users,
     zf_power_control,

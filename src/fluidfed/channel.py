@@ -20,6 +20,9 @@ sample_gaussian_jakes : Bessel-correlated complex Gaussian fading
 jakes_correlation_matrix : the port covariance for the Gaussian model
 select_ports : per-user best-port selection (max power gain)
 sample_port_gains : dispatch on a DependenceSpec
+sample_best_gains : each user's best-port gain under any DependenceSpec,
+    drawn from the same stream as sample_port_gains without building the
+    K x N matrix where the model allows it
 
 All samplers are pure functions of an explicit RNG stream: pass an integer
 seed, a ``numpy.random.SeedSequence``, or a ``numpy.random.Generator``.
@@ -51,6 +54,7 @@ __all__ = [
     "jakes_correlation_matrix",
     "sample_gaussian_jakes",
     "sample_port_gains",
+    "sample_best_gains",
     "select_ports",
 ]
 
@@ -66,14 +70,6 @@ def as_generator(rng: RngLike) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
-
-
-def _seed_info(gen: np.random.Generator) -> dict:
-    """RNG provenance for result metadata (entropy + spawn key if seeded)."""
-    ss = getattr(gen.bit_generator, "seed_seq", None)
-    if isinstance(ss, np.random.SeedSequence):
-        return {"entropy": ss.entropy, "spawn_key": list(ss.spawn_key)}
-    return {"entropy": None, "spawn_key": []}
 
 
 @dataclass(frozen=True)
@@ -140,10 +136,9 @@ DependenceSpec = Union[Independent, Clayton, PerfectDependence, GaussianJakes]
 
 @dataclass(frozen=True)
 class PortGainMatrix:
-    """K x N matrix of per-user, per-port power gains plus RNG provenance."""
+    """K x N matrix of per-user, per-port power gains."""
 
     gains: np.ndarray
-    seed_info: dict
 
     @property
     def n_users(self) -> int:
@@ -192,19 +187,34 @@ def sample_clayton_exponential(
     Kendall's tau between any two ports is beta/(beta+2).
     """
     _check_counts(n_users, n_ports)
+    return PortGainMatrix(gains=_clayton_gains(n_users, n_ports, beta, as_generator(rng)))
+
+
+def _clayton_gains(
+    n_users: int, n_ports: int, beta: float, gen: np.random.Generator, best_only: bool = False
+) -> np.ndarray:
+    """The Clayton sampler's draws and transform: K x N gains, or row maxima.
+
+    Draws the Gamma boost, the uniform, then the K x N unit exponentials E.
+    Each gain is decreasing in its own E_i, so with ``best_only`` the row
+    maximum is the transform of the row minimum of E, evaluated on K
+    values instead of K x N.
+    """
     if not (beta > 0) or not np.isfinite(beta):
         raise ValueError("beta must be finite and > 0")
-    gen = as_generator(rng)
-    info = _seed_info(gen)
     boost = gen.standard_gamma(1.0 / beta + 1.0, size=n_users)
     log_v = np.log(boost) + beta * np.log(gen.uniform(size=n_users))
     # gains = -log(-expm1(-logaddexp(0, log E - log V) / beta)), evaluated
     # in place: one buffer instead of a temporary per step keeps large
     # blocks in cache, and every step rounds exactly as the expression does
     gains = gen.standard_exponential(size=(n_users, n_ports))
+    if best_only:
+        gains = gains.min(axis=1)
+    else:
+        log_v = log_v[:, None]
     with np.errstate(divide="ignore"):
         np.log(gains, out=gains)
-    gains -= log_v[:, None]
+    gains -= log_v
     np.logaddexp(0.0, gains, out=gains)
     gains /= -beta
     np.expm1(gains, out=gains)
@@ -212,17 +222,16 @@ def sample_clayton_exponential(
     np.log(gains, out=gains)
     np.negative(gains, out=gains)
     _finite_or_raise(gains, "clayton sampler")
-    return PortGainMatrix(gains=gains, seed_info=info)
+    return gains
 
 
 def sample_independent(n_users: int, n_ports: int, rng: RngLike) -> PortGainMatrix:
     """K x N independent Exp(1) power gains."""
     _check_counts(n_users, n_ports)
     gen = as_generator(rng)
-    info = _seed_info(gen)
     gains = gen.standard_exponential(size=(n_users, n_ports))
     _finite_or_raise(gains, "independent sampler")
-    return PortGainMatrix(gains=gains, seed_info=info)
+    return PortGainMatrix(gains=gains)
 
 
 def sample_perfect_dependence(
@@ -231,11 +240,10 @@ def sample_perfect_dependence(
     """K x N gains where every port in a row repeats one Exp(1) draw."""
     _check_counts(n_users, n_ports)
     gen = as_generator(rng)
-    info = _seed_info(gen)
     shared = gen.standard_exponential(size=n_users)
     gains = np.repeat(shared[:, None], n_ports, axis=1)
     _finite_or_raise(gains, "perfect-dependence sampler")
-    return PortGainMatrix(gains=gains, seed_info=info)
+    return PortGainMatrix(gains=gains)
 
 
 def jakes_correlation_matrix(geometry: PortGeometry, power: float = 1.0) -> np.ndarray:
@@ -269,7 +277,6 @@ def sample_gaussian_jakes(
     """
     _check_counts(n_users, geometry.n_ports)
     gen = as_generator(rng)
-    info = _seed_info(gen)
     cov = jakes_correlation_matrix(geometry, power)
     eigval, eigvec = np.linalg.eigh(cov)
     if eigval.min() < -1e-10 * power:
@@ -291,7 +298,7 @@ def sample_gaussian_jakes(
     gains = np.abs(z @ factor.T)
     gains **= 2
     _finite_or_raise(gains, "gaussian-jakes sampler")
-    return PortGainMatrix(gains=gains, seed_info=info)
+    return PortGainMatrix(gains=gains)
 
 
 def sample_port_gains(
@@ -308,6 +315,27 @@ def sample_port_gains(
         geom = PortGeometry(n_ports=n_ports, aperture=dep.aperture)
         return sample_gaussian_jakes(n_users, geom, rng, power=dep.power)
     raise TypeError(f"unknown dependence spec: {dep!r}")
+
+
+def sample_best_gains(
+    dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike
+) -> np.ndarray:
+    """Each user's best-port gain: ``sample_port_gains(...).gains.max(axis=1)``.
+
+    Draws the same stream as :func:`sample_port_gains`, so both return the
+    same bits and leave a Generator in the same state.  Clayton transforms
+    only each row's minimum exponential, perfect dependence returns its
+    shared draw, and the independent and Bessel models reduce the full
+    matrix.
+    """
+    _check_counts(n_users, n_ports)
+    if isinstance(dep, Clayton):
+        return _clayton_gains(n_users, n_ports, dep.beta, as_generator(rng), best_only=True)
+    if isinstance(dep, PerfectDependence):
+        shared = as_generator(rng).standard_exponential(size=n_users)
+        _finite_or_raise(shared, "perfect-dependence sampler")
+        return shared
+    return sample_port_gains(dep, n_users, n_ports, rng).gains.max(axis=1)
 
 
 def select_ports(gains: PortGainMatrix) -> EffectiveGains:

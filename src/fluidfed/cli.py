@@ -18,9 +18,11 @@ state ``system.tau`` explicitly.
 
 Every run writes its result tables (CSV + JSON) plus ``manifest.json``
 recording the tool version, resolved config, master seed, timestamps, and
-sha256 of each output; ``train`` adds per-variant telemetry (rounds,
-skipped rounds, client updates and their rate, per-round wall time and
-norm scale), which no hashed output contains.  Exit codes: 0 success,
+sha256 of each output.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
+per-variant telemetry (seconds, trial blocks, trials and their rate,
+failing points) and ``train`` adds its own (rounds, skipped rounds, client
+updates and their rate, per-round wall time and norm scale); no hashed
+output contains either.  Exit codes: 0 success,
 1 statistical check failure or training divergence, 2 usage/config
 error, 3 I/O error.
 """
@@ -299,7 +301,7 @@ def parse_variant(spec: str, aperture: float = 0.5):
     )
 
 
-def _build_plan(cfg: dict, include_ideal: bool = False) -> montecarlo.McPlan:
+def _build_plan(cfg: dict) -> montecarlo.McPlan:
     sysc, mc = cfg["system"], cfg["mc"]
     p_max = _linear_power(cfg, "p_max", "p_max_dbm")
     sigma2 = _linear_power(cfg, "sigma2", "sigma2_dbm")
@@ -433,6 +435,7 @@ def _cmd_compare(command: str, cfg: dict, source: dict, out_dir: Path) -> int:
     _write_manifest(
         out_dir, command, cfg, source, plan.seed, outputs, started,
         "pass" if ok else "statistical-failure",
+        {label: report.telemetry for label, report in reports.items()},
     )
     return 0 if ok else 1
 

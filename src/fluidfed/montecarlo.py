@@ -14,7 +14,10 @@ max(1, BLOCK_VALUES // (K * n)) trials, n being the number of ports
 sampled per user.  Block b of variant v draws from
 SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b] with one sampler call
 on a (rows * K) x n matrix, reduced to integer counts per grid point.
-The layout depends only on (seed, K, n, trials).
+The layout depends only on (seed, K, n, trials).  The CDF and PMF
+experiments draw the same streams through ``sample_best_gains``, which
+reduces each block to its (rows * K) best-port gains; the port sweep
+keeps the whole matrix for its prefix maxima.
 
 Experiments
 -----------
@@ -32,6 +35,7 @@ run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
 from __future__ import annotations
 
 import csv
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,6 +56,7 @@ from .channel import (
     GaussianJakes,
     Independent,
     PerfectDependence,
+    sample_best_gains,
     sample_port_gains,
 )
 
@@ -126,11 +131,17 @@ class GridPointCheck:
 
 @dataclass
 class ComparisonReport:
-    """Per-grid-point empirical-vs-analytic comparison."""
+    """Per-grid-point empirical-vs-analytic comparison.
+
+    ``telemetry`` says how the simulation ran (seconds, blocks, trials,
+    trials per second, failing points); it is kept out of ``to_json_dict``
+    and ``to_csv``, so the written reports stay byte-identical.
+    """
 
     label: str
     points: list
     meta: dict = field(default_factory=dict)
+    telemetry: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -211,32 +222,41 @@ def _closed_form_dist(dep: DependenceSpec, n_ports: int) -> GainDistribution:
     return GainDistribution(n_ports=n_ports, dependence=dep)
 
 
-def _simulate(plan: McPlan, dep, root, n_sampled: int, statistic: Callable):
-    """Sum of ``statistic`` over the trial blocks of one variant.
+def _port_gains(dep, n_users: int, n_ports: int, rng) -> np.ndarray:
+    """The full n_users x n_ports gain matrix of ``sample_port_gains``."""
+    return sample_port_gains(dep, n_users, n_ports, rng).gains
 
-    Block b draws one (rows * K) x n_sampled matrix from stream b and hands
-    it to ``statistic`` as (rows, K, n_sampled); statistics are integer
-    counts, so the sum is exact.
+
+def _simulate(plan: McPlan, dep, root, n_sampled: int, draw: Callable, statistic: Callable):
+    """Sum of ``statistic`` over the trial blocks of one variant, and the
+    number of blocks.
+
+    Block b calls ``draw(dep, rows * K, n_sampled, stream b)`` and hands the
+    result to ``statistic`` with its first axis split into (rows, K): a
+    (rows, K, n_sampled) matrix from ``_port_gains``, (rows, K) best-port
+    gains from ``sample_best_gains``.  Statistics are integer counts, so
+    the sum is exact.
     """
     k = plan.n_users
     per = max(1, BLOCK_VALUES // (k * n_sampled))
     rows = [min(per, plan.trials - start) for start in range(0, plan.trials, per)]
 
     def block(n, stream):
-        gains = sample_port_gains(dep, n * k, n_sampled, stream).gains
-        return statistic(gains.reshape(n, k, n_sampled))
+        gains = draw(dep, n * k, n_sampled, stream)
+        return statistic(gains.reshape(n, k, *gains.shape[1:]))
 
-    return sum(map(block, rows, trial_streams(root, len(rows))))
+    return sum(map(block, rows, trial_streams(root, len(rows)))), len(rows)
 
 
-def _compare(plan, xs, n_sampled, statistic, law, meta, mean_law=None) -> dict:
+def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> dict:
     """Variant, block streams, per-block counts, empirical law, report.
 
-    ``statistic`` maps a (rows, K, n_sampled) gain block to counts at
-    ``xs``; ``law(dist)`` is the closed form there.  With ``mean_law`` the
-    counts are a histogram over xs = 0..K, and the total count is also
-    checked against Bin(K * trials, mean_law(dist)).  All checks of one
-    call share the family-wise false-alarm rate FAMILY_ALPHA.
+    ``draw`` is the sampler each block calls (see ``_simulate``) and
+    ``statistic`` maps its block to counts at ``xs``; ``law(dist)`` is the
+    closed form there.  With ``mean_law`` the counts are a histogram over
+    xs = 0..K, and the total count is also checked against
+    Bin(K * trials, mean_law(dist)).  All checks of one call share the
+    family-wise false-alarm rate FAMILY_ALPHA.
     Returns {variant label: (analytic values, ComparisonReport)}.
     """
     dists = [_closed_form_dist(dep, plan.n_ports) for _, dep in plan.variants]
@@ -244,7 +264,8 @@ def _compare(plan, xs, n_sampled, statistic, law, meta, mean_law=None) -> dict:
     roots = np.random.SeedSequence(plan.seed).spawn(len(dists))
     out = {}
     for (label, dep), dist, root in zip(plan.variants, dists, roots):
-        counts = _simulate(plan, dep, root, n_sampled, statistic)
+        t0 = time.perf_counter()
+        counts, blocks = _simulate(plan, dep, root, n_sampled, draw, statistic)
         analytic = law(dist)
         report_meta = dict(meta, variant=label, n_users=plan.n_users, trials=plan.trials,
                            seed=plan.seed, family_alpha=FAMILY_ALPHA)
@@ -258,7 +279,15 @@ def _compare(plan, xs, n_sampled, statistic, law, meta, mean_law=None) -> dict:
                 "passed": total.passed,
             }
         points = _check_points(xs, counts, analytic, plan.trials, alpha)
-        out[label] = (analytic, ComparisonReport(label, points, report_meta))
+        seconds = time.perf_counter() - t0
+        telemetry = {
+            "seconds": seconds,
+            "blocks": blocks,
+            "trials": plan.trials,
+            "trials_per_s": plan.trials / seconds if seconds > 0 else None,
+            "failing_points": sum(not p.passed for p in points),
+        }
+        out[label] = (analytic, ComparisonReport(label, points, report_meta, telemetry))
     return out
 
 
@@ -276,8 +305,8 @@ def run_mse_cdf_experiment(plan: McPlan) -> dict:
     """
     rank, grid = plan.s_target - 1, plan.tau_grid
 
-    def below_tau(gains):
-        theta = 1.0 / (plan.p_max * gains.max(axis=2))
+    def below_tau(best):
+        theta = 1.0 / (plan.p_max * best)
         score = np.partition(theta, rank, axis=1)[:, rank]
         return (score[:, None] < grid).sum(axis=0)
 
@@ -286,7 +315,8 @@ def run_mse_cdf_experiment(plan: McPlan) -> dict:
 
     meta = {"experiment": "mse-cdf", "n_ports": plan.n_ports,
             "s_target": plan.s_target, "p_max": plan.p_max}
-    return _with_curves(_compare(plan, grid, plan.n_ports, below_tau, law, meta), grid)
+    results = _compare(plan, grid, plan.n_ports, sample_best_gains, below_tau, law, meta)
+    return _with_curves(results, grid)
 
 
 def _threshold_meta(plan: McPlan, experiment: str) -> dict:
@@ -303,15 +333,16 @@ def run_participation_experiment(plan: McPlan) -> dict:
     meta = dict(_threshold_meta(plan, "participation"), n_ports=plan.n_ports)
     threshold = meta["threshold"]
 
-    def histogram(gains):
-        heard = (gains.max(axis=2) >= threshold).sum(axis=1)
+    def histogram(best):
+        heard = (best >= threshold).sum(axis=1)
         return np.bincount(heard, minlength=plan.n_users + 1)
 
     def law(dist):
         return participation_pmf_vector(dist, plan.n_users, plan.p_max, plan.sigma2, plan.tau)
 
     results = _compare(
-        plan, np.arange(plan.n_users + 1), plan.n_ports, histogram, law, meta,
+        plan, np.arange(plan.n_users + 1), plan.n_ports, sample_best_gains, histogram,
+        law, meta,
         mean_law=lambda dist: qualify_probability(dist, threshold),
     )
     return {label: report for label, (_, report) in results.items()}
@@ -340,7 +371,7 @@ def run_port_sweep(plan: McPlan) -> dict:
             for n in n_grid
         ])
 
-    results = _compare(plan, n_grid, int(n_grid.max()), all_heard, law, meta)
+    results = _compare(plan, n_grid, int(n_grid.max()), _port_gains, all_heard, law, meta)
     return _with_curves(results, n_grid.astype(float))
 
 

@@ -35,8 +35,6 @@ __all__ = [
     "gain_threshold",
     "select_users",
     "zf_power_control",
-    "select_and_scale",
-    "mse_realization",
     "ota_aggregate",
 ]
 
@@ -129,32 +127,6 @@ def zf_power_control(
     return SelectionOutcome(
         selected=selected, eta=eta, scale=scale, realized_mse=realized
     )
-
-
-def select_and_scale(effective: EffectiveGains, cfg: OtaConfig) -> SelectionOutcome:
-    """Threshold selection followed by zero-forcing power control."""
-    return zf_power_control(effective, select_users(effective, cfg), cfg)
-
-
-def mse_realization(
-    effective: EffectiveGains,
-    selected: np.ndarray,
-    cfg: OtaConfig,
-    normalized: bool = False,
-) -> float:
-    """Aggregation error for the round.
-
-    Absolute form (sigma2/p_max) * max_k 1/gain_k, or with
-    ``normalized=True`` the noise-independent score (1/p_max) * max 1/gain.
-    """
-    selected = np.asarray(selected, dtype=int)
-    if selected.size == 0:
-        raise NoParticipantsError("no users passed the participation threshold")
-    gains = effective.gain[selected]
-    if np.any(gains <= 0) or not np.all(np.isfinite(gains)):
-        raise ValueError("selected gains must be finite and > 0")
-    score = 1.0 / (cfg.p_max * float(gains.min()))
-    return score if normalized else cfg.sigma2 * score
 
 
 def ota_aggregate(

@@ -14,6 +14,7 @@ from fluidfed.channel import (
     PortGeometry,
     SamplingError,
     jakes_correlation_matrix,
+    sample_best_gains,
     sample_clayton_exponential,
     sample_gaussian_jakes,
     sample_independent,
@@ -121,10 +122,73 @@ def test_jakes_in_place_evaluation_matches_the_plain_expression(aperture):
     assert np.array_equal(got, expected)
 
 
-def test_seed_info_records_entropy():
+def test_port_gain_matrix_reports_its_shape():
     out = sample_independent(3, 2, rng=np.random.SeedSequence(99))
-    assert out.seed_info["entropy"] == 99
     assert out.n_users == 3 and out.n_ports == 2
+
+
+BEST_GAIN_DEPS = [Clayton(b) for b in (1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 30.0, 200.0)] + [
+    Independent(),
+    PerfectDependence(),
+    GaussianJakes(0.5),
+]
+
+
+@pytest.mark.parametrize("n_ports", [1, 3, 10, 64])
+@pytest.mark.parametrize("dep", BEST_GAIN_DEPS, ids=repr)
+def test_best_gains_are_the_row_max_of_the_full_matrix(dep, n_ports):
+    # same bits as reducing the full matrix, and the same draws consumed
+    n_users = 20_000 // n_ports + 3
+    full_gen, best_gen = np.random.default_rng(21), np.random.default_rng(21)
+    full = sample_port_gains(dep, n_users, n_ports, full_gen).gains.max(axis=1)
+    best = sample_best_gains(dep, n_users, n_ports, best_gen)
+    assert best.shape == (n_users,) and best.dtype == full.dtype
+    assert best.tobytes() == full.tobytes()
+    assert best_gen.bit_generator.state == full_gen.bit_generator.state
+    seeded = sample_best_gains(dep, n_users, n_ports, np.random.SeedSequence(21))
+    assert seeded.tobytes() == sample_best_gains(dep, n_users, n_ports, 21).tobytes()
+
+
+def _poisoned(method, value):
+    class Poisoned(np.random.Generator):
+        pass
+
+    def draw(self, *args, **kwargs):
+        out = getattr(np.random.Generator, method)(self, *args, **kwargs)
+        out.flat[1] = value
+        return out
+
+    setattr(Poisoned, method, draw)
+    return Poisoned(np.random.PCG64(4))
+
+
+@pytest.mark.parametrize(
+    "dep, method, value",
+    [
+        (Independent(), "standard_exponential", np.nan),
+        (Independent(), "standard_exponential", np.inf),
+        (PerfectDependence(), "standard_exponential", np.nan),
+        (Clayton(2.0), "standard_exponential", np.nan),
+        (Clayton(2.0), "standard_exponential", 0.0),
+        (Clayton(2.0), "standard_gamma", np.inf),
+        (GaussianJakes(0.5), "standard_normal", np.nan),
+    ],
+)
+def test_best_gains_raise_where_the_full_sampler_raises(dep, method, value):
+    with np.errstate(all="ignore"):
+        with pytest.raises(SamplingError):
+            sample_port_gains(dep, 6, 4, _poisoned(method, value))
+        with pytest.raises(SamplingError):
+            sample_best_gains(dep, 6, 4, _poisoned(method, value))
+
+
+def test_best_gains_validate_like_the_full_sampler():
+    with pytest.raises(ValueError):
+        sample_best_gains(Clayton(1.0), 0, 3, rng=0)
+    with pytest.raises(ValueError):
+        sample_best_gains(PerfectDependence(), 3, 0, rng=0)
+    with pytest.raises(TypeError):
+        sample_best_gains(object(), 2, 2, 0)
 
 
 def test_sampler_input_validation():
@@ -220,7 +284,7 @@ def test_select_ports_picks_max_and_reports_one_based_index():
     from fluidfed.channel import PortGainMatrix
 
     gains = np.array([[0.2, 1.7, 0.4], [3.0, 0.1, 0.5]])
-    eff = select_ports(PortGainMatrix(gains=gains, seed_info={}))
+    eff = select_ports(PortGainMatrix(gains=gains))
     assert isinstance(eff, EffectiveGains)
     assert np.array_equal(eff.gain, [1.7, 3.0])
     assert np.array_equal(eff.port_index, [2, 1])
@@ -229,7 +293,7 @@ def test_select_ports_picks_max_and_reports_one_based_index():
 def test_select_ports_tie_goes_to_lowest_index():
     from fluidfed.channel import PortGainMatrix
 
-    eff = select_ports(PortGainMatrix(np.array([[2.0, 2.0, 2.0]]), {}))
+    eff = select_ports(PortGainMatrix(np.array([[2.0, 2.0, 2.0]])))
     assert eff.port_index[0] == 1
 
 
@@ -237,7 +301,7 @@ def test_select_ports_rejects_empty():
     from fluidfed.channel import PortGainMatrix
 
     with pytest.raises(ValueError):
-        select_ports(PortGainMatrix(np.empty((0, 3)), {}))
+        select_ports(PortGainMatrix(np.empty((0, 3))))
 
 
 def test_best_port_gain_grows_with_port_count():

@@ -8,6 +8,7 @@ import pytest
 
 from fluidfed.cli import ConfigError, load_config, main, parse_variant
 from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence
+from fluidfed.montecarlo import BLOCK_VALUES
 
 FAST_MC = [
     "--set", "mc.trials=400",
@@ -363,6 +364,91 @@ def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
     assert main(["train", "--out", str(tmp_path), *FAST_FL, *extra, "--seed", "0"]) == 0
     for name, digest in golden.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the seed-0 data files, frozen before cdf-mse and pmf-users drew
+# best-port gains instead of whole gain matrices; the second plan has 33
+# ports (a partial last block) and Clayton betas near both dependence limits
+MC_WIDE_BETAS = ["--set", "system.K=40", "--set", "system.N=33",
+                 "--set", 'mc.variants=["independent","clayton:0.05","clayton:30","fpa"]']
+MC_GOLDEN = [
+    (
+        "cdf-mse", [],
+        {
+            "cdf_mse_clayton-1.csv": "f1ee7b056001f6265d63cf9cf6b2f2b914f80f2678d7631855106dac2df47e9d",
+            "cdf_mse_clayton-2.csv": "6aabf97877a7df0fb64f8405f46074b7b0956956ae42fd50d272cf13bb0d5702",
+            "cdf_mse_fpa.csv": "d09b863d9ec87a91919e0cddcdc026bcd66badde1f459a130fba53bee967d02e",
+            "cdf_mse_independent.csv": "28c99cf962d367f13b45304bf3f147fa2a443ead4e65e1a4647ecae8351fbcff",
+            "cdf_mse_report.json": "27757bf145e73184cfd807b3add8ae88a8505847059747e5d6614fc2ebf5e492",
+        },
+    ),
+    (
+        "cdf-mse", MC_WIDE_BETAS,
+        {
+            "cdf_mse_clayton-0.05.csv": "4d310a75cb08e817bb5a592cee15acdd2cc61cb010c1cef055656dad4dc5d0a4",
+            "cdf_mse_clayton-30.csv": "2ddc64faa9ef9465624c23c732c65c40804f38a7c02e271c764d6b9a9fbfaf58",
+            "cdf_mse_fpa.csv": "bf4ecbb9d73691339cfeb2332c4028aa44da0ceb83f56c5bff78b308e9c2ab30",
+            "cdf_mse_independent.csv": "178f24b11bff560450eb34568e8166e7b9a60f8bac64329d06eb4e9e946294ec",
+            "cdf_mse_report.json": "98d2e07cb0e4783a6fa2dfa7c4c5360c932a2fcbb990370bbc12f190a7285474",
+        },
+    ),
+    (
+        "pmf-users", [],
+        {
+            "pmf_users_clayton-1.csv": "5c5321633bf78e9a9b456c412d6354d2a9d561f54e118058e8de3d413c1a6c0d",
+            "pmf_users_clayton-2.csv": "2f23904fcd2bb243f0d71d00fe71b1a8ed74c573c9605b4e09e57871823c5b71",
+            "pmf_users_fpa.csv": "732b9c3d2322b47957e6f0999ed5b8867cf74099ad5d5a54b39d9ca935ade5b9",
+            "pmf_users_independent.csv": "f4c467a27c75024aa150f917fc09c17b2fd19fdcad9fa050699b36fa1a37f601",
+            "pmf_users_report.json": "3b69b763a28dae0e68331edca13a64c339a566126f275cd0193c26a380636972",
+        },
+    ),
+    (
+        "pmf-users", MC_WIDE_BETAS,
+        {
+            "pmf_users_clayton-0.05.csv": "032fc27362c609bc86c8d3dac3bda9a4c189519467e8beb44964377b44c8458a",
+            "pmf_users_clayton-30.csv": "2b5e9edeb3798871da550a12ca320858053937b75afa07adf136abcbb5528a9e",
+            "pmf_users_fpa.csv": "1e32f1ca2e05ecc31f05ff7b122c4bb5bc3da1b6c9c04e74de896d3ab6baad42",
+            "pmf_users_independent.csv": "8254d171e29478cf43d01587588d14440549135eab0e095c781945d831c6e42e",
+            "pmf_users_report.json": "87daeb1fa5502023826c9f410d43d4c6399ed50ce246835c877b68abf5dd3249",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, extra, golden", MC_GOLDEN,
+    ids=["cdf-fast", "cdf-wide-betas", "pmf-fast", "pmf-wide-betas"],
+)
+def test_mc_outputs_match_frozen_sha256(tmp_path, command, extra, golden):
+    assert main([command, "--out", str(tmp_path), *FAST_MC, *extra, "--seed", "0"]) == 0
+    written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+    assert written == set(golden)
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# a block of BLOCK_VALUES gains holds 327 trials of K=20 users x 10 ports,
+# or 546 at the sweep's 6 ports, so 400 trials take 2 blocks, or 1
+@pytest.mark.parametrize("command, blocks", [("cdf-mse", 2), ("pmf-users", 2), ("port-sweep", 1)])
+def test_mc_manifest_records_telemetry(tmp_path, command, blocks):
+    assert main([command, "--out", str(tmp_path), *FAST_MC]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    report_name = f"{command.replace('-', '_')}_report.json"
+    report = json.loads((tmp_path / report_name).read_text())
+    telemetry = manifest["telemetry"]
+    assert set(telemetry) == set(report) == {"independent", "clayton-1", "clayton-2", "fpa"}
+    assert BLOCK_VALUES // 200 == 327 and BLOCK_VALUES // 120 == 546
+    for label, block in telemetry.items():
+        assert block["trials"] == 400
+        assert block["blocks"] == blocks
+        assert block["seconds"] > 0
+        assert block["trials_per_s"] == pytest.approx(400 / block["seconds"])
+        failing = sum(not p["pass"] for p in report[label]["points"])
+        assert block["failing_points"] == failing
+    # the telemetry stays out of the hashed data files
+    for name in {p.name for p in tmp_path.iterdir()} - {"manifest.json"}:
+        text = (tmp_path / name).read_text()
+        assert "seconds" not in text and "trials_per_s" not in text, name
 
 
 def test_bound_constant_schedule(tmp_path, capsys):

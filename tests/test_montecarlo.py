@@ -94,13 +94,18 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
     # sweep's 8 ports; the per-trial loop below is the reference reduction
     plan = _small_plan(trials=5000)
     calls = []
-    real = montecarlo.sample_port_gains
 
-    def counted(dep, n_users, n_ports, rng):
-        calls.append((n_users, n_ports))
-        return real(dep, n_users, n_ports, rng)
+    def counted(name):
+        real = getattr(montecarlo, name)
 
-    monkeypatch.setattr(montecarlo, "sample_port_gains", counted)
+        def sampler(dep, n_users, n_ports, rng):
+            calls.append((name, n_users, n_ports))
+            return real(dep, n_users, n_ports, rng)
+
+        monkeypatch.setattr(montecarlo, name, sampler)
+
+    counted("sample_port_gains")
+    counted("sample_best_gains")
     cdf = run_mse_cdf_experiment(plan)
     pmf = run_participation_experiment(plan)
     sweep = run_port_sweep(plan)
@@ -133,9 +138,13 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
         assert [p.empirical for p in sweep[label][1].points] == list(
             np.mean(full, axis=0)
         )
+    # cdf and pmf draw the same blocks through sample_best_gains; only the
+    # sweep builds full matrices
     per = BLOCK_VALUES // 40
-    cdf_calls = [(per * 8, 5)] * 3 + [((5000 - 3 * per) * 8, 5)]
-    sweep_calls = [(1024 * 8, 8)] * 4 + [((5000 - 4 * 1024) * 8, 8)]
+    best = "sample_best_gains"
+    cdf_calls = [(best, per * 8, 5)] * 3 + [(best, (5000 - 3 * per) * 8, 5)]
+    full = "sample_port_gains"
+    sweep_calls = [(full, 1024 * 8, 8)] * 4 + [(full, (5000 - 4 * 1024) * 8, 8)]
     assert calls == cdf_calls * 4 + cdf_calls * 4 + sweep_calls * 4
 
 
@@ -154,17 +163,24 @@ def test_mse_cdf_experiment_passes_and_is_seed_stable():
 
 
 @pytest.mark.parametrize(
-    "run", [run_mse_cdf_experiment, run_participation_experiment, run_port_sweep]
+    "run, sampler",
+    [
+        (run_mse_cdf_experiment, "sample_best_gains"),
+        (run_participation_experiment, "sample_best_gains"),
+        (run_port_sweep, "sample_port_gains"),
+    ],
+    ids=["run_mse_cdf_experiment", "run_participation_experiment", "run_port_sweep"],
 )
-def test_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, run):
+def test_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, run, sampler):
     # power of the calibrated gate at the default plan (K=20, N=10, 10k
-    # trials): the sampler draws Clayton(1) where the law is Clayton(2)
-    real = montecarlo.sample_port_gains
+    # trials): the sampler the experiment calls draws Clayton(1) where the
+    # law is Clayton(2)
+    real = getattr(montecarlo, sampler)
 
     def clayton_1(dep, n_users, n_ports, rng):
         return real(Clayton(1.0) if dep == Clayton(2.0) else dep, n_users, n_ports, rng)
 
-    monkeypatch.setattr(montecarlo, "sample_port_gains", clayton_1)
+    monkeypatch.setattr(montecarlo, sampler, clayton_1)
     out = run(McPlan(variants=(("clayton-2", Clayton(2.0)),)))
     report = out["clayton-2"]
     report = report if isinstance(report, ComparisonReport) else report[1]
@@ -238,7 +254,7 @@ def test_copula_marginal_gate_rejects_scaled_exponential_marginals(monkeypatch):
 
     def stretched(dep, n_users, n_ports, rng):
         out = real(dep, n_users, n_ports, rng)
-        return type(out)(gains=1.05 * out.gains, seed_info=out.seed_info)
+        return type(out)(gains=1.05 * out.gains)
 
     monkeypatch.setattr(montecarlo, "sample_port_gains", stretched)
     diag = run_copula_diagnostics(McPlan(diag_betas=(1.0,)))

@@ -9,9 +9,7 @@ from fluidfed.ota import (
     OtaConfig,
     dbm_to_linear,
     gain_threshold,
-    mse_realization,
     ota_aggregate,
-    select_and_scale,
     select_users,
     zf_power_control,
 )
@@ -94,8 +92,9 @@ def test_threshold_selection_caps_realized_mse():
 
 def test_select_and_scale_raises_when_nobody_qualifies():
     cfg = OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.05, d=10)
+    eff = _eff([0.5, 1.0, 1.99])
     with pytest.raises(NoParticipantsError):
-        select_and_scale(_eff([0.5, 1.0, 1.99]), cfg)
+        zf_power_control(eff, select_users(eff, cfg), cfg)
     with pytest.raises(NoParticipantsError):
         zf_power_control(_eff([3.0]), np.array([], dtype=int), cfg)
 
@@ -106,19 +105,6 @@ def test_zf_rejects_bad_gains():
         zf_power_control(_eff([2.0, 0.0]), np.array([0, 1]), cfg)
     with pytest.raises(ValueError):
         zf_power_control(_eff([2.0, np.inf]), np.array([0, 1]), cfg)
-
-
-def test_mse_realization_forms():
-    cfg = OtaConfig(p_max=0.5, sigma2=0.02, tau=10.0, d=3)
-    eff = _eff([4.0, 2.0, 8.0])
-    sel = np.array([0, 1, 2])
-    absolute = mse_realization(eff, sel, cfg)
-    normalized = mse_realization(eff, sel, cfg, normalized=True)
-    assert absolute == pytest.approx(0.02 / (0.5 * 2.0))
-    assert normalized == pytest.approx(1.0 / (0.5 * 2.0))
-    assert absolute == pytest.approx(cfg.sigma2 * normalized)
-    with pytest.raises(NoParticipantsError):
-        mse_realization(eff, np.array([], dtype=int), cfg)
 
 
 def test_aggregate_is_unbiased_mean_with_matching_noise_variance():
