@@ -19,7 +19,7 @@ def main():
     print(f"{plan.trials} trials, {plan.n_users} users, {plan.n_ports} ports, "
           f"error-CDF evaluated at {len(plan.tau_grid)} grid points\n")
     print(f"{'variant':<16s} {'sup gap':>9s} {'worst z':>8s}  verdict")
-    for label, (_curve, rep) in reports.items():
+    for label, rep in reports.items():
         worst = max(
             (abs(p.empirical - p.analytic) / p.stderr if p.stderr > 0 else 0.0)
             for p in rep.points
@@ -36,7 +36,7 @@ def main():
         return
 
     fig, ax = plt.subplots(figsize=(7, 4.5))
-    for label, (_curve, rep) in reports.items():
+    for label, rep in reports.items():
         xs = [p.x for p in rep.points]
         ax.plot(xs, [p.analytic for p in rep.points], label=f"{label} (analytic)")
         ax.plot(xs, [p.empirical for p in rep.points], ".", ms=4, color=ax.lines[-1].get_color())

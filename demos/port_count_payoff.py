@@ -19,14 +19,13 @@ def main():
     for i, n in enumerate(grid):
         row = f"{n:5d}  "
         for lbl in labels:
-            row += f"{results[lbl][0].values[i]:14.4f}"
+            row += f"{results[lbl].points[i].analytic:14.4f}"
         print(row)
 
     print("\nthe N=1 row is dependence-free -- every column starts from the"
           " same floor and climbs at its own rate.")
     for lbl in labels:
-        rep = results[lbl][1]
-        if not rep.all_pass:
+        if not results[lbl].all_pass:
             print(f"note: simulation disagrees with the closed form for {lbl}")
 
     try:
@@ -38,7 +37,7 @@ def main():
 
     fig, ax = plt.subplots(figsize=(6.5, 4))
     for lbl in labels:
-        ax.plot(grid, results[lbl][0].values, "-o", ms=3, label=lbl)
+        ax.plot(grid, [p.analytic for p in results[lbl].points], "-o", ms=3, label=lbl)
     ax.set_xlabel("ports per user")
     ax.set_ylabel(f"P(all {plan.n_users} participate)")
     ax.legend()

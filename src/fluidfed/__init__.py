@@ -28,14 +28,11 @@ from .channel import (  # noqa: F401
     select_ports,
 )
 from .analytics import (  # noqa: F401
-    AnalyticCurve,
     ConvergenceConstants,
     GainDistribution,
     channel_gain_cdf,
     normalized_mse_cdf,
-    optimality_gap_bound,
     order_statistic_cdf_oracle,
-    participation_pmf,
     participation_pmf_vector,
     qualify_probability,
 )

@@ -22,7 +22,7 @@ q = 1 - F(threshold):
 Binomial terms are computed in the log domain (gammaln) and accumulated
 smallest-first with exact summation.
 
-`optimality_gap_bound` evaluates the per-round contraction bound
+`optimality_gap_trajectory` evaluates the per-round contraction bound
 psi^T * gap_1 + sum_t psi^(T-t) * residual_t with psi = 1 - lr * pl_constant
 and residual_t combining the partial-participation penalty, the minibatch
 gradient-variance term, and the round's aggregation MSE.
@@ -30,8 +30,6 @@ gradient-variance term, and the round's aggregation MSE.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -44,16 +42,13 @@ from .channel import Clayton, Independent, PerfectDependence
 
 __all__ = [
     "GainDistribution",
-    "AnalyticCurve",
     "ConvergenceConstants",
     "channel_gain_cdf",
     "qualify_probability",
     "normalized_mse_cdf",
-    "participation_pmf",
     "participation_pmf_vector",
     "order_statistic_cdf_oracle",
     "round_residual",
-    "optimality_gap_bound",
     "optimality_gap_trajectory",
 ]
 
@@ -172,32 +167,6 @@ def normalized_mse_cdf(
     return np.array(
         [_binom_tail_at_least(n_users, s_target, float(q)) for q in qs]
     )
-
-
-def participation_pmf(
-    dist: GainDistribution,
-    n_users: int,
-    s: int,
-    p_max: float,
-    sigma2: float,
-    tau: float,
-) -> float:
-    """Pr(exactly s of K users pass the participation threshold).
-
-    A user participates when its best-port gain reaches
-    sigma2/(p_max * tau); the count is Binomial(K, q).
-    """
-    _check_system(n_users, p_max, tau)
-    if not (sigma2 > 0):
-        raise ValueError("sigma2 must be > 0")
-    if not (0 <= s <= n_users):
-        raise ValueError("s must be in 0..n_users")
-    q = qualify_probability(dist, sigma2 / (p_max * tau))
-    if q <= 0.0:
-        return 1.0 if s == 0 else 0.0
-    if q >= 1.0:
-        return 1.0 if s == n_users else 0.0
-    return float(_binom_pmf(n_users, np.asarray([s]), q)[0])
 
 
 def participation_pmf_vector(
@@ -325,14 +294,16 @@ def optimality_gap_trajectory(
     schedule: Sequence[tuple[int, float]],
     first_round_gap: float,
 ) -> np.ndarray:
-    """Bound value after each round t = 1..T.
+    """Bound value after each round t = 1..T; the last entry is the final bound.
 
-    ``schedule`` is a sequence of (participants, mse) per round.  Uses the
-    recurrence bound_t = psi * bound_{t-1} + residual_t with
+    ``schedule`` is a non-empty sequence of (participants, mse) per round.
+    Uses the recurrence bound_t = psi * bound_{t-1} + residual_t with
     bound_0 = first_round_gap.  A round with participants = 0 (nobody
     passed the threshold, so the model did not move) neither contracts nor
     adds residual: bound_t = bound_{t-1}.
     """
+    if len(schedule) == 0:
+        raise ValueError("schedule must contain at least one round")
     if first_round_gap < 0:
         raise ValueError("first_round_gap must be >= 0")
     psi = constants.psi
@@ -345,59 +316,3 @@ def optimality_gap_trajectory(
         running = psi * running + round_residual(constants, participants, mse)
         out[t] = running
     return out
-
-
-def optimality_gap_bound(
-    constants: ConvergenceConstants,
-    schedule: Sequence[tuple[int, float]],
-    first_round_gap: float,
-) -> float:
-    """Optimality-gap bound after the final scheduled round."""
-    if len(schedule) == 0:
-        raise ValueError("schedule must contain at least one round")
-    return float(
-        optimality_gap_trajectory(constants, schedule, first_round_gap)[-1]
-    )
-
-
-# ----------------------------------------------------------------------
-# curve container
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnalyticCurve:
-    """A sampled analytic curve: abscissae, values, and run metadata."""
-
-    abscissae: np.ndarray
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        x = np.asarray(self.abscissae, dtype=float)
-        y = np.asarray(self.values, dtype=float)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError("abscissae and values must be equal-length 1-D")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("curve contains nonfinite entries")
-        object.__setattr__(self, "abscissae", x)
-        object.__setattr__(self, "values", y)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["abscissa", "value"])
-            for x, y in zip(self.abscissae, self.values):
-                writer.writerow([repr(float(x)), repr(float(y))])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "abscissae": [float(x) for x in self.abscissae],
-            "values": [float(y) for y in self.values],
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

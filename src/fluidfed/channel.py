@@ -85,12 +85,6 @@ class PortGeometry:
         if self.aperture < 0:
             raise ValueError("aperture must be >= 0")
 
-    def displacements(self) -> np.ndarray:
-        """Port positions in wavelengths: (n-1)/(N-1) * aperture, n = 1..N."""
-        if self.n_ports == 1:
-            return np.zeros(1)
-        return np.arange(self.n_ports) / (self.n_ports - 1) * self.aperture
-
 
 @dataclass(frozen=True)
 class Independent:
@@ -139,14 +133,6 @@ class PortGainMatrix:
     """K x N matrix of per-user, per-port power gains."""
 
     gains: np.ndarray
-
-    @property
-    def n_users(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_ports(self) -> int:
-        return self.gains.shape[1]
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ DEFAULTS = {
         "p_max_dbm": 10.0,
         "sigma2": 1e-3,
         "tau": 0.05,
-        "d": 1000,
     },
     "mc": {
         "trials": 10_000,
@@ -117,7 +116,6 @@ _SCHEMA = {
         "sigma2": _NUMERIC,
         "sigma2_dbm": _NUMERIC,
         "tau": _NUMERIC,
-        "d": _COUNT,
     },
     "mc": {
         "trials": _COUNT,
@@ -278,6 +276,8 @@ def _linear_power(cfg: dict, linear_key: str, dbm_key: str) -> float:
 
 def parse_variant(spec: str, aperture: float = 0.5):
     """Variant string -> (file label, dependence or 'ideal')."""
+    if not isinstance(spec, str):
+        raise ConfigError(f"variant `{spec!r}` must be a string")
     name = spec.strip().lower()
     if name == "ideal":
         return "ideal", "ideal"
@@ -290,8 +290,8 @@ def parse_variant(spec: str, aperture: float = 0.5):
             beta = float(name.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad clayton variant `{spec}`")
-        if not beta > 0:
-            raise ConfigError(f"clayton beta must be > 0 in `{spec}`")
+        if not 0 < beta < np.inf:
+            raise ConfigError(f"clayton beta must be finite and > 0 in `{spec}`")
         return f"clayton-{beta:g}", Clayton(beta)
     if name == "jakes":
         return "jakes", GaussianJakes(aperture=aperture)
@@ -306,7 +306,6 @@ def _build_plan(cfg: dict) -> montecarlo.McPlan:
     p_max = _linear_power(cfg, "p_max", "p_max_dbm")
     sigma2 = _linear_power(cfg, "sigma2", "sigma2_dbm")
     lo, hi, pts = mc["tau_grid"]
-    tau_grid = np.logspace(float(lo), float(hi), int(pts))
     n_lo, n_hi = mc["n_grid"]
     g_lo, g_hi, g_pts = mc["gain_grid"]
     variants = []
@@ -325,7 +324,7 @@ def _build_plan(cfg: dict) -> montecarlo.McPlan:
             s_target=int(mc["s_target"]),
             trials=int(mc["trials"]),
             seed=int(mc["seed"]),
-            tau_grid=tau_grid,
+            tau_grid=np.logspace(float(lo), float(hi), int(pts)),
             n_grid=np.arange(int(n_lo), int(n_hi) + 1),
             gain_grid=np.linspace(float(g_lo), float(g_hi), int(g_pts)),
             variants=tuple(variants),
@@ -410,10 +409,11 @@ def _cmd_compare(command: str, cfg: dict, source: dict, out_dir: Path) -> int:
     """Run one analytic-vs-Monte-Carlo experiment; write a CSV per variant."""
     started = datetime.now(timezone.utc).isoformat()
     plan = _build_plan(cfg)
+    for label, dep in plan.variants:
+        if isinstance(dep, GaussianJakes):
+            raise ConfigError(f"`{label}` has no closed form to compare against")
     prefix = _COMMAND_DIRS[command]
-    results = getattr(montecarlo, _COMPARISONS[command])(plan)
-    # cdf-mse and port-sweep return (analytic values, report) pairs
-    reports = {label: r[1] if isinstance(r, tuple) else r for label, r in results.items()}
+    reports = getattr(montecarlo, _COMPARISONS[command])(plan)
     outputs = []
     for label, report in reports.items():
         path = out_dir / f"{prefix}_{label}.csv"
@@ -527,12 +527,15 @@ def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
     started = datetime.now(timezone.utc).isoformat()
     sysc = cfg["system"]
     seed = int(cfg["mc"]["seed"])
-    link = ota.OtaConfig(
-        p_max=_linear_power(cfg, "p_max", "p_max_dbm"),
-        sigma2=_linear_power(cfg, "sigma2", "sigma2_dbm"),
-        tau=float(sysc["tau"]),
-        d=int(sysc["d"]),
-    )
+    try:  # run_training sets the link's d to the model's parameter count
+        link = ota.OtaConfig(
+            p_max=_linear_power(cfg, "p_max", "p_max_dbm"),
+            sigma2=_linear_power(cfg, "sigma2", "sigma2_dbm"),
+            tau=float(sysc["tau"]),
+            d=1,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     outputs = []
     diverged = []
     telemetry = {}

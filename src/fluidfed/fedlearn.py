@@ -240,12 +240,6 @@ class MlpModel:
         z2 += b2[..., None, :]
         return a1, z2
 
-    def predict_proba(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        _, z2 = self._logits(w, x)
-        z2 = z2 - z2.max(axis=1, keepdims=True)
-        e = np.exp(z2)
-        return e / e.sum(axis=1, keepdims=True)
-
     def loss_and_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
         """Mean cross-entropy and its gradient wrt the flat parameters.
 
@@ -329,6 +323,8 @@ class FlConfig:
             raise ValueError("benchmark must be 'ota' or 'ideal'")
         if self.data not in ("synthetic", "mnist"):
             raise ValueError("data must be 'synthetic' or 'mnist'")
+        if not (0 < self.split <= 1):
+            raise ValueError("split must be in (0, 1]")
 
 
 @dataclass
@@ -460,7 +456,6 @@ def run_training(
     link: ota.OtaConfig,
     dep: DependenceSpec,
     seed: int = 0,
-    dataset: Optional[Dataset] = None,
 ) -> list[RoundRecord]:
     """Run T federated rounds and return one record per round.
 
@@ -474,12 +469,9 @@ def run_training(
     """
     root = np.random.SeedSequence(seed)
     data_ss, init_ss, rounds_ss = root.spawn(3)
-    if dataset is None:
-        gen_ss, part_ss = data_ss.spawn(2)
-        dataset = _build_dataset(fl, np.random.default_rng(gen_ss))
-        clients = partition_iid(dataset, fl.n_clients, np.random.default_rng(part_ss))
-    else:
-        clients = partition_iid(dataset, fl.n_clients, np.random.default_rng(data_ss))
+    gen_ss, part_ss = data_ss.spawn(2)
+    dataset = _build_dataset(fl, np.random.default_rng(gen_ss))
+    clients = partition_iid(dataset, fl.n_clients, np.random.default_rng(part_ss))
 
     model = MlpModel(dataset.n_features, fl.hidden, dataset.n_classes)
     w = model.init_params(np.random.default_rng(init_ss))

@@ -21,6 +21,9 @@ keeps the whole matrix for its prefix maxima.
 
 Experiments
 -----------
+The three comparisons return {variant label: ComparisonReport}; each
+grid point carries its closed-form value as ``GridPointCheck.analytic``.
+
 run_mse_cdf_experiment : CDF of the rank-S normalized aggregation error
 run_participation_experiment : PMF of the participant count
 run_port_sweep : full-participation probability vs port count (per trial
@@ -43,7 +46,6 @@ import numpy as np
 from scipy.stats import binom, kendalltau, kstest
 
 from .analytics import (
-    AnalyticCurve,
     GainDistribution,
     channel_gain_cdf,
     normalized_mse_cdf,
@@ -114,10 +116,23 @@ class McPlan:
     jakes_aperture: float = 0.5
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("n_users", "n_ports", "trials", "diag_rows"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("p_max", "sigma2", "tau"):
+            if not (0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and > 0")
         if not (1 <= self.s_target <= self.n_users):
             raise ValueError("s_target must be in 1..n_users")
+        for name in ("tau_grid", "n_grid", "gain_grid", "variants", "diag_betas"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
+        if np.min(self.n_grid) < 1:
+            raise ValueError("n_grid entries must be >= 1")
+        if np.min(self.gain_grid) < 0:
+            raise ValueError("gain_grid entries must be >= 0")
+        if not all(0 < b < np.inf for b in self.diag_betas):
+            raise ValueError("diag_betas must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -216,12 +231,6 @@ def trial_streams(seed, blocks: int) -> list:
     return root.spawn(blocks)
 
 
-def _closed_form_dist(dep: DependenceSpec, n_ports: int) -> GainDistribution:
-    if isinstance(dep, GaussianJakes):
-        raise TypeError("no closed form for Gaussian-Jakes dependence")
-    return GainDistribution(n_ports=n_ports, dependence=dep)
-
-
 def _port_gains(dep, n_users: int, n_ports: int, rng) -> np.ndarray:
     """The full n_users x n_ports gain matrix of ``sample_port_gains``."""
     return sample_port_gains(dep, n_users, n_ports, rng).gains
@@ -257,9 +266,9 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
     xs = 0..K, and the total count is also checked against
     Bin(K * trials, mean_law(dist)).  All checks of one call share the
     family-wise false-alarm rate FAMILY_ALPHA.
-    Returns {variant label: (analytic values, ComparisonReport)}.
+    Returns {variant label: ComparisonReport}.
     """
-    dists = [_closed_form_dist(dep, plan.n_ports) for _, dep in plan.variants]
+    dists = [GainDistribution(plan.n_ports, dep) for _, dep in plan.variants]
     alpha = FAMILY_ALPHA / (len(dists) * (len(xs) + (mean_law is not None)))
     roots = np.random.SeedSequence(plan.seed).spawn(len(dists))
     out = {}
@@ -287,21 +296,14 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
             "trials_per_s": plan.trials / seconds if seconds > 0 else None,
             "failing_points": sum(not p.passed for p in points),
         }
-        out[label] = (analytic, ComparisonReport(label, points, report_meta, telemetry))
+        out[label] = ComparisonReport(label, points, report_meta, telemetry)
     return out
-
-
-def _with_curves(results: dict, xs) -> dict:
-    return {
-        label: (AnalyticCurve(xs, law, dict(report.meta, kind="analytic")), report)
-        for label, (law, report) in results.items()
-    }
 
 
 def run_mse_cdf_experiment(plan: McPlan) -> dict:
     """Empirical vs analytic CDF of the rank-S normalized error.
 
-    Returns {variant label: (AnalyticCurve, ComparisonReport)}.
+    Returns {variant label: ComparisonReport}.
     """
     rank, grid = plan.s_target - 1, plan.tau_grid
 
@@ -315,8 +317,7 @@ def run_mse_cdf_experiment(plan: McPlan) -> dict:
 
     meta = {"experiment": "mse-cdf", "n_ports": plan.n_ports,
             "s_target": plan.s_target, "p_max": plan.p_max}
-    results = _compare(plan, grid, plan.n_ports, sample_best_gains, below_tau, law, meta)
-    return _with_curves(results, grid)
+    return _compare(plan, grid, plan.n_ports, sample_best_gains, below_tau, law, meta)
 
 
 def _threshold_meta(plan: McPlan, experiment: str) -> dict:
@@ -327,7 +328,7 @@ def _threshold_meta(plan: McPlan, experiment: str) -> dict:
 def run_participation_experiment(plan: McPlan) -> dict:
     """Empirical vs analytic PMF of the participant count.
 
-    Each report also carries a mean check: the total participant count of
+    Returns {variant label: ComparisonReport}.  Each report also carries a mean check: the total participant count of
     all trials vs Bin(K * trials, q), in meta["mean_check"].
     """
     meta = dict(_threshold_meta(plan, "participation"), n_ports=plan.n_ports)
@@ -340,18 +341,17 @@ def run_participation_experiment(plan: McPlan) -> dict:
     def law(dist):
         return participation_pmf_vector(dist, plan.n_users, plan.p_max, plan.sigma2, plan.tau)
 
-    results = _compare(
+    return _compare(
         plan, np.arange(plan.n_users + 1), plan.n_ports, sample_best_gains, histogram,
         law, meta,
         mean_law=lambda dist: qualify_probability(dist, threshold),
     )
-    return {label: report for label, (_, report) in results.items()}
 
 
 def run_port_sweep(plan: McPlan) -> dict:
     """Full-participation probability q(N)^K vs port count.
 
-    Returns {variant label: (AnalyticCurve, ComparisonReport)}.  Per trial,
+    Returns {variant label: ComparisonReport}.  Per trial,
     ports are sampled once at max(n_grid) and each grid value n uses the
     first n columns (exact for the margin-consistent copula variants).
     """
@@ -371,8 +371,7 @@ def run_port_sweep(plan: McPlan) -> dict:
             for n in n_grid
         ])
 
-    results = _compare(plan, n_grid, int(n_grid.max()), _port_gains, all_heard, law, meta)
-    return _with_curves(results, n_grid.astype(float))
+    return _compare(plan, n_grid, int(n_grid.max()), _port_gains, all_heard, law, meta)
 
 
 @dataclass

@@ -68,17 +68,6 @@ class OtaConfig:
         if self.d < 1:
             raise ValueError("d must be >= 1")
 
-    @classmethod
-    def from_dbm(
-        cls, p_max_dbm: float, sigma2_dbm: float, tau: float, d: int
-    ) -> "OtaConfig":
-        return cls(
-            p_max=dbm_to_linear(p_max_dbm),
-            sigma2=dbm_to_linear(sigma2_dbm),
-            tau=tau,
-            d=d,
-        )
-
 
 @dataclass(frozen=True)
 class SelectionOutcome:

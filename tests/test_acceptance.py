@@ -22,7 +22,6 @@ from fluidfed.analytics import (
     GainDistribution,
     channel_gain_cdf,
     normalized_mse_cdf,
-    optimality_gap_bound,
     optimality_gap_trajectory,
     order_statistic_cdf_oracle,
 )
@@ -95,12 +94,12 @@ def test_accept_02_error_cdf_reproduction():
         tau_grid=np.logspace(1.0, 4.0, 30),
     )
     results = montecarlo.run_mse_cdf_experiment(plan)
-    for label, (curve, report) in results.items():
+    for label, report in results.items():
         assert report.all_pass, (label, report.failing_points())
     # the analytic curves themselves are pointwise ordered:
     # independent >= beta=1 >= beta=2 >= fpa at every grid point
     order = ["independent", "clayton-1", "clayton-2", "fpa"]
-    curves = [results[label][0].values for label in order]
+    curves = [np.array([p.analytic for p in results[label].points]) for label in order]
     for hi, lo in zip(curves, curves[1:]):
         assert np.all(hi >= lo - 1e-12)
     elapsed = time.monotonic() - t0
@@ -151,20 +150,17 @@ def test_accept_04_port_sweep():
     )
     results = montecarlo.run_port_sweep(plan)
     order = ["independent", "clayton-1", "clayton-2", "fpa"]
-    analytic = {label: results[label][0].values for label in order}
+    analytic = {label: np.array([p.analytic for p in results[label].points]) for label in order}
     for label in order:
         # nondecreasing in the port count, for every dependence model
         assert np.all(np.diff(analytic[label]) >= -1e-15), label
-        assert results[label][1].all_pass, (
-            label,
-            results[label][1].failing_points(),
-        )
+        assert results[label].all_pass, (label, results[label].failing_points())
     # the independent curve dominates every other variant pointwise
     for label in order[1:]:
         assert np.all(analytic["independent"] >= analytic[label] - 1e-12), label
     # single-port values coincide across variants: empirically within a
     # 3-sigma two-sample band, analytically exactly
-    emp1 = {label: results[label][1].points[0] for label in order}
+    emp1 = {label: results[label].points[0] for label in order}
     for label in order[1:]:
         a, b = emp1["independent"], emp1[label]
         band = 3.0 * np.sqrt(a.stderr**2 + b.stderr**2)
@@ -354,19 +350,19 @@ def test_accept_10_bound_properties():
     sched = [
         (int(rng.integers(1, 11)), float(rng.uniform(0, 0.05))) for _ in range(20)
     ]
-    base = optimality_gap_bound(c, sched, 1.0)
+    base = optimality_gap_trajectory(c, sched, 1.0)[-1]
     # strictly increasing in every round's aggregation error
     for t in range(20):
         bumped = list(sched)
         bumped[t] = (bumped[t][0], bumped[t][1] + 1e-4)
-        assert optimality_gap_bound(c, bumped, 1.0) > base, t
+        assert optimality_gap_trajectory(c, bumped, 1.0)[-1] > base, t
     # nonincreasing in every round's participant count
     for t in range(20):
         if sched[t][0] == 10:
             continue
         bumped = list(sched)
         bumped[t] = (bumped[t][0] + 1, bumped[t][1])
-        assert optimality_gap_bound(c, bumped, 1.0) <= base + 1e-15, t
+        assert optimality_gap_trajectory(c, bumped, 1.0)[-1] <= base + 1e-15, t
     # zero residual: pure psi^T decay, checked per step to 1e-12
     c0 = ConvergenceConstants(
         lr=0.05,

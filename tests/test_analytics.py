@@ -13,15 +13,12 @@ import pytest
 from scipy.stats import binom
 
 from fluidfed.analytics import (
-    AnalyticCurve,
     ConvergenceConstants,
     GainDistribution,
     channel_gain_cdf,
     normalized_mse_cdf,
-    optimality_gap_bound,
     optimality_gap_trajectory,
     order_statistic_cdf_oracle,
-    participation_pmf,
     participation_pmf_vector,
     qualify_probability,
     round_residual,
@@ -178,8 +175,7 @@ def test_participation_pmf_sums_to_one_and_matches_scipy():
     ref = binom.pmf(np.arange(21), 20, q)
     assert np.allclose(pmf, ref, rtol=1e-10, atol=1e-14)
     # frozen: P(count=10) at q = 0.52192661780584111 (mpmath enumeration)
-    got = participation_pmf(dist, 20, 10, 0.01, 1e-3, 0.05)
-    assert got == pytest.approx(0.17283776919534384, rel=1e-11)
+    assert pmf[10] == pytest.approx(0.17283776919534384, rel=1e-11)
 
 
 def test_participation_mean_is_k_times_q():
@@ -201,12 +197,10 @@ def test_participation_pmf_shifts_down_with_dependence():
 
 def test_participation_pmf_validation():
     dist = GainDistribution(10, Independent())
-    with pytest.raises(ValueError):
-        participation_pmf(dist, 20, -1, 0.01, 1e-3, 0.05)
-    with pytest.raises(ValueError):
-        participation_pmf(dist, 20, 21, 0.01, 1e-3, 0.05)
-    with pytest.raises(ValueError):
-        participation_pmf(dist, 20, 5, 0.01, 0.0, 0.05)
+    for n_users, p_max, sigma2, tau in [(0, 0.01, 1e-3, 0.05), (20, 0.0, 1e-3, 0.05),
+                                        (20, 0.01, 0.0, 0.05), (20, 0.01, 1e-3, 0.0)]:
+        with pytest.raises(ValueError):
+            participation_pmf_vector(dist, n_users, p_max, sigma2, tau)
 
 
 def test_order_statistic_oracle_agrees_with_closed_form():
@@ -254,29 +248,31 @@ def test_bound_trajectory_frozen_hand_computed():
         c, [(4, 0.01), (2, 0.05), (3, 0.0)], first_round_gap=1.0
     )
     assert traj == pytest.approx([0.91125, 0.922625, 0.84452916666666667], rel=1e-13)
-    assert optimality_gap_bound(
-        c, [(4, 0.01), (2, 0.05), (3, 0.0)], 1.0
-    ) == pytest.approx(traj[-1])
+
+
+def test_bound_trajectory_rejects_an_empty_schedule():
+    with pytest.raises(ValueError, match="at least one round"):
+        optimality_gap_trajectory(_constants(), [], 1.0)
 
 
 def test_bound_strictly_increases_with_any_round_mse():
     c = _constants()
     sched = [(4, 0.01), (3, 0.02), (2, 0.0), (4, 0.005)]
-    base = optimality_gap_bound(c, sched, 1.0)
+    base = optimality_gap_trajectory(c, sched, 1.0)[-1]
     for t in range(len(sched)):
         bumped = list(sched)
         bumped[t] = (bumped[t][0], bumped[t][1] + 1e-3)
-        assert optimality_gap_bound(c, bumped, 1.0) > base
+        assert optimality_gap_trajectory(c, bumped, 1.0)[-1] > base
 
 
 def test_bound_nonincreasing_in_participants():
     c = _constants()
     sched = [(2, 0.01), (1, 0.02), (3, 0.0), (2, 0.005)]
-    base = optimality_gap_bound(c, sched, 1.0)
+    base = optimality_gap_trajectory(c, sched, 1.0)[-1]
     for t in range(len(sched)):
         bumped = list(sched)
         bumped[t] = (bumped[t][0] + 1, bumped[t][1])
-        assert optimality_gap_bound(c, bumped, 1.0) <= base + 1e-15
+        assert optimality_gap_trajectory(c, bumped, 1.0)[-1] <= base + 1e-15
 
 
 def test_bound_pure_contraction_decays_geometrically():
@@ -335,32 +331,3 @@ def test_constants_psi_warning_fires_outside_unit_interval():
 def test_per_user_batch_sizes():
     c = _constants(batch_sizes=[2, 4, 8, 8])
     assert c.mean_inverse_batch() == pytest.approx((1 / 2 + 1 / 4 + 1 / 8 + 1 / 8) / 4)
-
-
-# ------------------------------------------------------------ curve io
-
-
-def test_analytic_curve_roundtrip(tmp_path):
-    curve = AnalyticCurve(
-        np.array([1.0, 2.0, 4.0]), np.array([0.1, 0.5, 0.9]), {"k": 3}
-    )
-    p = tmp_path / "curve.csv"
-    curve.to_csv(p)
-    rows = p.read_text().strip().split("\n")
-    assert rows[0] == "abscissa,value"
-    assert rows[1] == "1.0,0.1"
-    blob = curve.to_json_dict()
-    assert blob["abscissae"] == [1.0, 2.0, 4.0]
-    assert blob["meta"] == {"k": 3}
-    jp = tmp_path / "curve.json"
-    curve.to_json(jp)
-    import json
-
-    assert json.loads(jp.read_text())["values"] == [0.1, 0.5, 0.9]
-
-
-def test_analytic_curve_validation():
-    with pytest.raises(ValueError):
-        AnalyticCurve(np.array([1.0, 2.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        AnalyticCurve(np.array([1.0, np.nan]), np.array([1.0, 2.0]))

@@ -122,11 +122,6 @@ def test_jakes_in_place_evaluation_matches_the_plain_expression(aperture):
     assert np.array_equal(got, expected)
 
 
-def test_port_gain_matrix_reports_its_shape():
-    out = sample_independent(3, 2, rng=np.random.SeedSequence(99))
-    assert out.n_users == 3 and out.n_ports == 2
-
-
 BEST_GAIN_DEPS = [Clayton(b) for b in (1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 30.0, 200.0)] + [
     Independent(),
     PerfectDependence(),

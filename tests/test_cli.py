@@ -1,14 +1,17 @@
 """End-to-end CLI tests: config precedence, exit codes, outputs, manifests."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from fluidfed import cli
 from fluidfed.cli import ConfigError, load_config, main, parse_variant
 from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence
-from fluidfed.montecarlo import BLOCK_VALUES
+from fluidfed.fedlearn import FlConfig
+from fluidfed.montecarlo import BLOCK_VALUES, McPlan
 
 FAST_MC = [
     "--set", "mc.trials=400",
@@ -33,6 +36,20 @@ def test_defaults_need_no_file():
     assert cfg["system"]["tau"] == 0.05
     assert cfg["system"]["K"] == 20
     assert source["system.tau"] == "default"
+
+
+def test_default_tables_agree():
+    # cli.DEFAULTS and the dataclass defaults are two tables of one set of
+    # defaults; until one is derived from the other, they must not drift
+    cfg, _ = load_config(None, None)
+    plan, built = McPlan(), cli._build_plan(cfg)
+    for f in dataclasses.fields(McPlan):
+        ours, theirs = getattr(plan, f.name), getattr(built, f.name)
+        if isinstance(ours, np.ndarray):
+            assert np.array_equal(ours, theirs), f.name
+        else:
+            assert ours == theirs, f.name
+    assert FlConfig() == cli._fl_config(cfg, "ota")
 
 
 def test_file_must_state_tau(tmp_path):
@@ -167,6 +184,42 @@ def test_fractional_list_counts_exit_2(tmp_path, capsys, command, spec, key):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "whole number" in err
+    assert not (tmp_path / "a" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, spec, message",
+    [
+        ("cdf-mse", "system.N=0", "n_ports must be >= 1"),
+        ("pmf-users", "system.tau=-1", "tau must be finite and > 0"),
+        ("port-sweep", "mc.n_grid=[0,5]", "n_grid entries must be >= 1"),
+        ("port-sweep", "mc.n_grid=[5,3]", "n_grid must not be empty"),
+        ("cdf-mse", "mc.tau_grid=[1.0,4.0,0]", "tau_grid must not be empty"),
+        ("cdf-mse", "mc.tau_grid=[1.0,4.0,-1]", "must be non-negative"),
+        ("copula-check", "mc.diag_rows=0", "diag_rows must be >= 1"),
+        ("copula-check", "mc.diag_betas=[]", "diag_betas must not be empty"),
+        ("copula-check", "mc.diag_betas=[0]", "diag_betas must be finite and > 0"),
+        ("copula-check", "mc.gain_grid=[-1.0,6.0,24]", "gain_grid entries must be >= 0"),
+        ("cdf-mse", "mc.variants=[]", "variants must not be empty"),
+        ("cdf-mse", 'mc.variants=["jakes"]', "`jakes` has no closed form"),
+        ("port-sweep", 'mc.variants=["fpa","jakes"]', "`jakes` has no closed form"),
+        ("pmf-users", 'mc.variants=["clayton:1e999"]', "clayton beta must be finite"),
+        ("cdf-mse", "mc.variants=[3]", "must be a string"),
+        ("train", 'fl.variants=["clayton:1e999"]', "clayton beta must be finite"),
+        ("train", "system.tau=-1", "tau must be finite and > 0"),
+        ("train", "fl.split=1.5", "split must be in (0, 1]"),
+        ("bound", "bound.rounds=0", "at least one round"),
+        # train sends vectors of the model's parameter count
+        ("train", "system.d=1000", "unknown key `system.d`"),
+    ],
+)
+def test_unsupported_values_exit_2(tmp_path, capsys, command, spec, message):
+    # exit 1 means a statistical failure, so a value no run can use must be
+    # rejected before it reaches the simulation
+    rc = main([command, "--out", str(tmp_path / "a"), "--set", spec])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
     assert not (tmp_path / "a" / "manifest.json").exists()
 
 

@@ -189,15 +189,6 @@ def test_loss_decreases_under_plain_gradient_steps():
     assert losses[-1] < losses[0] * 0.7
 
 
-def test_predict_proba_rows_sum_to_one():
-    rng = np.random.default_rng(1)
-    model = MlpModel(3, 4, 5)
-    w = model.init_params(rng)
-    p = model.predict_proba(w, rng.standard_normal((9, 3)) * 50)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(p >= 0)
-
-
 def test_sgd_local_update_is_one_explicit_step():
     rng = np.random.default_rng(3)
     model = MlpModel(4, 5, 2)

@@ -121,7 +121,7 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
             scores.append(np.sort(1.0 / (plan.p_max * best))[plan.s_target - 1])
             heard.append(int(np.sum(best >= threshold)))
         scores = np.array(scores)
-        assert [p.empirical for p in cdf[label][1].points] == [
+        assert [p.empirical for p in cdf[label].points] == [
             np.mean(scores < tau) for tau in plan.tau_grid
         ]
         assert [p.empirical for p in pmf[label].points] == list(
@@ -135,7 +135,7 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
             [all(trial[:, :n].max(axis=1) >= threshold) for n in n_grid]
             for trial in wide
         ]
-        assert [p.empirical for p in sweep[label][1].points] == list(
+        assert [p.empirical for p in sweep[label].points] == list(
             np.mean(full, axis=0)
         )
     # cdf and pmf draw the same blocks through sample_best_gains; only the
@@ -153,12 +153,12 @@ def test_mse_cdf_experiment_passes_and_is_seed_stable():
     out1 = run_mse_cdf_experiment(plan)
     out2 = run_mse_cdf_experiment(_small_plan())
     assert set(out1) == {"independent", "clayton-1", "clayton-2", "fpa"}
-    for label, (curve, report) in out1.items():
+    for label, report in out1.items():
         assert report.all_pass, (label, [p for p in report.failing_points()])
         assert report.meta["family_alpha"] == montecarlo.FAMILY_ALPHA
-        assert curve.values.shape == plan.tau_grid.shape
+        assert [p.x for p in report.points] == list(plan.tau_grid)
         # same seed -> identical empirical points
-        for p1, p2 in zip(report.points, out2[label][1].points):
+        for p1, p2 in zip(report.points, out2[label].points):
             assert p1.empirical == p2.empirical
 
 
@@ -183,7 +183,6 @@ def test_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, r
     monkeypatch.setattr(montecarlo, sampler, clayton_1)
     out = run(McPlan(variants=(("clayton-2", Clayton(2.0)),)))
     report = out["clayton-2"]
-    report = report if isinstance(report, ComparisonReport) else report[1]
     assert not report.all_pass
     assert report.failing_points()
 
@@ -201,12 +200,12 @@ def test_participation_experiment_bins_and_mean():
 
 def test_port_sweep_is_monotone_and_passes():
     out = run_port_sweep(_small_plan())
-    for label, (curve, report) in out.items():
+    for label, report in out.items():
         assert report.all_pass, (label, report.failing_points())
         # prefix-nested sampling makes even the empirical sweep monotone
         emp = np.array([p.empirical for p in report.points])
         assert np.all(np.diff(emp) >= 0), label
-        assert np.all(np.diff(curve.values) >= -1e-15), label
+        assert np.all(np.diff([p.analytic for p in report.points]) >= -1e-15), label
 
 
 def test_port_sweep_rejects_jakes_variant():

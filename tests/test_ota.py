@@ -24,9 +24,7 @@ def test_dbm_conversions():
     assert dbm_to_linear(10.0) == pytest.approx(0.01, rel=1e-12)
     assert dbm_to_linear(0.0) == pytest.approx(1e-3, rel=1e-12)
     assert dbm_to_linear(-90.0) == pytest.approx(1e-12, rel=1e-12)
-    cfg = OtaConfig.from_dbm(10.0, -30.0, tau=0.05, d=4)
-    assert cfg.p_max == pytest.approx(0.01)
-    assert cfg.sigma2 == pytest.approx(1e-6)
+    assert dbm_to_linear(-30.0) == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_config_validation():
