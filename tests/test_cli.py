@@ -465,12 +465,30 @@ MC_GOLDEN = [
             "pmf_users_report.json": "87daeb1fa5502023826c9f410d43d4c6399ed50ce246835c877b68abf5dd3249",
         },
     ),
+    # frozen before the config table replaced the hand-written plan builder
+    (
+        "port-sweep", [],
+        {
+            "port_sweep_clayton-1.csv": "50c12e367aaa24c3af44639569d1b24939e6be1f96e4be2671259fb8104da21b",
+            "port_sweep_clayton-2.csv": "de8468fb9820358e2ff95a227440c7714ce3427e48b68e2ca2bf4efd7f3f2535",
+            "port_sweep_fpa.csv": "390c008fc8df5fd735929264910387e8f002dedfcf0bc18086c533c070d48160",
+            "port_sweep_independent.csv": "141b912935f1f33d2f726d8ca12738111b6da0ed2f6dce07aeda82619ead3b74",
+            "port_sweep_report.json": "ee6376e7b548cd076e2a253ae7b2826809e5d567316608c0371b33a63e78ff9d",
+        },
+    ),
+    (
+        "copula-check", [],
+        {
+            "copula_check_clayton-1.csv": "e2fc6846682305846c58ad1d9648dce24f6fb012480e0b38db30c498e7380434",
+            "copula_check_report.json": "819c8371866816e44d7254edf0f3f5e14b8f8f3a10d50cde9d4a72c49f346f42",
+        },
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "command, extra, golden", MC_GOLDEN,
-    ids=["cdf-fast", "cdf-wide-betas", "pmf-fast", "pmf-wide-betas"],
+    ids=["cdf-fast", "cdf-wide-betas", "pmf-fast", "pmf-wide-betas", "sweep-fast", "copula-fast"],
 )
 def test_mc_outputs_match_frozen_sha256(tmp_path, command, extra, golden):
     assert main([command, "--out", str(tmp_path), *FAST_MC, *extra, "--seed", "0"]) == 0
@@ -478,6 +496,13 @@ def test_mc_outputs_match_frozen_sha256(tmp_path, command, extra, golden):
     assert written == set(golden)
     for name, digest in golden.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_bound_output_matches_frozen_sha256(tmp_path):
+    # the default bound section, frozen with the port-sweep and copula-check rows
+    assert main(["bound", "--out", str(tmp_path), "--seed", "0"]) == 0
+    digest = hashlib.sha256((tmp_path / "bound.csv").read_bytes()).hexdigest()
+    assert digest == "ac5a0ac9c8c29fc289b2b1d923fd1a1f22e98eb71861dfd3f61c14c78d1acc56"
 
 
 # a block of BLOCK_VALUES gains holds 327 trials of K=20 users x 10 ports,
