@@ -242,13 +242,14 @@ class ConvergenceConstants:
             raise ValueError("pl_constant must be > 0")
         if not (self.smoothness > 0):
             raise ValueError("smoothness must be > 0")
-        if self.grad_norm_bound < 0 or self.grad_variance < 0:
-            raise ValueError("variance/norm bounds must be >= 0")
+        for name in ("grad_norm_bound", "grad_variance"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         sizes = np.atleast_1d(np.asarray(self.batch_sizes))
         if np.any(sizes < 1):
-            raise ValueError("batch sizes must be >= 1")
+            raise ValueError("batch_sizes must be >= 1")
         psi = self.psi
         if not (abs(psi) < 1):
             warnings.warn(

@@ -14,7 +14,9 @@ Precedence: dedicated CLI flags > ``--set section.key=value`` overrides >
 config file > documented defaults.  Power values are accepted linear
 (``p_max``, ``sigma2``) or in dBm (``p_max_dbm``, ``sigma2_dbm``);
 supplying both members of a pair is an error.  A supplied config file must
-state ``system.tau`` explicitly.
+state ``system.tau`` explicitly.  One table (``_ROWS``) gives each key's
+kind, default and target field; flags are checked like ``--set``, and every
+configuration error names its key.
 
 Every run writes its result tables (CSV + JSON) plus ``manifest.json``
 recording the tool version, resolved config, master seed, timestamps, and
@@ -31,12 +33,15 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,170 +55,149 @@ class ConfigError(Exception):
     """Invalid or inconsistent configuration; message names the key."""
 
 
-DEFAULTS = {
-    "system": {
-        "K": 20,
-        "N": 10,
-        "W": 0.5,
-        "p_max_dbm": 10.0,
-        "sigma2": 1e-3,
-        "tau": 0.05,
-    },
-    "mc": {
-        "trials": 10_000,
-        "seed": 0,
-        "s_target": 15,
-        "tau_grid": [1.0, 4.0, 30],  # log10 start, log10 stop, points
-        "n_grid": [1, 20],
-        "gain_grid": [0.05, 6.0, 24],
-        "diag_rows": 100_000,
-        "diag_betas": [0.5, 1.0, 2.0, 5.0],
-        "variants": ["independent", "clayton:1", "clayton:2", "fpa"],
-    },
-    "fl": {
-        "clients": 10,
-        "rounds": 30,
-        "lr": 0.01,
-        "batch": 32,
-        "hidden": 32,
-        "local_steps": 1,
-        "optimizer": "adam",
-        "data": "synthetic",
-        "classes": 3,
-        "dims": 16,
-        "samples": 2000,
-        "separation": 6.0,
-        "split": 0.9,
-        "mnist_images": None,
-        "mnist_labels": None,
-        "variants": ["ideal", "independent", "clayton:1", "clayton:2", "fpa"],
-    },
-    "bound": {
-        "lr": 0.01,
-        "pl_constant": 0.5,
-        "smoothness": 4.0,
-        "grad_norm_bound": 1.0,
-        "grad_variance": 1.0,
-        "batch": 32,
-        "n_users": 10,
-        "f1_gap": 1.0,
-        "rounds": 30,
-        "participants": 10,
-        "mse": 0.001,
-        "schedule": None,
-    },
-}
+class _Kind(NamedTuple):
+    """What a config value must be, and its field form."""
 
-_NUMERIC = (int, float)
-_COUNT = "count"  # a number that must be whole; 3.0 is accepted, 3.9 is not
-_SCHEMA = {
-    "system": {
-        "K": _COUNT,
-        "N": _COUNT,
-        "W": _NUMERIC,
-        "p_max": _NUMERIC,
-        "p_max_dbm": _NUMERIC,
-        "sigma2": _NUMERIC,
-        "sigma2_dbm": _NUMERIC,
-        "tau": _NUMERIC,
-    },
-    "mc": {
-        "trials": _COUNT,
-        "seed": _COUNT,
-        "s_target": _COUNT,
-        # fixed-layout lists: one kind per entry
-        "tau_grid": [_NUMERIC, _NUMERIC, _COUNT],  # log10 start, log10 stop, points
-        "n_grid": [_COUNT, _COUNT],
-        "gain_grid": [_NUMERIC, _NUMERIC, _COUNT],
-        "diag_rows": _COUNT,
-        "diag_betas": (list,),
-        "variants": (list,),
-    },
-    "fl": {
-        "clients": _COUNT,
-        "rounds": _COUNT,
-        "lr": _NUMERIC,
-        "batch": _COUNT,
-        "hidden": _COUNT,
-        "local_steps": _COUNT,
-        "optimizer": (str,),
-        "data": (str,),
-        "classes": _COUNT,
-        "dims": _COUNT,
-        "samples": _COUNT,
-        "separation": _NUMERIC,
-        "split": _NUMERIC,
-        "mnist_images": (str, type(None)),
-        "mnist_labels": (str, type(None)),
-        "variants": (list,),
-    },
-    "bound": {
-        "lr": _NUMERIC,
-        "pl_constant": _NUMERIC,
-        "smoothness": _NUMERIC,
-        "grad_norm_bound": _NUMERIC,
-        "grad_variance": _NUMERIC,
-        "batch": _COUNT,
-        "n_users": _COUNT,
-        "f1_gap": _NUMERIC,
-        "rounds": _COUNT,
-        "participants": _COUNT,
-        "mse": _NUMERIC,
-        "schedule": (list, type(None)),
-    },
-}
-
-_REQUIRED_IN_FILE = (("system", "tau"),)
-_POWER_PAIRS = (("system", "p_max", "p_max_dbm"), ("system", "sigma2", "sigma2_dbm"))
+    what: str
+    ok: Callable[[object], bool]
+    to_field: Callable = lambda value: value
 
 
-def _validate_layer(layer: dict, source: str) -> None:
-    if not isinstance(layer, dict):
-        raise ConfigError(f"{source}: top level must be an object of sections")
-    for section, body in layer.items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"{source}: unknown section `{section}`")
-        if not isinstance(body, dict):
-            raise ConfigError(f"{source}: section `{section}` must be an object")
-        for key, value in body.items():
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{source}: unknown key `{section}.{key}`")
-            kinds = _SCHEMA[section][key]
-            if not isinstance(kinds, list):
-                _check_value(source, f"{section}.{key}", kinds, value)
-            elif not isinstance(value, list) or len(value) != len(kinds):
-                raise ConfigError(
-                    f"{source}: key `{section}.{key}` must be a list of {len(kinds)} numbers"
-                )
-            else:
-                for i, (kind, entry) in enumerate(zip(kinds, value)):
-                    _check_value(source, f"{section}.{key}[{i}]", kind, entry)
+def _is_number(value) -> bool:  # math.isfinite cannot take an int beyond the float range
+    return not isinstance(value, bool) and (
+        isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
 
 
-def _check_value(source: str, name: str, allowed, value) -> None:
-    count = allowed == _COUNT
-    if count:
-        allowed = _NUMERIC
-    if not isinstance(value, allowed) or isinstance(value, bool):
-        names = "/".join(t.__name__ for t in allowed)
-        got = type(value).__name__
-        raise ConfigError(f"{source}: key `{name}` must be {names}, got {got}")
-    if count and not float(value).is_integer():
-        raise ConfigError(f"{source}: key `{name}` must be a whole number, got {value!r}")
+class _Optional(NamedTuple):
+    kind: object  # null, or a value of this kind
 
 
-def _parse_set_override(spec: str) -> tuple[str, str, object]:
-    if "=" not in spec or "." not in spec.split("=", 1)[0]:
-        raise ConfigError(
-            f"--set expects section.key=value, got `{spec}`"
-        )
-    dotted, raw = spec.split("=", 1)
-    section, key = dotted.split(".", 1)
+_NUMBER = _Kind("a finite number", _is_number, float)
+# 3.0 is a count and 3.9 is not: int() would truncate it without a word
+_COUNT = _Kind("a whole number >= 0", lambda v: _is_number(v) and v >= 0 and v % 1 == 0, int)
+_STRING = _Kind("a string", lambda v: isinstance(v, str))
+
+_FROM_FIELD = object()  # default: the target dataclass field's own default
+_UNSET = object()  # no default: only a user sets the key
+
+
+class _Row(NamedTuple):
+    """One config key: its kind, the field it sets, and its default."""
+
+    key: str  # section.key
+    kind: object  # _Kind or _Optional; a tuple of kinds is a fixed-layout list, [kind] any length
+    field: str | None  # None when a command reads the key itself
+    default: object = _FROM_FIELD  # in config form
+    convert: Callable | None = None  # field form from the checked value
+
+
+# fields of McPlan (system, mc), FlConfig (system, fl), OtaConfig (system) and
+# ConvergenceConstants (bound), or the argument a later check names
+_ROWS = (
+    _Row("system.K", _COUNT, "n_users"),
+    _Row("system.N", _COUNT, "n_ports"),
+    _Row("system.W", _NUMBER, "jakes_aperture"),
+    _Row("system.p_max", _NUMBER, "p_max", _UNSET),
+    _Row("system.p_max_dbm", _NUMBER, "p_max", 10.0, ota.dbm_to_linear),
+    _Row("system.sigma2", _NUMBER, "sigma2"),
+    _Row("system.sigma2_dbm", _NUMBER, "sigma2", _UNSET, ota.dbm_to_linear),
+    _Row("system.tau", _NUMBER, "tau"),
+    _Row("mc.trials", _COUNT, "trials"),
+    _Row("mc.seed", _COUNT, "seed"),
+    _Row("mc.s_target", _COUNT, "s_target"),
+    # grids: log10 start, log10 stop, points; first, last port count; start, stop, points
+    _Row("mc.tau_grid", (_NUMBER, _NUMBER, _COUNT), "tau_grid", [1.0, 4.0, 30],
+         lambda g: np.logspace(*g)),
+    _Row("mc.n_grid", (_COUNT, _COUNT), "n_grid", [1, 20], lambda g: np.arange(g[0], g[1] + 1)),
+    _Row("mc.gain_grid", (_NUMBER, _NUMBER, _COUNT), "gain_grid", [0.05, 6.0, 24],
+         lambda g: np.linspace(*g)),
+    _Row("mc.diag_rows", _COUNT, "diag_rows"),
+    _Row("mc.diag_betas", [_NUMBER], "diag_betas"),
+    _Row("mc.variants", [_STRING], "variants", ["independent", "clayton:1", "clayton:2", "fpa"]),
+    _Row("fl.clients", _COUNT, "n_clients"),
+    _Row("fl.rounds", _COUNT, "rounds"),
+    _Row("fl.lr", _NUMBER, "lr"),
+    _Row("fl.batch", _COUNT, "batch_size"),
+    _Row("fl.hidden", _COUNT, "hidden"),
+    _Row("fl.local_steps", _COUNT, "local_steps"),
+    _Row("fl.optimizer", _STRING, "optimizer"),
+    _Row("fl.data", _STRING, "data"),
+    _Row("fl.classes", _COUNT, "classes"),
+    _Row("fl.dims", _COUNT, "dims"),
+    _Row("fl.samples", _COUNT, "samples"),
+    _Row("fl.separation", _NUMBER, "separation"),
+    _Row("fl.split", _NUMBER, "split"),
+    _Row("fl.mnist_images", _Optional(_STRING), "mnist_images"),
+    _Row("fl.mnist_labels", _Optional(_STRING), "mnist_labels"),
+    _Row("fl.variants", [_STRING], None,
+         ["ideal", "independent", "clayton:1", "clayton:2", "fpa"]),
+    _Row("bound.lr", _NUMBER, "lr", 0.01),
+    _Row("bound.pl_constant", _NUMBER, "pl_constant", 0.5),
+    _Row("bound.smoothness", _NUMBER, "smoothness", 4.0),
+    _Row("bound.grad_norm_bound", _NUMBER, "grad_norm_bound", 1.0),
+    _Row("bound.grad_variance", _NUMBER, "grad_variance", 1.0),
+    _Row("bound.batch", _COUNT, "batch_sizes", 32),
+    _Row("bound.n_users", _COUNT, "n_users", 10),
+    # the trajectory's checks name the first gap and the schedule these four make
+    _Row("bound.f1_gap", _NUMBER, "first_round_gap", 1.0),
+    _Row("bound.rounds", _COUNT, "schedule", 30),
+    _Row("bound.participants", _COUNT, "participants", 10),
+    _Row("bound.mse", _NUMBER, "mse", 0.001),
+    _Row("bound.schedule", _Optional([(_COUNT, _NUMBER)]), None, None),
+)
+_ROW = {row.key: row for row in _ROWS}
+
+
+def _defaults() -> dict:
+    fields = {"system": montecarlo.McPlan(), "mc": montecarlo.McPlan(), "fl": fedlearn.FlConfig()}
+    out = {}
+    for row in _ROWS:
+        section, name = row.key.split(".")
+        default = row.default
+        if default is _FROM_FIELD:
+            default = getattr(fields[section], row.field)
+            default = list(default) if isinstance(default, tuple) else default
+        if default is not _UNSET:
+            out.setdefault(section, {})[name] = default
+    return out
+
+
+DEFAULTS = _defaults()
+
+
+def _checked(origin: str, name: str, kind, value):
+    """``value`` in field form; a ConfigError naming ``name`` unless it is of ``kind``."""
+    if isinstance(kind, _Optional):
+        return None if value is None else _checked(origin, name, kind.kind, value)
+    if isinstance(kind, _Kind):
+        if not kind.ok(value):
+            raise ConfigError(f"{origin}: key `{name}` must be {kind.what}, got {json.dumps(value)}")
+        return kind.to_field(value)
+    if not isinstance(value, list) or isinstance(kind, tuple) and len(value) != len(kind):
+        size = f" of {len(kind)} entries" if isinstance(kind, tuple) else ""
+        raise ConfigError(f"{origin}: key `{name}` must be a list{size}")
+    kinds = kind if isinstance(kind, tuple) else kind * len(value)
+    return tuple(_checked(origin, f"{name}[{i}]", k, v) for i, (k, v) in enumerate(zip(kinds, value)))
+
+
+def _set(cfg: dict, source: dict, key: str, value, label: str, origin: str) -> None:
+    """Check ``value`` against the row of ``key``, then record it as set by ``label``."""
+    if key not in _ROW:
+        raise ConfigError(f"{origin}: unknown key `{key}`")
+    _checked(origin, key, _ROW[key].kind, value)
+    section, name = key.split(".")
+    cfg[section][name] = value
+    source[key] = label
+
+
+def _parse_set_override(spec: str) -> tuple[str, object]:
+    dotted, equals, raw = spec.partition("=")
+    if not equals or "." not in dotted:
+        raise ConfigError(f"--set expects section.key=value, got `{spec}`")
     try:
-        value = json.loads(raw)
+        return dotted, json.loads(raw)
     except json.JSONDecodeError:
-        value = raw
-    return section, key, value
+        return dotted, raw
 
 
 def load_config(
@@ -224,60 +208,65 @@ def load_config(
     Returns (merged config, source map section.key -> 'default'|'file'|'set').
     """
     merged = copy.deepcopy(DEFAULTS)
-    source = {
-        (s, k): "default" for s, body in DEFAULTS.items() for k in body
-    }
+    source = {f"{s}.{k}": "default" for s, body in DEFAULTS.items() for k in body}
     if config_path is not None:
         with open(config_path) as fh:
             raw = fh.read()
+        origin = f"config file {config_path}"
         try:
             file_cfg = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {config_path}: invalid JSON ({exc})")
-        _validate_layer(file_cfg, f"config file {config_path}")
-        for section, key in _REQUIRED_IN_FILE:
-            if key not in file_cfg.get(section, {}):
-                raise ConfigError(
-                    f"config file {config_path}: missing required key "
-                    f"`{section}.{key}`"
-                )
+            raise ConfigError(f"{origin}: invalid JSON ({exc})")
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{origin}: top level must be an object of sections")
         for section, body in file_cfg.items():
+            if section not in DEFAULTS:
+                raise ConfigError(f"{origin}: unknown section `{section}`")
+            if not isinstance(body, dict):
+                raise ConfigError(f"{origin}: section `{section}` must be an object")
             for key, value in body.items():
-                merged[section][key] = value
-                source[(section, key)] = "file"
+                _set(merged, source, f"{section}.{key}", value, "file", origin)
+        if "tau" not in file_cfg.get("system", {}):
+            raise ConfigError(f"{origin}: missing required key `system.tau`")
     for spec in overrides or []:
-        section, key, value = _parse_set_override(spec)
-        _validate_layer({section: {key: value}}, "--set")
-        merged[section][key] = value
-        source[(section, key)] = "set"
-    for section, linear_key, dbm_key in _POWER_PAIRS:
-        lin_src = source.get((section, linear_key), "absent")
-        dbm_src = source.get((section, dbm_key), "absent")
-        lin_user = lin_src in ("file", "set")
-        dbm_user = dbm_src in ("file", "set")
-        if lin_user and dbm_user:
-            raise ConfigError(
-                f"`{section}.{linear_key}` and `{section}.{dbm_key}` are "
-                "mutually exclusive"
-            )
-        if lin_user:
-            merged[section].pop(dbm_key, None)
-        elif dbm_user:
-            merged[section].pop(linear_key, None)
-    return merged, {f"{s}.{k}": v for (s, k), v in source.items()}
+        _set(merged, source, *_parse_set_override(spec), "set", "--set")
+    # a user-set member of a power pair retires the other's default
+    for linear, dbm in (("p_max", "p_max_dbm"), ("sigma2", "sigma2_dbm")):
+        user = {k for k in (linear, dbm) if source.get(f"system.{k}", "default") != "default"}
+        if len(user) == 2:
+            raise ConfigError(f"`system.{linear}` and `system.{dbm}` are mutually exclusive")
+        if user:
+            merged["system"].pop(dbm if linear in user else linear, None)
+    return merged, source
 
 
-def _linear_power(cfg: dict, linear_key: str, dbm_key: str) -> float:
-    body = cfg["system"]
-    if linear_key in body:
-        return float(body[linear_key])
-    return ota.dbm_to_linear(float(body[dbm_key]))
+def _keyed(exc: ValueError, rows, fallback: str | None = None) -> ConfigError:
+    """The check's message, led by the key of the row whose field it names first."""
+    field = str(exc).split(" ", 1)[0]
+    key = next((row.key for row in rows if row.field == field), fallback)
+    return ConfigError(f"{key}: {exc}" if key else str(exc))
+
+
+def _build(cls, cfg: dict, sections: tuple, **given):
+    """``cls`` from the rows of ``sections`` that set its fields; errors name the key."""
+    values = {f"{s}.{k}": v for s in sections for k, v in cfg[s].items()}
+    rows = [row for row in _ROWS if row.key in values]
+    names = {f.name for f in dataclasses.fields(cls)} - set(given)
+    for row in rows:
+        if row.field in names:
+            value = _checked(row.key, row.key, row.kind, values[row.key])
+            try:
+                given[row.field] = row.convert(value) if row.convert else value
+            except OverflowError:
+                raise ConfigError(f"{row.key}: {row.field} overflows")
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise _keyed(exc, rows)
 
 
 def parse_variant(spec: str, aperture: float = 0.5):
     """Variant string -> (file label, dependence or 'ideal')."""
-    if not isinstance(spec, str):
-        raise ConfigError(f"variant `{spec!r}` must be a string")
     name = spec.strip().lower()
     if name == "ideal":
         return "ideal", "ideal"
@@ -301,45 +290,18 @@ def parse_variant(spec: str, aperture: float = 0.5):
     )
 
 
-def _build_plan(cfg: dict) -> montecarlo.McPlan:
-    sysc, mc = cfg["system"], cfg["mc"]
-    p_max = _linear_power(cfg, "p_max", "p_max_dbm")
-    sigma2 = _linear_power(cfg, "sigma2", "sigma2_dbm")
-    lo, hi, pts = mc["tau_grid"]
-    n_lo, n_hi = mc["n_grid"]
-    g_lo, g_hi, g_pts = mc["gain_grid"]
-    variants = []
-    for spec in mc["variants"]:
-        label, dep = parse_variant(spec, aperture=float(sysc["W"]))
-        if dep == "ideal":
-            raise ConfigError("`ideal` is a training variant, not an mc variant")
-        variants.append((label, dep))
+def _variants(cfg: dict, section: str) -> list:
     try:
-        return montecarlo.McPlan(
-            n_users=int(sysc["K"]),
-            n_ports=int(sysc["N"]),
-            p_max=p_max,
-            sigma2=sigma2,
-            tau=float(sysc["tau"]),
-            s_target=int(mc["s_target"]),
-            trials=int(mc["trials"]),
-            seed=int(mc["seed"]),
-            tau_grid=np.logspace(float(lo), float(hi), int(pts)),
-            n_grid=np.arange(int(n_lo), int(n_hi) + 1),
-            gain_grid=np.linspace(float(g_lo), float(g_hi), int(g_pts)),
-            variants=tuple(variants),
-            diag_betas=tuple(float(b) for b in mc["diag_betas"]),
-            diag_rows=int(mc["diag_rows"]),
-            jakes_aperture=float(sysc["W"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        return [parse_variant(v, aperture=float(cfg["system"]["W"])) for v in cfg[section]["variants"]]
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.variants: {exc}")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+def _plan(cfg: dict) -> montecarlo.McPlan:
+    variants = _variants(cfg, "mc")
+    if any(dep == "ideal" for _, dep in variants):
+        raise ConfigError("mc.variants: `ideal` is a training variant, not an mc variant")
+    return _build(montecarlo.McPlan, cfg, ("system", "mc"), variants=tuple(variants))
 
 
 def _write_manifest(
@@ -363,9 +325,8 @@ def _write_manifest(
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "config": cfg,
         "config_sources": source,
-        "outputs": [
-            {"path": p.name, "sha256": _sha256(p)} for p in sorted(outputs)
-        ],
+        "outputs": [{"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                    for p in sorted(outputs)],
     }
     if telemetry is not None:
         manifest["telemetry"] = telemetry
@@ -408,11 +369,11 @@ _COMPARISONS = {
 def _cmd_compare(command: str, cfg: dict, source: dict, out_dir: Path) -> int:
     """Run one analytic-vs-Monte-Carlo experiment; write a CSV per variant."""
     started = datetime.now(timezone.utc).isoformat()
-    plan = _build_plan(cfg)
+    plan = _plan(cfg)
     for label, dep in plan.variants:
         if isinstance(dep, GaussianJakes):
-            raise ConfigError(f"`{label}` has no closed form to compare against")
-    prefix = _COMMAND_DIRS[command]
+            raise ConfigError(f"mc.variants: `{label}` has no closed form to compare against")
+    prefix = command.replace("-", "_")
     reports = getattr(montecarlo, _COMPARISONS[command])(plan)
     outputs = []
     for label, report in reports.items():
@@ -442,7 +403,7 @@ def _cmd_compare(command: str, cfg: dict, source: dict, out_dir: Path) -> int:
 
 def _cmd_copula_check(cfg: dict, source: dict, out_dir: Path) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    plan = _build_plan(cfg)
+    plan = _plan(cfg)
     diag = montecarlo.run_copula_diagnostics(plan)
     outputs = []
     for label, report in diag.cdf_reports.items():
@@ -482,32 +443,6 @@ def _cmd_copula_check(cfg: dict, source: dict, out_dir: Path) -> int:
     return 0 if ok else 1
 
 
-def _fl_config(cfg: dict, benchmark: str) -> fedlearn.FlConfig:
-    fl = cfg["fl"]
-    try:
-        return fedlearn.FlConfig(
-            n_clients=int(fl["clients"]),
-            rounds=int(fl["rounds"]),
-            n_ports=int(cfg["system"]["N"]),
-            lr=float(fl["lr"]),
-            batch_size=int(fl["batch"]),
-            hidden=int(fl["hidden"]),
-            local_steps=int(fl["local_steps"]),
-            optimizer=fl["optimizer"],
-            benchmark=benchmark,
-            data=fl["data"],
-            classes=int(fl["classes"]),
-            dims=int(fl["dims"]),
-            samples=int(fl["samples"]),
-            separation=float(fl["separation"]),
-            split=float(fl["split"]),
-            mnist_images=fl["mnist_images"],
-            mnist_labels=fl["mnist_labels"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
     """What one variant's training did and where its time went (not hashed)."""
     updates = sum(r.participants for r in records)
@@ -525,24 +460,20 @@ def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
 
 def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
     started = datetime.now(timezone.utc).isoformat()
-    sysc = cfg["system"]
     seed = int(cfg["mc"]["seed"])
-    try:  # run_training sets the link's d to the model's parameter count
-        link = ota.OtaConfig(
-            p_max=_linear_power(cfg, "p_max", "p_max_dbm"),
-            sigma2=_linear_power(cfg, "sigma2", "sigma2_dbm"),
-            tau=float(sysc["tau"]),
-            d=1,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if not cfg["fl"]["variants"]:  # also when --benchmark kept none of them
+        raise ConfigError("fl.variants must not be empty")
+    # run_training sets the link's d to the model's parameter count
+    link = _build(ota.OtaConfig, cfg, ("system",), d=1)
+    runs = [
+        (label, dep, _build(fedlearn.FlConfig, cfg, ("system", "fl"),
+                            benchmark="ideal" if dep == "ideal" else "ota"))
+        for label, dep in _variants(cfg, "fl")
+    ]
     outputs = []
     diverged = []
     telemetry = {}
-    for spec in cfg["fl"]["variants"]:
-        label, dep = parse_variant(spec, aperture=float(sysc["W"]))
-        benchmark = "ideal" if dep == "ideal" else "ota"
-        fl = _fl_config(cfg, benchmark)
+    for label, dep, fl in runs:
         dep_obj = Independent() if dep == "ideal" else dep
         t0 = time.perf_counter()
         try:
@@ -576,33 +507,22 @@ def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
 def _cmd_bound(cfg: dict, source: dict, out_dir: Path, records_path) -> int:
     started = datetime.now(timezone.utc).isoformat()
     b = cfg["bound"]
-    try:
-        constants = analytics.ConvergenceConstants(
-            lr=float(b["lr"]),
-            pl_constant=float(b["pl_constant"]),
-            smoothness=float(b["smoothness"]),
-            grad_norm_bound=float(b["grad_norm_bound"]),
-            grad_variance=float(b["grad_variance"]),
-            batch_sizes=int(b["batch"]),
-            n_users=int(b["n_users"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    constants = _build(analytics.ConvergenceConstants, cfg, ("bound",))
+    origin = None  # the constant schedule of bound.rounds, bound.participants, bound.mse
     if records_path is not None:
-        schedule = fedlearn.schedule_from_records(records_path)
-    elif b["schedule"] is not None:
+        origin = f"--records {records_path}"
         try:
-            schedule = [(int(s), float(m)) for s, m in b["schedule"]]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bound.schedule must be [[participants, mse], ...]: {exc}")
+            schedule = fedlearn.schedule_from_records(records_path)
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"{origin}: {exc}")
+    elif b["schedule"] is not None:
+        origin, schedule = "bound.schedule", [(int(s), float(m)) for s, m in b["schedule"]]
     else:
         schedule = [(int(b["participants"]), float(b["mse"]))] * int(b["rounds"])
     try:
-        trajectory = analytics.optimality_gap_trajectory(
-            constants, schedule, float(b["f1_gap"])
-        )
+        trajectory = analytics.optimality_gap_trajectory(constants, schedule, float(b["f1_gap"]))
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        raise _keyed(exc, [_ROW["bound.f1_gap"]] if origin else _ROWS, origin)
     csv_path = out_dir / "bound.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write("round,bound\n")
@@ -638,6 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument("--trials", type=int, default=None, help="MC trials")
+    commands = {}
     for name, help_text in [
         ("cdf-mse", "aggregation-error CDF vs Monte Carlo"),
         ("pmf-users", "participant-count PMF vs Monte Carlo"),
@@ -646,31 +567,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", "federated training per variant"),
         ("bound", "convergence-bound trajectory"),
     ]:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        if name == "train":
-            p.add_argument(
-                "--benchmark",
-                choices=["ideal", "ota"],
-                default=None,
-                help="restrict to the ideal benchmark or the OTA variants",
-            )
-        if name == "bound":
-            p.add_argument(
-                "--records",
-                default=None,
-                help="round-record CSV to read the (participants, mse) schedule from",
-            )
+        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
+    commands["train"].add_argument(
+        "--benchmark", choices=["ideal", "ota"],
+        help="restrict to the ideal benchmark or the OTA variants",
+    )
+    commands["bound"].add_argument(
+        "--records", help="round-record CSV to read the (participants, mse) schedule from"
+    )
     return parser
-
-
-_COMMAND_DIRS = {
-    "cdf-mse": "cdf_mse",
-    "pmf-users": "pmf_users",
-    "port-sweep": "port_sweep",
-    "copula-check": "copula_check",
-    "train": "train",
-    "bound": "bound",
-}
 
 
 def main(argv=None) -> int:
@@ -678,21 +583,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, source = load_config(args.config, args.overrides)
-        if args.seed is not None:
-            cfg["mc"]["seed"] = args.seed
-            source["mc.seed"] = "flag"
-        if args.trials is not None:
-            cfg["mc"]["trials"] = args.trials
-            source["mc.trials"] = "flag"
+        flags = [("--seed", "mc.seed", args.seed), ("--trials", "mc.trials", args.trials)]
         if getattr(args, "benchmark", None) is not None:
-            if args.benchmark == "ideal":
-                cfg["fl"]["variants"] = ["ideal"]
-            else:
-                cfg["fl"]["variants"] = [
-                    v for v in cfg["fl"]["variants"] if v != "ideal"
-                ]
-            source["fl.variants"] = "flag"
-        out_dir = Path(args.out) if args.out else Path("runs") / _COMMAND_DIRS[args.command]
+            kept = ["ideal"] if args.benchmark == "ideal" else [
+                v for v in cfg["fl"]["variants"] if v != "ideal"]
+            flags.append(("--benchmark", "fl.variants", kept))
+        for flag, key, value in flags:
+            if value is not None:
+                _set(cfg, source, key, value, "flag", flag)
+        out_dir = Path(args.out) if args.out else Path("runs") / args.command.replace("-", "_")
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command in _COMPARISONS:
             return _cmd_compare(args.command, cfg, source, out_dir)

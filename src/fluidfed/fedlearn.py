@@ -114,15 +114,17 @@ def _read_idx(path, expected_magic: int, kind: str) -> np.ndarray:
     return body
 
 
-def _split(x: np.ndarray, y: np.ndarray, split: float, rng: RngLike) -> Dataset:
+def _train_count(n: int, split: float) -> int:
+    """Rows of ``n`` that ``_split`` puts in the training split."""
     if not (0 < split <= 1):
         raise ValueError("split must be in (0, 1]")
-    gen = as_generator(rng)
-    n = x.shape[0]
-    order = gen.permutation(n)
     n_train = int(round(split * n))
-    if n >= 2:
-        n_train = min(max(n_train, 1), n - 1)
+    return min(max(n_train, 1), n - 1) if n >= 2 else n_train
+
+
+def _split(x: np.ndarray, y: np.ndarray, split: float, rng: RngLike) -> Dataset:
+    n_train = _train_count(x.shape[0], split)
+    order = as_generator(rng).permutation(x.shape[0])
     idx_train, idx_test = order[:n_train], order[n_train:]
     return Dataset(x[idx_train], y[idx_train], x[idx_test], y[idx_test])
 
@@ -134,6 +136,15 @@ def ingest_mnist(images_path, labels_path, split: float = 0.9, rng: RngLike = 0)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"image count {images.shape[0]} != label count {labels.shape[0]}")
     return _split(images.astype(np.float64) / 255.0, labels.astype(np.int64), split, rng)
+
+
+def _check_blobs(classes: int, dims: int, samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if classes < 2:
+        raise ValueError("classes must be >= 2")
+    if dims < classes:
+        raise ValueError("dims must be >= classes")
 
 
 def synthesize_dataset(
@@ -150,12 +161,7 @@ def synthesize_dataset(
     dims >= classes); unit isotropic noise.  At the default separation the
     classes are cleanly separable.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if classes < 2:
-        raise ValueError("classes must be >= 2")
-    if dims < classes:
-        raise ValueError("dims must be >= classes")
+    _check_blobs(classes, dims, samples)
     gen = as_generator(rng)
     means = np.zeros((classes, dims))
     means[np.arange(classes), np.arange(classes)] = 1.0
@@ -174,20 +180,24 @@ class ClientState:
     y: np.ndarray
 
 
-def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> list[ClientState]:
-    """Shuffle the training split into near-equal shards (sizes differ <= 1)."""
+def _check_shards(n_clients: int, n_train: int) -> None:
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
+    if n_clients > n_train:
+        raise ValueError(f"n_clients must be <= {n_train}, the training samples to split")
+
+
+def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> list[ClientState]:
+    """Shuffle the training split into near-equal shards (sizes differ <= 1)."""
     n = dataset.train_x.shape[0]
-    if n_clients > n:
-        raise ValueError(f"cannot split {n} training samples into {n_clients} shards")
-    gen = as_generator(rng)
-    order = gen.permutation(n)
+    _check_shards(n_clients, n)
+    order = as_generator(rng).permutation(n)
     shards = np.array_split(order, n_clients)
     return [
         ClientState(client_id=i, x=dataset.train_x[s], y=dataset.train_y[s])
         for i, s in enumerate(shards)
     ]
+
 
 
 # ----------------------------------------------------------------------
@@ -311,20 +321,25 @@ class FlConfig:
     mnist_labels: Optional[str] = None
 
     def __post_init__(self):
-        if self.n_clients < 1 or self.rounds < 1 or self.n_ports < 1:
-            raise ValueError("n_clients, rounds, n_ports must be >= 1")
+        for name in ("n_clients", "rounds", "n_ports", "batch_size", "local_steps", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not (self.lr > 0):
             raise ValueError("lr must be > 0")
-        if self.batch_size < 1 or self.local_steps < 1 or self.hidden < 1:
-            raise ValueError("batch_size, local_steps, hidden must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.benchmark not in ("ota", "ideal"):
             raise ValueError("benchmark must be 'ota' or 'ideal'")
         if self.data not in ("synthetic", "mnist"):
             raise ValueError("data must be 'synthetic' or 'mnist'")
-        if not (0 < self.split <= 1):
-            raise ValueError("split must be in (0, 1]")
+        n_train = _train_count(self.samples, self.split)  # checks split for either data
+        if self.data == "mnist":  # the shard count is known once the files are read
+            for name in ("mnist_images", "mnist_labels"):
+                if not getattr(self, name):
+                    raise ValueError(f"{name} must name an IDX file when data is 'mnist'")
+        else:
+            _check_blobs(self.classes, self.dims, self.samples)
+            _check_shards(self.n_clients, n_train)
 
 
 @dataclass
@@ -437,8 +452,6 @@ def local_update(
 
 def _build_dataset(cfg: FlConfig, rng: RngLike) -> Dataset:
     if cfg.data == "mnist":
-        if not (cfg.mnist_images and cfg.mnist_labels):
-            raise ValueError("mnist data requires mnist_images and mnist_labels paths")
         return ingest_mnist(cfg.mnist_images, cfg.mnist_labels, cfg.split, rng)
     return synthesize_dataset(
         cfg.classes, cfg.dims, cfg.samples, rng, cfg.separation, cfg.split
@@ -544,7 +557,7 @@ def schedule_from_records(path) -> list[tuple[int, float]]:
         try:
             i_part, i_mse = header.index("participants"), header.index("mse")
         except ValueError as exc:
-            raise ValueError(f"{path} is not a round-record CSV: {exc}") from exc
+            raise ValueError(f"not a round-record CSV: {exc}") from exc
         for line in fh:
             cells = line.rstrip("\n").split(",")
             out.append((int(cells[i_part]), float(cells[i_mse] or 0.0)))

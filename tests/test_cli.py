@@ -1,6 +1,5 @@
 """End-to-end CLI tests: config precedence, exit codes, outputs, manifests."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -10,8 +9,7 @@ import pytest
 from fluidfed import cli
 from fluidfed.cli import ConfigError, load_config, main, parse_variant
 from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence
-from fluidfed.fedlearn import FlConfig
-from fluidfed.montecarlo import BLOCK_VALUES, McPlan
+from fluidfed.montecarlo import BLOCK_VALUES, McPlan, default_variants
 
 FAST_MC = [
     "--set", "mc.trials=400",
@@ -39,17 +37,17 @@ def test_defaults_need_no_file():
 
 
 def test_default_tables_agree():
-    # cli.DEFAULTS and the dataclass defaults are two tables of one set of
-    # defaults; until one is derived from the other, they must not drift
+    # the config table reads every default from its dataclass field except
+    # where the config form differs; those rows must build the field defaults
     cfg, _ = load_config(None, None)
-    plan, built = McPlan(), cli._build_plan(cfg)
-    for f in dataclasses.fields(McPlan):
-        ours, theirs = getattr(plan, f.name), getattr(built, f.name)
-        if isinstance(ours, np.ndarray):
-            assert np.array_equal(ours, theirs), f.name
-        else:
-            assert ours == theirs, f.name
-    assert FlConfig() == cli._fl_config(cfg, "ota")
+    plan, reference = cli._plan(cfg), McPlan()
+    for name in ("tau_grid", "n_grid", "gain_grid"):
+        ours, theirs = getattr(plan, name), getattr(reference, name)
+        assert np.array_equal(ours, theirs) and ours.dtype == theirs.dtype, name
+    assert "p_max" not in cfg["system"] and plan.p_max == reference.p_max
+    assert plan.variants == default_variants()
+    fl_variants = [parse_variant(spec) for spec in cfg["fl"]["variants"]]
+    assert fl_variants == [("ideal", "ideal"), *default_variants()]
 
 
 def test_file_must_state_tau(tmp_path):
@@ -192,13 +190,19 @@ def test_fractional_list_counts_exit_2(tmp_path, capsys, command, spec, key):
     [
         ("cdf-mse", "system.N=0", "n_ports must be >= 1"),
         ("pmf-users", "system.tau=-1", "tau must be finite and > 0"),
+        ("cdf-mse", "system.p_max_dbm=4000", "system.p_max_dbm: p_max overflows"),
         ("port-sweep", "mc.n_grid=[0,5]", "n_grid entries must be >= 1"),
         ("port-sweep", "mc.n_grid=[5,3]", "n_grid must not be empty"),
         ("cdf-mse", "mc.tau_grid=[1.0,4.0,0]", "tau_grid must not be empty"),
-        ("cdf-mse", "mc.tau_grid=[1.0,4.0,-1]", "must be non-negative"),
+        ("cdf-mse", "mc.tau_grid=[1.0,4.0,-1]", "`mc.tau_grid[2]` must be a whole number >= 0"),
+        ("cdf-mse", "mc.tau_grid=[1.0,Infinity,5]", "`mc.tau_grid[1]` must be a finite number"),
+        ("cdf-mse", "mc.seed=-1", "`mc.seed` must be a whole number >= 0"),
+        ("cdf-mse", ["--seed", "-1"], "--seed: key `mc.seed` must be a whole number >= 0"),
+        ("pmf-users", ["--trials", "0"], "mc.trials: trials must be >= 1"),
         ("copula-check", "mc.diag_rows=0", "diag_rows must be >= 1"),
         ("copula-check", "mc.diag_betas=[]", "diag_betas must not be empty"),
         ("copula-check", "mc.diag_betas=[0]", "diag_betas must be finite and > 0"),
+        ("copula-check", "mc.diag_betas=[true]", "`mc.diag_betas[0]` must be a finite number"),
         ("copula-check", "mc.gain_grid=[-1.0,6.0,24]", "gain_grid entries must be >= 0"),
         ("cdf-mse", "mc.variants=[]", "variants must not be empty"),
         ("cdf-mse", 'mc.variants=["jakes"]', "`jakes` has no closed form"),
@@ -206,20 +210,52 @@ def test_fractional_list_counts_exit_2(tmp_path, capsys, command, spec, key):
         ("pmf-users", 'mc.variants=["clayton:1e999"]', "clayton beta must be finite"),
         ("cdf-mse", "mc.variants=[3]", "must be a string"),
         ("train", 'fl.variants=["clayton:1e999"]', "clayton beta must be finite"),
+        ("train", "fl.variants=[]", "fl.variants must not be empty"),
+        ("train", ["--benchmark", "ota", "--set", 'fl.variants=["ideal"]'],
+         "fl.variants must not be empty"),
         ("train", "system.tau=-1", "tau must be finite and > 0"),
         ("train", "fl.split=1.5", "split must be in (0, 1]"),
+        ("train", "fl.batch=0", "fl.batch: batch_size must be >= 1"),
+        ("train", "fl.separation=NaN", "`fl.separation` must be a finite number"),
+        ("train", "fl.lr=1e999", "`fl.lr` must be a finite number"),
+        ("train", ["--set", "fl.data=mnist"], "fl.mnist_images: mnist_images must name an IDX file"),
+        ("train", "fl.clients=5000", "fl.clients: n_clients must be <= 1800"),
+        ("train", "fl.classes=0", "fl.classes: classes must be >= 2"),
+        ("train", "fl.samples=0", "fl.samples: samples must be >= 1"),
+        ("train", "fl.dims=0", "fl.dims: dims must be >= classes"),
         ("bound", "bound.rounds=0", "at least one round"),
+        ("bound", "bound.participants=11", "bound.participants: participants must be in 1..n_users"),
+        ("bound", "bound.f1_gap=NaN", "`bound.f1_gap` must be a finite number"),
+        ("bound", "bound.f1_gap=-1", "bound.f1_gap: first_round_gap must be >= 0"),
+        ("bound", "bound.grad_variance=-1", "bound.grad_variance: grad_variance must be >= 0"),
+        ("bound", "bound.batch=0", "bound.batch: batch_sizes must be >= 1"),
+        ("bound", "bound.schedule=[[3.5,0.1]]", "`bound.schedule[0][0]` must be a whole number >= 0"),
         # train sends vectors of the model's parameter count
         ("train", "system.d=1000", "unknown key `system.d`"),
     ],
 )
 def test_unsupported_values_exit_2(tmp_path, capsys, command, spec, message):
     # exit 1 means a statistical failure, so a value no run can use must be
-    # rejected before it reaches the simulation
-    rc = main([command, "--out", str(tmp_path / "a"), "--set", spec])
+    # rejected before it reaches the simulation; a list is the flags themselves
+    args = ["--set", spec] if isinstance(spec, str) else spec
+    rc = main([command, "--out", str(tmp_path / "a"), *args])
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+    assert isinstance(spec, list) or spec.split("=")[0] in err
+    assert not (tmp_path / "a" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["round,mse\n1,0.1\n", "round,participants,mse\n1,x,0.1\n", "participants,mse\n4\n"]
+)
+def test_malformed_records_exit_2(tmp_path, capsys, text):
+    records = tmp_path / "records.csv"
+    records.write_text(text)
+    rc = main(["bound", "--out", str(tmp_path / "a"), "--records", str(records)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(records) in err
     assert not (tmp_path / "a" / "manifest.json").exists()
 
 
