@@ -32,7 +32,6 @@ from .analytics import (  # noqa: F401
     GainDistribution,
     channel_gain_cdf,
     normalized_mse_cdf,
-    order_statistic_cdf_oracle,
     participation_pmf_vector,
     qualify_probability,
 )

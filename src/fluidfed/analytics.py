@@ -11,16 +11,15 @@ singularity at x = 0 and degenerates correctly: m^N as beta -> 0
 fixed-antenna case).
 
 Downstream laws are binomial in the per-user qualify probability
-q = 1 - F(threshold):
+q = 1 - F(threshold), taken as the survival form -expm1(log F) so it
+keeps its relative precision where F rounds to 1:
 
 * normalized aggregation-error CDF at target rank S (the S-th order
   statistic of the per-user error scores over K users):
-  Pr(Bin(K, q) >= S) with threshold x = 1/(p_max * tau);
+  Pr(Bin(K, q) >= S) = I_q(S, K - S + 1), the regularized incomplete
+  beta function, with threshold x = 1/(p_max * tau);
 * participation count PMF: Binomial(K, q) with threshold
-  x = sigma2/(p_max * tau).
-
-Binomial terms are computed in the log domain (gammaln) and accumulated
-smallest-first with exact summation.
+  x = sigma2/(p_max * tau), in the log domain (gammaln, xlogy, xlog1py).
 
 `optimality_gap_trajectory` evaluates the per-round contraction bound
 psi^T * gap_1 + sum_t psi^(T-t) * residual_t with psi = 1 - lr * pl_constant
@@ -30,13 +29,12 @@ gradient-variance term, and the round's aggregation MSE.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln, xlog1py, xlogy
 
 from .channel import Clayton, Independent, PerfectDependence
 
@@ -47,7 +45,6 @@ __all__ = [
     "qualify_probability",
     "normalized_mse_cdf",
     "participation_pmf_vector",
-    "order_statistic_cdf_oracle",
     "round_residual",
     "optimality_gap_trajectory",
 ]
@@ -100,40 +97,29 @@ def channel_gain_cdf(dist: GainDistribution, x) -> np.ndarray | float:
     return out.reshape(arr.shape)
 
 
+def _survival(dist: GainDistribution, x) -> np.ndarray:
+    """1 - F(x) of the best-port gain as -expm1(log F(x)), shaped like x."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):  # log F(0) = -inf gives 1 - F = 1
+        log_m = np.where(
+            x < np.log(2.0), np.log(-np.expm1(-x)), np.log1p(-np.exp(-x))
+        )
+    dep, n = dist.dependence, dist.n_ports
+    if isinstance(dep, PerfectDependence):
+        log_f = log_m
+    elif isinstance(dep, Independent):
+        log_f = n * log_m
+    else:
+        spread = (n - 1) * (-np.expm1(dep.beta * log_m))
+        log_f = log_m - np.log1p(spread) / dep.beta
+    return -np.expm1(log_f)
+
+
 def qualify_probability(dist: GainDistribution, threshold: float) -> float:
     """Probability a user's best-port gain reaches ``threshold``."""
     if not (threshold >= 0) or not np.isfinite(threshold):
         raise ValueError("threshold must be finite and >= 0")
-    return 1.0 - float(channel_gain_cdf(dist, threshold))
-
-
-def _log_binom(k: int, i: np.ndarray) -> np.ndarray:
-    return gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1)
-
-
-def _binom_pmf(k: int, i: np.ndarray, q: float) -> np.ndarray:
-    """Binomial pmf terms via log-domain evaluation, q in (0, 1)."""
-    logp = _log_binom(k, i) + i * math.log(q) + (k - i) * math.log1p(-q)
-    return np.exp(logp)
-
-
-def _binom_tail_at_least(k: int, s: int, q: float) -> float:
-    """Pr(Bin(k, q) >= s), summing the shorter tail smallest-first."""
-    if s <= 0:
-        return 1.0
-    if s > k:
-        return 0.0
-    if q <= 0.0:
-        return 0.0
-    if q >= 1.0:
-        return 1.0
-    lower = np.arange(0, s)
-    upper = np.arange(s, k + 1)
-    if upper.size <= lower.size:
-        terms = np.sort(_binom_pmf(k, upper, q))
-        return min(1.0, math.fsum(terms))
-    terms = np.sort(_binom_pmf(k, lower, q))
-    return max(0.0, 1.0 - math.fsum(terms))
+    return float(_survival(dist, threshold))
 
 
 def _check_system(k: int, p_max: float, tau: float) -> None:
@@ -161,12 +147,9 @@ def normalized_mse_cdf(
     taus = np.asarray(tau, dtype=float)
     if np.any(taus <= 0):
         raise ValueError("tau must be > 0")
-    qs = 1.0 - channel_gain_cdf(dist, 1.0 / (p_max * taus))
-    if taus.ndim == 0:
-        return _binom_tail_at_least(n_users, s_target, float(qs))
-    return np.array(
-        [_binom_tail_at_least(n_users, s_target, float(q)) for q in qs]
-    )
+    q = _survival(dist, 1.0 / (p_max * taus))
+    out = betainc(s_target, n_users - s_target + 1, q)
+    return float(out) if taus.ndim == 0 else out
 
 
 def participation_pmf_vector(
@@ -178,35 +161,8 @@ def participation_pmf_vector(
         raise ValueError("sigma2 must be > 0")
     q = qualify_probability(dist, sigma2 / (p_max * tau))
     s = np.arange(n_users + 1)
-    if q <= 0.0:
-        out = np.zeros(n_users + 1)
-        out[0] = 1.0
-        return out
-    if q >= 1.0:
-        out = np.zeros(n_users + 1)
-        out[-1] = 1.0
-        return out
-    return _binom_pmf(n_users, s, q)
-
-
-def order_statistic_cdf_oracle(
-    effective_gains: np.ndarray, s_target: int, p_max: float, tau: float
-) -> float:
-    """Brute-force check of `normalized_mse_cdf` from sampled gains.
-
-    ``effective_gains`` is an (M, K) array of per-trial best-port gains.
-    Each trial's error scores 1/(p_max * gain) are sorted and the frequency
-    of (S-th smallest) < tau is returned.
-    """
-    g = np.asarray(effective_gains, dtype=float)
-    if g.ndim != 2:
-        raise ValueError("effective_gains must be (trials, n_users)")
-    if not (1 <= s_target <= g.shape[1]):
-        raise ValueError("s_target must be in 1..n_users")
-    _check_system(g.shape[1], p_max, tau)
-    theta = 1.0 / (p_max * g)
-    ranked = np.sort(theta, axis=1)[:, s_target - 1]
-    return float(np.mean(ranked < tau))
+    log_binom = gammaln(n_users + 1) - gammaln(s + 1) - gammaln(n_users - s + 1)
+    return np.exp(log_binom + xlogy(s, q) + xlog1py(n_users - s, -q))
 
 
 # ----------------------------------------------------------------------

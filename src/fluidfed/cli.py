@@ -374,6 +374,7 @@ def _cmd_compare(command: str, cfg: dict, source: dict, out_dir: Path) -> int:
         if isinstance(dep, GaussianJakes):
             raise ConfigError(f"mc.variants: `{label}` has no closed form to compare against")
     prefix = command.replace("-", "_")
+    out_dir.mkdir(parents=True, exist_ok=True)
     reports = getattr(montecarlo, _COMPARISONS[command])(plan)
     outputs = []
     for label, report in reports.items():
@@ -404,6 +405,7 @@ def _cmd_compare(command: str, cfg: dict, source: dict, out_dir: Path) -> int:
 def _cmd_copula_check(cfg: dict, source: dict, out_dir: Path) -> int:
     started = datetime.now(timezone.utc).isoformat()
     plan = _plan(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     diag = montecarlo.run_copula_diagnostics(plan)
     outputs = []
     for label, report in diag.cdf_reports.items():
@@ -470,6 +472,7 @@ def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
                             benchmark="ideal" if dep == "ideal" else "ota"))
         for label, dep in _variants(cfg, "fl")
     ]
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     diverged = []
     telemetry = {}
@@ -523,6 +526,7 @@ def _cmd_bound(cfg: dict, source: dict, out_dir: Path, records_path) -> int:
         trajectory = analytics.optimality_gap_trajectory(constants, schedule, float(b["f1_gap"]))
     except ValueError as exc:
         raise _keyed(exc, [_ROW["bound.f1_gap"]] if origin else _ROWS, origin)
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "bound.csv"
     with open(csv_path, "w", newline="") as fh:
         fh.write("round,bound\n")
@@ -591,8 +595,8 @@ def main(argv=None) -> int:
         for flag, key, value in flags:
             if value is not None:
                 _set(cfg, source, key, value, "flag", flag)
+        # commands make out_dir after their config checks: errors leave none
         out_dir = Path(args.out) if args.out else Path("runs") / args.command.replace("-", "_")
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command in _COMPARISONS:
             return _cmd_compare(args.command, cfg, source, out_dir)
         if args.command == "copula-check":

@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binom, kendalltau, kstest
+from scipy.special import betainc, betaincc
+from scipy.stats import kendalltau, kstest
 
 from .analytics import (
     GainDistribution,
@@ -131,6 +132,9 @@ class McPlan:
             raise ValueError("n_grid entries must be >= 1")
         if np.min(self.gain_grid) < 0:
             raise ValueError("gain_grid entries must be >= 0")
+        for name in ("tau_grid", "gain_grid"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} entries must be finite")
         if not all(0 < b < np.inf for b in self.diag_betas):
             raise ValueError("diag_betas must be finite and > 0")
 
@@ -207,21 +211,28 @@ class ComparisonReport:
                 )
 
 
+def _p_values(k, trials, p) -> np.ndarray:
+    """Two-sided p-values min(1, 2 min(P[X <= k], P[X >= k])) of counts k
+    under Bin(trials, p); each tail is 1 at its edge count, where betainc
+    and betaincc are wrong for p in {0, 1}."""
+    at_most = np.where(k >= trials, 1.0, betaincc(k + 1, trials - k, p))
+    at_least = np.where(k <= 0, 1.0, betainc(k, trials - k + 1, p))
+    return np.minimum(1.0, 2.0 * np.minimum(at_most, at_least))
+
+
 def _check_points(xs, counts, analytic, trials, alpha) -> list:
     """Exact two-sided binomial test of each count under Bin(trials, analytic).
 
-    A point passes when its p-value, min(1, 2 min(P[X <= k], P[X >= k])),
-    exceeds alpha.  stderr is reported at the analytic probability, so it
-    never degenerates when a count hits 0 or trials.
+    A point passes when its ``_p_values`` entry exceeds alpha.  stderr is
+    reported at the analytic probability, so it never degenerates when a
+    count hits 0 or trials.
     """
     p = np.clip(np.asarray(analytic, dtype=float), 0.0, 1.0)
     k = np.asarray(counts)
-    tails = np.minimum(binom.cdf(k, trials, p), binom.sf(k - 1, trials, p))
-    p_values = np.minimum(1.0, 2.0 * tails)
     stderr = np.sqrt(p * (1.0 - p) / trials)
     return [
         GridPointCheck(float(x), float(c / trials), float(a), float(se), bool(pv > alpha))
-        for x, c, a, se, pv in zip(xs, k, analytic, stderr, p_values)
+        for x, c, a, se, pv in zip(xs, k, analytic, stderr, _p_values(k, trials, p))
     ]
 
 

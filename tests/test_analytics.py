@@ -1,24 +1,29 @@
 """Closed-form law tests with independently derived frozen values.
 
-The frozen constants below were produced by a 50-digit mpmath evaluation of
-the direct (unstabilized) formulas — max-gain CDF (N m^-beta - N + 1)^(-1/beta)
-and explicit binomial enumeration — so they exercise a different code path
-than the stable expm1/log1p implementation under test.
+The frozen constants below were produced by a 50-digit (400-digit for the
+deep tails) mpmath evaluation of the direct (unstabilized) formulas —
+max-gain CDF (N m^-beta - N + 1)^(-1/beta) and explicit binomial
+enumeration — so they exercise a different code path than the stable
+expm1/log1p and incomplete-beta implementation under test.
 """
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+import fluidfed
 from fluidfed.analytics import (
     ConvergenceConstants,
     GainDistribution,
     channel_gain_cdf,
     normalized_mse_cdf,
     optimality_gap_trajectory,
-    order_statistic_cdf_oracle,
     participation_pmf_vector,
     qualify_probability,
     round_residual,
@@ -30,6 +35,7 @@ from fluidfed.channel import (
     PerfectDependence,
     sample_clayton_exponential,
 )
+from fluidfed.montecarlo import default_variants
 
 # ------------------------------------------------------------ gain CDF
 
@@ -120,6 +126,48 @@ def test_qualify_probability_complements_cdf():
         qualify_probability(dist, -1.0)
 
 
+DEEP_X = (30.0, 38.0, 100.0, 700.0)
+# 1 - F(x) at DEEP_X from the direct forms at 400 digits, where 1 - F
+# rounds to 0 in double precision; one port and perfect dependence share
+# the marginal tail e^-x
+DEEP_QUALIFY = {
+    "marginal": (9.357622968840175e-14, 3.1391327920480296e-17,
+                 3.720075976020836e-44, 9.85967654375977e-305),
+    ("independent", 10): (9.357622968836235e-13, 3.139132792048029e-16,
+                          3.720075976020836e-43, 9.859676543759771e-304),
+    ("independent", 64): (5.988878700040058e-12, 2.009044986910737e-15,
+                          2.380848624653335e-42, 6.310192988006253e-303),
+    ("clayton-0.001", 10): (9.35762296883623e-13, 3.139132792048029e-16,
+                            3.720075976020836e-43, 9.859676543759771e-304),
+    ("clayton-0.001", 64): (5.9888787000400406e-12, 2.009044986910737e-15,
+                            2.380848624653335e-42, 6.310192988006253e-303),
+    ("clayton-2", 10): (9.357622968828353e-13, 3.139132792048028e-16,
+                        3.720075976020836e-43, 9.859676543759771e-304),
+    ("clayton-2", 64): (5.988878700004752e-12, 2.009044986910733e-15,
+                        2.380848624653335e-42, 6.310192988006253e-303),
+    ("clayton-200", 10): (9.35762296804815e-13, 3.1391327920479405e-16,
+                          3.720075976020836e-43, 9.859676543759771e-304),
+    ("clayton-200", 64): (5.988878696509433e-12, 2.0090449869103398e-15,
+                          2.380848624653335e-42, 6.310192988006253e-303),
+}
+DEEP_DEPS = {
+    "independent": Independent(),
+    "clayton-0.001": Clayton(1e-3),
+    "clayton-2": Clayton(2.0),
+    "clayton-200": Clayton(200.0),
+    "fpa": PerfectDependence(),
+}
+
+
+@pytest.mark.parametrize("n", [1, 10, 64])
+@pytest.mark.parametrize("label", list(DEEP_DEPS))
+def test_qualify_probability_deep_tail_matches_mpmath(label, n):
+    key = "marginal" if n == 1 or label == "fpa" else (label, n)
+    dist = GainDistribution(n, DEEP_DEPS[label])
+    for x, expected in zip(DEEP_X, DEEP_QUALIFY[key]):
+        assert qualify_probability(dist, x) == pytest.approx(expected, rel=1e-14, abs=0), x
+
+
 # --------------------------------------------------- binomial-tail laws
 
 
@@ -138,6 +186,38 @@ def test_mse_cdf_matches_scipy_binomial_tail():
     q = 1.0 - channel_gain_cdf(dist, 1.0 / (0.01 * taus))
     ref = binom.sf(14, 20, q)
     assert np.allclose(ours, ref, rtol=1e-10, atol=1e-13)
+
+
+# Pr(Bin(200, q) >= 15) on the default tau grid (N=10, p_max=0.01) at 400
+# digits; past the listed head every value rounds to 1.0
+DEEP_MSE_CDF = {
+    "independent": [9.672355650227823e-29, 3.41281335336995e-15, 1.4090734016087345e-05,
+                    0.48317349330735315, 0.9999991121212448],
+    "clayton-1": [9.642926676339256e-29, 3.3307940065600934e-15, 1.2715552609297334e-05,
+                  0.43366317492649076, 0.9999911724984551],
+    "clayton-2": [9.61359806504829e-29, 3.2509824767905685e-15, 1.1490321062483403e-05,
+                  0.38832049632128324, 0.9999493338716403, 0.9999999999999984],
+    "fpa": [1.0414418790555311e-43, 6.31141041777543e-30, 3.616080362455382e-19,
+            5.242174311094931e-11, 2.7983300913498047e-05, 0.058508734957750524,
+            0.8193544971785853, 0.9996449459154807, 0.9999999970995423,
+            0.9999999999999999],
+}
+
+
+@pytest.mark.parametrize("label", list(DEEP_MSE_CDF))
+def test_mse_cdf_deep_tail_matches_mpmath_at_200_users(label):
+    dep = dict(default_variants())[label]
+    head = DEEP_MSE_CDF[label]
+    expected = np.array(head + [1.0] * (30 - len(head)))
+    got = normalized_mse_cdf(GainDistribution(10, dep), 200, 15, 0.01, np.logspace(1.0, 4.0, 30))
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+
+def test_mse_cdf_two_of_twenty_at_q_one_in_a_billion():
+    # one port, p_max=1, tau=1/ln(1e9): q = e^-ln(1e9) = 1e-9 and
+    # Pr(Bin(20, 1e-9) >= 2) = 1.8999999772e-16 (mpmath), below 1 - Pr(X < 2)'s ulp
+    got = normalized_mse_cdf(GainDistribution(1), 20, 2, 1.0, 1.0 / np.log(1e9))
+    assert got == pytest.approx(1.8999999772e-16, rel=1e-10, abs=0)
 
 
 def test_mse_cdf_frozen_value():
@@ -178,6 +258,16 @@ def test_participation_pmf_sums_to_one_and_matches_scipy():
     assert pmf[10] == pytest.approx(0.17283776919534384, rel=1e-11)
 
 
+def test_participation_pmf_is_one_hot_where_q_is_0_or_1():
+    # threshold 800: q = e^-800 underflows to 0; threshold 1e-20: F ~ 1e-200, q = 1
+    dist = GainDistribution(10, Independent())
+    assert qualify_probability(dist, 800.0) == 0.0 and qualify_probability(dist, 1e-20) == 1.0
+    nobody = participation_pmf_vector(dist, 20, 1.0, 800.0, 1.0)
+    everybody = participation_pmf_vector(dist, 20, 1.0, 1e-20, 1.0)
+    assert nobody.tolist() == [1.0] + [0.0] * 20
+    assert everybody.tolist() == [0.0] * 20 + [1.0]
+
+
 def test_participation_mean_is_k_times_q():
     dist = GainDistribution(10, Independent())
     pmf = participation_pmf_vector(dist, 20, 0.01, 1e-3, 0.05)
@@ -201,6 +291,30 @@ def test_participation_pmf_validation():
                                         (20, 0.01, 0.0, 0.05), (20, 0.01, 1e-3, 0.0)]:
         with pytest.raises(ValueError):
             participation_pmf_vector(dist, n_users, p_max, sigma2, tau)
+
+
+def test_import_pulls_in_no_scipy_stats():
+    # the closed forms use scipy.special; scipy.stats costs a second at import
+    src = str(Path(fluidfed.__file__).resolve().parents[1])
+    code = "import sys, fluidfed; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def order_statistic_cdf_oracle(effective_gains, s_target, p_max, tau):
+    """Brute-force `normalized_mse_cdf` from sampled gains.
+
+    ``effective_gains`` is an (M, K) array of per-trial best-port gains.
+    Each trial's error scores 1/(p_max * gain) are sorted and the frequency
+    of (S-th smallest) < tau is returned.
+    """
+    g = np.asarray(effective_gains, dtype=float)
+    if g.ndim != 2:
+        raise ValueError("effective_gains must be (trials, n_users)")
+    if not (1 <= s_target <= g.shape[1]):
+        raise ValueError("s_target must be in 1..n_users")
+    ranked = np.sort(1.0 / (p_max * g), axis=1)[:, s_target - 1]
+    return float(np.mean(ranked < tau))
 
 
 def test_order_statistic_oracle_agrees_with_closed_form():

@@ -232,18 +232,21 @@ def test_fractional_list_counts_exit_2(tmp_path, capsys, command, spec, key):
         ("bound", "bound.schedule=[[3.5,0.1]]", "`bound.schedule[0][0]` must be a whole number >= 0"),
         # train sends vectors of the model's parameter count
         ("train", "system.d=1000", "unknown key `system.d`"),
+        # 10^400 overflows to inf, which the report would write as `Infinity`
+        ("cdf-mse", "mc.tau_grid=[1.0,400,5]", "mc.tau_grid: tau_grid entries must be finite"),
     ],
 )
 def test_unsupported_values_exit_2(tmp_path, capsys, command, spec, message):
     # exit 1 means a statistical failure, so a value no run can use must be
-    # rejected before it reaches the simulation; a list is the flags themselves
+    # rejected before it reaches the simulation, and before the output
+    # directory is made; a list is the flags themselves
     args = ["--set", spec] if isinstance(spec, str) else spec
-    rc = main([command, "--out", str(tmp_path / "a"), *args])
+    rc = main([command, "--out", str(tmp_path / "a" / "nested"), *args])
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert isinstance(spec, list) or spec.split("=")[0] in err
-    assert not (tmp_path / "a" / "manifest.json").exists()
+    assert not (tmp_path / "a").exists()
 
 
 @pytest.mark.parametrize(
@@ -455,61 +458,64 @@ def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-# sha256 of the seed-0 data files, frozen before cdf-mse and pmf-users drew
-# best-port gains instead of whole gain matrices; the second plan has 33
-# ports (a partial last block) and Clayton betas near both dependence limits
+# sha256 of the seed-0 data files, frozen after the closed forms moved to
+# the survival form and the incomplete beta (the empirical counts and pass
+# flags were frozen before cdf-mse and pmf-users drew best-port gains
+# instead of whole gain matrices); the second plan has 33 ports (a partial
+# last block) and Clayton betas near both dependence limits
 MC_WIDE_BETAS = ["--set", "system.K=40", "--set", "system.N=33",
                  "--set", 'mc.variants=["independent","clayton:0.05","clayton:30","fpa"]']
 MC_GOLDEN = [
     (
         "cdf-mse", [],
         {
-            "cdf_mse_clayton-1.csv": "f1ee7b056001f6265d63cf9cf6b2f2b914f80f2678d7631855106dac2df47e9d",
-            "cdf_mse_clayton-2.csv": "6aabf97877a7df0fb64f8405f46074b7b0956956ae42fd50d272cf13bb0d5702",
-            "cdf_mse_fpa.csv": "d09b863d9ec87a91919e0cddcdc026bcd66badde1f459a130fba53bee967d02e",
-            "cdf_mse_independent.csv": "28c99cf962d367f13b45304bf3f147fa2a443ead4e65e1a4647ecae8351fbcff",
-            "cdf_mse_report.json": "27757bf145e73184cfd807b3add8ae88a8505847059747e5d6614fc2ebf5e492",
+            "cdf_mse_clayton-1.csv": "b3fb187bd33c81944bd530a32ef223727788f5a10688a2121e0046e96c6c3849",
+            "cdf_mse_clayton-2.csv": "02ee112497b36c37f31d6b2abf0c6f6f7897860c785f53daed8d331510bfd750",
+            "cdf_mse_fpa.csv": "7d758d9ae3d883527fe2dfe9bb70dba27128e04b8b30842a4fed76642eaa45c1",
+            "cdf_mse_independent.csv": "77d53e9b16e90a8a7d3d080ec8422325c96ef08879ae1806bc7d35b89eff4428",
+            "cdf_mse_report.json": "ee3d160056734780a01d570e65559a3f9ffd98e8f744835e575854d210d13c42",
         },
     ),
     (
         "cdf-mse", MC_WIDE_BETAS,
         {
-            "cdf_mse_clayton-0.05.csv": "4d310a75cb08e817bb5a592cee15acdd2cc61cb010c1cef055656dad4dc5d0a4",
-            "cdf_mse_clayton-30.csv": "2ddc64faa9ef9465624c23c732c65c40804f38a7c02e271c764d6b9a9fbfaf58",
-            "cdf_mse_fpa.csv": "bf4ecbb9d73691339cfeb2332c4028aa44da0ceb83f56c5bff78b308e9c2ab30",
-            "cdf_mse_independent.csv": "178f24b11bff560450eb34568e8166e7b9a60f8bac64329d06eb4e9e946294ec",
-            "cdf_mse_report.json": "98d2e07cb0e4783a6fa2dfa7c4c5360c932a2fcbb990370bbc12f190a7285474",
+            "cdf_mse_clayton-0.05.csv": "b1b6731da8262e98847210a8a2191fd2aaaf6b25e5536f10dc5498d19937611c",
+            "cdf_mse_clayton-30.csv": "fdfe201bcf5b9b78591be2d4daa1915f2aaa9fa68209499151edf57860cb1eea",
+            "cdf_mse_fpa.csv": "8fa40d63f13302fd3280e2bb9914c82bb22c6e76515162c641d35383c1fa9c71",
+            "cdf_mse_independent.csv": "36ecc6ce806f6ae6efd36a1f511e635aff65d884a27f5e16db553f97efd25f7f",
+            "cdf_mse_report.json": "f976b264e0dc688ccac1bee8de52676e0bd50b8469e4cea5ac7c33dcc1403c84",
         },
     ),
     (
         "pmf-users", [],
         {
             "pmf_users_clayton-1.csv": "5c5321633bf78e9a9b456c412d6354d2a9d561f54e118058e8de3d413c1a6c0d",
-            "pmf_users_clayton-2.csv": "2f23904fcd2bb243f0d71d00fe71b1a8ed74c573c9605b4e09e57871823c5b71",
+            "pmf_users_clayton-2.csv": "6329bacb0ccdcb7b11bac6326265387a5bc7206472ff0d68e0814c3d42ddfa3b",
             "pmf_users_fpa.csv": "732b9c3d2322b47957e6f0999ed5b8867cf74099ad5d5a54b39d9ca935ade5b9",
             "pmf_users_independent.csv": "f4c467a27c75024aa150f917fc09c17b2fd19fdcad9fa050699b36fa1a37f601",
-            "pmf_users_report.json": "3b69b763a28dae0e68331edca13a64c339a566126f275cd0193c26a380636972",
+            "pmf_users_report.json": "820b252e9c66a5b0d608cfdfc97d4fac1da21f66de475c1550b0632180b78aac",
         },
     ),
     (
         "pmf-users", MC_WIDE_BETAS,
         {
             "pmf_users_clayton-0.05.csv": "032fc27362c609bc86c8d3dac3bda9a4c189519467e8beb44964377b44c8458a",
-            "pmf_users_clayton-30.csv": "2b5e9edeb3798871da550a12ca320858053937b75afa07adf136abcbb5528a9e",
+            "pmf_users_clayton-30.csv": "98ea19da0b6180e64cfd910e94b4b13bb211dc7ac5a6160361dcc74320fe3a9d",
             "pmf_users_fpa.csv": "1e32f1ca2e05ecc31f05ff7b122c4bb5bc3da1b6c9c04e74de896d3ab6baad42",
             "pmf_users_independent.csv": "8254d171e29478cf43d01587588d14440549135eab0e095c781945d831c6e42e",
-            "pmf_users_report.json": "87daeb1fa5502023826c9f410d43d4c6399ed50ce246835c877b68abf5dd3249",
+            "pmf_users_report.json": "f23622754c6925a397674868145ed11334fae1a31f0b9b6ee2e0a9eb80a51258",
         },
     ),
-    # frozen before the config table replaced the hand-written plan builder
+    # port-sweep frozen with the rows above, copula-check before the config
+    # table replaced the hand-written plan builder
     (
         "port-sweep", [],
         {
-            "port_sweep_clayton-1.csv": "50c12e367aaa24c3af44639569d1b24939e6be1f96e4be2671259fb8104da21b",
-            "port_sweep_clayton-2.csv": "de8468fb9820358e2ff95a227440c7714ce3427e48b68e2ca2bf4efd7f3f2535",
+            "port_sweep_clayton-1.csv": "7191429fc74a465a261987e21ae2cf006b8f784afb939048a68fe7e32ddd6fcb",
+            "port_sweep_clayton-2.csv": "2bab1f4d8619b8587121657024aa1691bb0d3e6278fa6af3cc9fab35c6754916",
             "port_sweep_fpa.csv": "390c008fc8df5fd735929264910387e8f002dedfcf0bc18086c533c070d48160",
-            "port_sweep_independent.csv": "141b912935f1f33d2f726d8ca12738111b6da0ed2f6dce07aeda82619ead3b74",
-            "port_sweep_report.json": "ee6376e7b548cd076e2a253ae7b2826809e5d567316608c0371b33a63e78ff9d",
+            "port_sweep_independent.csv": "ce133fba4a80f805c5c6908dc18c7fc5f974a0fac5416e498f3200f72dc76ade",
+            "port_sweep_report.json": "f69ed74455e0d620080017658494f47710d7a092f28325035ccef611c0e2144b",
         },
     ),
     (

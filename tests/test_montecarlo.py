@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from fluidfed import montecarlo
 from fluidfed.channel import (
@@ -56,6 +57,9 @@ def test_plan_validation():
         _small_plan(trials=0)
     with pytest.raises(ValueError):
         _small_plan(s_target=9)  # > n_users
+    for name in ("tau_grid", "gain_grid"):
+        with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+            _small_plan(**{name: np.array([1.0, np.inf])})
 
 
 def test_trial_streams_are_distinct_and_reproducible():
@@ -185,6 +189,30 @@ def test_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, r
     report = out["clayton-2"]
     assert not report.all_pass
     assert report.failing_points()
+
+
+@pytest.mark.parametrize("trials", [1, 7, 400, 10_000])
+def test_gate_p_values_and_flags_match_scipy_binom(trials):
+    # random (count, probability) points, half of them drawn from the law so
+    # the p-values spread over (0, 1], plus the edges k = 0, k = trials and
+    # p in {0, 1}; the reference is the two-sided test on scipy.stats.binom
+    rng = np.random.default_rng(trials)
+    p = rng.uniform(size=4000)
+    k = np.where(rng.uniform(size=4000) < 0.5, rng.binomial(trials, p),
+                 rng.integers(0, trials + 1, size=4000))
+    edge_k, edge_p = np.meshgrid([0, trials // 2, trials], [0.0, 0.3, 1.0])
+    k, p = np.concatenate([k, edge_k.ravel()]), np.concatenate([p, edge_p.ravel()])
+    ref = np.minimum(1.0, 2.0 * np.minimum(binom.cdf(k, trials, p), binom.sf(k - 1, trials, p)))
+    np.testing.assert_allclose(montecarlo._p_values(k, trials, p), ref, rtol=1e-12, atol=1e-14)
+    for alpha in (1e-6, montecarlo.FAMILY_ALPHA, 0.05):
+        checks = montecarlo._check_points(k, k, p, trials, alpha)
+        assert [c.passed for c in checks] == list(ref > alpha)
+
+
+def test_gate_deep_tail_is_exact():
+    # 2 min(P[X <= 2], P[X >= 2]) under Bin(20, 1e-9); mpmath: 1.8999999772e-16
+    (pv,) = montecarlo._p_values(np.array([2]), 20, np.array([1e-9]))
+    assert pv == pytest.approx(2 * 1.8999999772e-16, rel=1e-10, abs=0)
 
 
 def test_participation_experiment_bins_and_mean():
