@@ -17,6 +17,7 @@ from fluidfed.fedlearn import (
     records_to_csv,
     run_training,
     schedule_from_records,
+    training_data,
 )
 from fluidfed.ota import OtaConfig
 
@@ -55,7 +56,7 @@ def main():
     fl = FlConfig(n_clients=K, rounds=30, n_ports=10, lr=0.01,
                   classes=8, dims=8, separation=1.2, samples=6000, split=0.7)
     link = OtaConfig(p_max=0.01, sigma2=3e-3, tau=4.0, d=1)
-    records = run_training(fl, link, Clayton(2.0), seed=1)
+    records = run_training(fl, link, Clayton(2.0), *training_data(fl, 1), seed=1)
     log = HERE / "bound_input_run.csv"
     records_to_csv(records, log)
     schedule = schedule_from_records(log)  # same round-trip the CLI uses

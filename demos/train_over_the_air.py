@@ -11,7 +11,7 @@ import pathlib
 import time
 
 from fluidfed.channel import Clayton, Independent, PerfectDependence
-from fluidfed.fedlearn import FlConfig, records_to_csv, run_training
+from fluidfed.fedlearn import FlConfig, records_to_csv, run_training, training_data
 from fluidfed.ota import OtaConfig
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -32,10 +32,11 @@ def main():
 
     print(f"{'variant':<16s} {'mean part.':>10s} {'mean mse':>10s} "
           f"{'final acc':>10s} {'secs':>6s}")
+    data = training_data(FlConfig(**base), SEED)
     for label, dep in VARIANTS:
         fl = FlConfig(benchmark="ideal" if label == "ideal" else "ota", **base)
         t0 = time.perf_counter()
-        records = run_training(fl, link, dep, seed=SEED)
+        records = run_training(fl, link, dep, *data, seed=SEED)
         secs = time.perf_counter() - t0
 
         active = [r for r in records if r.participants > 0]

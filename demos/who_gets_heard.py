@@ -30,7 +30,7 @@ def empirical_pmf(dep, rng):
     thr = gain_threshold(OtaConfig(p_max=P_MAX, sigma2=SIGMA2, tau=TAU, d=1))
     counts = np.zeros(K + 1)
     for _ in range(TRIALS):
-        best = select_ports(sample_port_gains(dep, K, N, rng)).gain
+        best = select_ports(sample_port_gains(dep, K, N, rng))
         counts[int((best >= thr).sum())] += 1
     return counts / TRIALS
 

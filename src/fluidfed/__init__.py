@@ -11,19 +11,13 @@ __version__ = "0.1.0"
 from .channel import (  # noqa: F401
     Clayton,
     DependenceSpec,
-    EffectiveGains,
     GaussianJakes,
     Independent,
     PerfectDependence,
     PortGainMatrix,
-    PortGeometry,
     SamplingError,
     jakes_correlation_matrix,
     sample_best_gains,
-    sample_clayton_exponential,
-    sample_gaussian_jakes,
-    sample_independent,
-    sample_perfect_dependence,
     sample_port_gains,
     select_ports,
 )

@@ -255,8 +255,9 @@ def _build(cls, cfg: dict, sections: tuple, **given):
     for row in rows:
         if row.field in names:
             value = _checked(row.key, row.key, row.kind, values[row.key])
-            try:
-                given[row.field] = row.convert(value) if row.convert else value
+            try:  # a grid that overflows to inf is reported by its class's check
+                with np.errstate(over="ignore"):
+                    given[row.field] = row.convert(value) if row.convert else value
             except OverflowError:
                 raise ConfigError(f"{row.key}: {row.field} overflows")
     try:
@@ -472,6 +473,10 @@ def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
                             benchmark="ideal" if dep == "ideal" else "ota"))
         for label, dep in _variants(cfg, "fl")
     ]
+    try:  # the variants share one dataset and partition
+        data = fedlearn.training_data(runs[0][2], seed)
+    except ValueError as exc:
+        raise _keyed(exc, _ROWS)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     diverged = []
@@ -480,7 +485,7 @@ def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
         dep_obj = Independent() if dep == "ideal" else dep
         t0 = time.perf_counter()
         try:
-            records = fedlearn.run_training(fl, link, dep_obj, seed=seed)
+            records = fedlearn.run_training(fl, link, dep_obj, *data, seed=seed)
         except fedlearn.TrainingDivergedError as exc:
             records = exc.records
             diverged.append(label)

@@ -49,6 +49,7 @@ __all__ = [
     "ingest_mnist",
     "synthesize_dataset",
     "partition_iid",
+    "training_data",
     "local_update",
     "run_training",
     "records_to_csv",
@@ -134,7 +135,8 @@ def ingest_mnist(images_path, labels_path, split: float = 0.9, rng: RngLike = 0)
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if images.shape[0] != labels.shape[0]:
-        raise ValueError(f"image count {images.shape[0]} != label count {labels.shape[0]}")
+        raise ValueError(f"image count {images.shape[0]} in {images_path} != "
+                         f"label count {labels.shape[0]} in {labels_path}")
     return _split(images.astype(np.float64) / 255.0, labels.astype(np.int64), split, rng)
 
 
@@ -175,7 +177,6 @@ def synthesize_dataset(
 class ClientState:
     """One client's data shard."""
 
-    client_id: int
     x: np.ndarray
     y: np.ndarray
 
@@ -193,10 +194,7 @@ def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> list[Client
     _check_shards(n_clients, n)
     order = as_generator(rng).permutation(n)
     shards = np.array_split(order, n_clients)
-    return [
-        ClientState(client_id=i, x=dataset.train_x[s], y=dataset.train_y[s])
-        for i, s in enumerate(shards)
-    ]
+    return [ClientState(x=dataset.train_x[s], y=dataset.train_y[s]) for s in shards]
 
 
 
@@ -450,12 +448,20 @@ def local_update(
     return w, first_loss
 
 
-def _build_dataset(cfg: FlConfig, rng: RngLike) -> Dataset:
-    if cfg.data == "mnist":
-        return ingest_mnist(cfg.mnist_images, cfg.mnist_labels, cfg.split, rng)
-    return synthesize_dataset(
-        cfg.classes, cfg.dims, cfg.samples, rng, cfg.separation, cfg.split
-    )
+def training_data(fl: FlConfig, seed: int = 0) -> tuple[Dataset, list[ClientState]]:
+    """The dataset of ``fl`` and its client shards, for :func:`run_training`.
+
+    Drawn from child 0 of ``SeedSequence(seed)``, split into a data and a
+    partition stream.  Raises ValueError for a malformed IDX file and for
+    more clients than training samples.
+    """
+    gen_ss, part_ss = np.random.SeedSequence(seed).spawn(3)[0].spawn(2)
+    gen = np.random.default_rng(gen_ss)
+    if fl.data == "mnist":
+        dataset = ingest_mnist(fl.mnist_images, fl.mnist_labels, fl.split, gen)
+    else:
+        dataset = synthesize_dataset(fl.classes, fl.dims, fl.samples, gen, fl.separation, fl.split)
+    return dataset, partition_iid(dataset, fl.n_clients, np.random.default_rng(part_ss))
 
 
 def _client_stream(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
@@ -468,24 +474,23 @@ def run_training(
     fl: FlConfig,
     link: ota.OtaConfig,
     dep: DependenceSpec,
+    dataset: Dataset,
+    clients: Sequence[ClientState],
     seed: int = 0,
 ) -> list[RoundRecord]:
-    """Run T federated rounds and return one record per round.
+    """Run T federated rounds on ``clients`` and return one record per round.
 
-    The RNG tree is spawned from ``seed``: data/partition, model init, then
-    per-round children split into channel, uplink noise, and a clients root
-    whose child k (built only for the cohort; equal to ``spawn(K)[k]``) is
-    client k's stream.  Each round is one ``local_update`` call: on every
-    client for the ideal benchmark, then averaged; on the selected clients
-    for the OTA path, then normalized and aggregated over the air.  The
-    link config's vector length is overridden with the model dimension.
+    ``dataset`` and ``clients`` come from :func:`training_data`, child 0 of
+    the RNG tree spawned from ``seed``.  Child 1 is the model init, child 2
+    the per-round children, split into channel, uplink noise, and a clients
+    root whose child k (built only for the cohort; equal to
+    ``spawn(K)[k]``) is client k's stream.  Each round is one
+    ``local_update`` call: on every client for the ideal benchmark, then
+    averaged; on the selected clients for the OTA path, then normalized and
+    aggregated over the air.  The link config's vector length is overridden
+    with the model dimension.
     """
-    root = np.random.SeedSequence(seed)
-    data_ss, init_ss, rounds_ss = root.spawn(3)
-    gen_ss, part_ss = data_ss.spawn(2)
-    dataset = _build_dataset(fl, np.random.default_rng(gen_ss))
-    clients = partition_iid(dataset, fl.n_clients, np.random.default_rng(part_ss))
-
+    _, init_ss, rounds_ss = np.random.SeedSequence(seed).spawn(3)
     model = MlpModel(dataset.n_features, fl.hidden, dataset.n_classes)
     w = model.init_params(np.random.default_rng(init_ss))
     link = replace(link, d=model.n_params)
@@ -498,8 +503,8 @@ def run_training(
         if fl.benchmark == "ideal":
             cohort = np.arange(fl.n_clients)
         else:
-            effective = select_ports(sample_port_gains(dep, fl.n_clients, fl.n_ports, ch_ss))
-            cohort = ota.select_users(effective, link)
+            best = select_ports(sample_port_gains(dep, fl.n_clients, fl.n_ports, ch_ss))
+            cohort = ota.select_users(best, link)
         rec = RoundRecord(t, int(cohort.size), None, None, None, float("nan"))
         if cohort.size:
             streams = [_client_stream(clients_root, int(k)) for k in cohort]
@@ -508,7 +513,7 @@ def run_training(
             if fl.benchmark == "ideal":
                 w, rec.mse = stack.mean(axis=0), 0.0
             else:
-                outcome = ota.zf_power_control(effective, cohort, link)
+                outcome = ota.zf_power_control(best, cohort, link)
                 rec.mse, rec.eta = outcome.realized_mse, outcome.eta
                 rec.norm_scale = float(np.max(np.linalg.norm(stack, axis=1))) or 1.0
                 estimate = ota.ota_aggregate(stack / rec.norm_scale, outcome, link, noise_ss)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .channel import EffectiveGains, RngLike, as_generator
+from .channel import RngLike, as_generator
 
 __all__ = [
     "NoParticipantsError",
@@ -90,23 +90,24 @@ def gain_threshold(cfg: OtaConfig) -> float:
     return cfg.sigma2 / (cfg.tau * cfg.p_max)
 
 
-def select_users(effective: EffectiveGains, cfg: OtaConfig) -> np.ndarray:
-    """Indices (ascending) of users whose gain reaches the threshold."""
-    return np.flatnonzero(effective.gain >= gain_threshold(cfg))
+def select_users(gain: np.ndarray, cfg: OtaConfig) -> np.ndarray:
+    """Indices (ascending) of the users whose (K,) best-port ``gain`` reaches the threshold."""
+    return np.flatnonzero(gain >= gain_threshold(cfg))
 
 
 def zf_power_control(
-    effective: EffectiveGains, selected: np.ndarray, cfg: OtaConfig
+    gain: np.ndarray, selected: np.ndarray, cfg: OtaConfig
 ) -> SelectionOutcome:
     """Zero-forcing scaling for a given participant set.
 
+    ``gain`` is the (K,) array of best-port gains, ``selected`` indexes it.
     The denoising factor binds the power constraint at the weakest
     participant: eta = d * p_max * min gain.
     """
     selected = np.asarray(selected, dtype=int)
     if selected.size == 0:
         raise NoParticipantsError("no users passed the participation threshold")
-    gains = effective.gain[selected]
+    gains = gain[selected]
     if np.any(gains <= 0) or not np.all(np.isfinite(gains)):
         raise ValueError("selected gains must be finite and > 0")
     g_min = float(gains.min())

@@ -28,7 +28,6 @@ from fluidfed.channel import (
     Clayton,
     Independent,
     PerfectDependence,
-    sample_clayton_exponential,
     sample_port_gains,
     select_ports,
 )
@@ -54,8 +53,8 @@ def test_accept_01_copula_max_gain_law():
     streams = iter(root.spawn(6))
     for n_ports in (5, 10):
         for beta in (0.5, 1.0, 2.0):
-            g = sample_clayton_exponential(
-                draws, n_ports, beta, next(streams)
+            g = sample_port_gains(
+                Clayton(beta), draws, n_ports, next(streams)
             ).gains
             best = np.sort(g.max(axis=1))
             empirical = np.searchsorted(best, grid, side="left") / draws
@@ -212,15 +211,15 @@ def test_accept_06_zf_feasibility():
         dep = variants[int(rng.integers(len(variants)))]
         k = int(rng.integers(2, 25))
         gains = sample_port_gains(dep, k, 8, rng)
-        eff = select_ports(gains)
-        sel = ota.select_users(eff, cfg)
+        best = select_ports(gains)
+        sel = ota.select_users(best, cfg)
         if sel.size == 0:
             continue
-        out = ota.zf_power_control(eff, sel, cfg)
+        out = ota.zf_power_control(best, sel, cfg)
         per_entry = out.scale**2 / cfg.d
         # constraint holds everywhere, binds exactly at the weakest user
         assert per_entry.max() <= cfg.p_max * (1.0 + 1e-12)
-        weakest = np.argmin(eff.gain[sel])
+        weakest = np.argmin(best[sel])
         assert abs(per_entry[weakest] - cfg.p_max) <= 1e-12 * cfg.p_max
         assert out.realized_mse <= cfg.tau * (1.0 + 1e-12)
         checked += 1
@@ -313,7 +312,9 @@ def test_accept_09_training_ordering():
     for name, benchmark, dep in variants:
         cfg = fedlearn.FlConfig(benchmark=benchmark, **fl_base)
         accs = [
-            fedlearn.run_training(cfg, link, dep, seed=s)[-1].test_acc
+            fedlearn.run_training(
+                cfg, link, dep, *fedlearn.training_data(cfg, s), seed=s
+            )[-1].test_acc
             for s in range(5)
         ]
         finals[name] = float(np.mean(accs))

@@ -33,7 +33,7 @@ from fluidfed.channel import (
     GaussianJakes,
     Independent,
     PerfectDependence,
-    sample_clayton_exponential,
+    sample_port_gains,
 )
 from fluidfed.montecarlo import default_variants
 
@@ -322,7 +322,7 @@ def test_order_statistic_oracle_agrees_with_closed_form():
     rng = np.random.default_rng(301)
     trials, k, n = 40000, 6, 4
     beta = 1.5
-    g = sample_clayton_exponential(trials * k, n, beta, rng).gains
+    g = sample_port_gains(Clayton(beta), trials * k, n, rng).gains
     gains = g.max(axis=1).reshape(trials, k)
     p_max, tau = 0.5, 3.0
     emp = order_statistic_cdf_oracle(gains, 4, p_max, tau)

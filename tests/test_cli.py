@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -185,6 +186,17 @@ def test_fractional_list_counts_exit_2(tmp_path, capsys, command, spec, key):
     assert not (tmp_path / "a" / "manifest.json").exists()
 
 
+MNIST = ["--set", "fl.data=mnist", "--set", "fl.mnist_labels={idx}/labels.idx"]
+
+
+def _write_idx_pair(directory, n):
+    """``images.idx`` (n 2x2 images) and ``labels.idx`` in ``directory``."""
+    pixels = np.random.default_rng(0).integers(0, 256, (n, 4), dtype=np.uint8)
+    (directory / "images.idx").write_bytes(struct.pack(">IIII", 2051, n, 2, 2) + pixels.tobytes())
+    labels = (np.arange(n) % 3).astype(np.uint8)
+    (directory / "labels.idx").write_bytes(struct.pack(">II", 2049, n) + labels.tobytes())
+
+
 @pytest.mark.parametrize(
     "command, spec, message",
     [
@@ -220,6 +232,11 @@ def test_fractional_list_counts_exit_2(tmp_path, capsys, command, spec, key):
         ("train", "fl.lr=1e999", "`fl.lr` must be a finite number"),
         ("train", ["--set", "fl.data=mnist"], "fl.mnist_images: mnist_images must name an IDX file"),
         ("train", "fl.clients=5000", "fl.clients: n_clients must be <= 1800"),
+        # {idx} is a directory holding a 20-image IDX pair, 18 of them for training
+        ("train", [*MNIST, "--set", "fl.mnist_images={idx}/images.idx", "--set", "fl.clients=50"],
+         "fl.clients: n_clients must be <= 18"),
+        ("train", [*MNIST, "--set", "fl.mnist_images={idx}/labels.idx"],
+         "labels.idx has magic 2049, expected 2051"),
         ("train", "fl.classes=0", "fl.classes: classes must be >= 2"),
         ("train", "fl.samples=0", "fl.samples: samples must be >= 1"),
         ("train", "fl.dims=0", "fl.dims: dims must be >= classes"),
@@ -241,6 +258,9 @@ def test_unsupported_values_exit_2(tmp_path, capsys, command, spec, message):
     # rejected before it reaches the simulation, and before the output
     # directory is made; a list is the flags themselves
     args = ["--set", spec] if isinstance(spec, str) else spec
+    if any("{idx}" in arg for arg in args):
+        _write_idx_pair(tmp_path, 20)
+        args = [arg.format(idx=tmp_path) for arg in args]
     rc = main([command, "--out", str(tmp_path / "a" / "nested"), *args])
     assert rc == 2
     err = capsys.readouterr().err

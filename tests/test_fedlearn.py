@@ -23,6 +23,7 @@ from fluidfed.fedlearn import (
     run_training,
     schedule_from_records,
     synthesize_dataset,
+    training_data,
 )
 
 # ------------------------------------------------------------------ idx
@@ -345,16 +346,20 @@ def _quiet_link(d=1):
     return ota.OtaConfig(p_max=1.0, sigma2=1e-12, tau=1e6, d=d)
 
 
+def _train(fl, link, dep, seed):
+    return run_training(fl, link, dep, *training_data(fl, seed), seed=seed)
+
+
 def test_noiseless_full_participation_matches_plain_fedavg():
     import dataclasses
 
     fl = FlConfig(n_clients=5, rounds=3, samples=400, classes=2, dims=4)
     # sigma2 so small the additive noise is swallowed by float rounding
     link = ota.OtaConfig(p_max=1.0, sigma2=1e-300, tau=1e6, d=1)
-    ideal = run_training(
+    ideal = _train(
         dataclasses.replace(fl, benchmark="ideal"), link, Independent(), seed=4
     )
-    noisy = run_training(fl, link, Independent(), seed=4)
+    noisy = _train(fl, link, Independent(), seed=4)
     assert [r.participants for r in noisy] == [5, 5, 5]
     for a, b in zip(ideal, noisy):
         # identical client streams and batches; the two aggregation paths
@@ -368,15 +373,15 @@ def test_noiseless_full_participation_matches_plain_fedavg():
 def test_training_is_deterministic_given_seed():
     fl = FlConfig(n_clients=4, rounds=4, samples=300, classes=2, dims=4)
     link = ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.5, d=1)
-    a = run_training(fl, link, Clayton(2.0), seed=11)
-    b = run_training(fl, link, Clayton(2.0), seed=11)
+    a = _train(fl, link, Clayton(2.0), seed=11)
+    b = _train(fl, link, Clayton(2.0), seed=11)
     assert len(a) == len(b) == 4
     for ra, rb in zip(a, b):
         assert ra.round == rb.round
         assert ra.participants == rb.participants
         assert ra.mse == rb.mse
         assert ra.test_acc == rb.test_acc
-    c = run_training(fl, link, Clayton(2.0), seed=12)
+    c = _train(fl, link, Clayton(2.0), seed=12)
     assert any(ra.test_acc != rc.test_acc for ra, rc in zip(a, c))
 
 
@@ -384,7 +389,7 @@ def test_impossible_threshold_skips_every_round():
     fl = FlConfig(n_clients=3, rounds=3, samples=200, classes=2, dims=4)
     # threshold = sigma2/(tau*p_max) = 1e9: nobody ever qualifies
     link = ota.OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9, d=1)
-    records = run_training(fl, link, PerfectDependence(), seed=0)
+    records = _train(fl, link, PerfectDependence(), seed=0)
     assert [r.participants for r in records] == [0, 0, 0]
     assert all(r.mse is None and r.eta is None for r in records)
     # the model never moves, so accuracy is frozen at its initial value
@@ -394,7 +399,7 @@ def test_impossible_threshold_skips_every_round():
 def test_round_records_serialize_and_read_back(tmp_path):
     fl = FlConfig(n_clients=3, rounds=4, samples=200, classes=2, dims=4)
     link = ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.2, d=1)
-    records = run_training(fl, link, PerfectDependence(), seed=21)
+    records = _train(fl, link, PerfectDependence(), seed=21)
     csv_path = tmp_path / "run.csv"
     jsonl_path = tmp_path / "run.jsonl"
     records_to_csv(records, csv_path)
@@ -421,7 +426,7 @@ def test_round_records_serialize_and_read_back(tmp_path):
 def test_skipped_rounds_serialize_empty_fields(tmp_path):
     fl = FlConfig(n_clients=2, rounds=2, samples=100, classes=2, dims=4)
     link = ota.OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9, d=1)
-    records = run_training(fl, link, Independent(), seed=0)
+    records = _train(fl, link, Independent(), seed=0)
     path = tmp_path / "skipped.csv"
     records_to_csv(records, path)
     row = path.read_text().splitlines()[1].split(",")
@@ -450,14 +455,14 @@ def test_divergence_raises_with_partial_records():
         separation=1e3,
     )
     with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError) as err:
-        run_training(fl, _quiet_link(), Independent(), seed=0)
+        _train(fl, _quiet_link(), Independent(), seed=0)
     assert isinstance(err.value.records, list)
     assert len(err.value.records) < 50
 
 
 def test_training_accuracy_improves_on_easy_task():
     fl = FlConfig(n_clients=5, rounds=20, samples=1000, classes=3, dims=16)
-    records = run_training(fl, _quiet_link(), Independent(), seed=1)
+    records = _train(fl, _quiet_link(), Independent(), seed=1)
     assert records[-1].test_acc > 0.95
     assert records[-1].test_acc > records[0].test_acc
 
@@ -472,6 +477,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlConfig(rounds=0)
     with pytest.raises(ValueError):
-        run_training(
-            FlConfig(data="mnist"), _quiet_link(), Independent(), seed=0
-        )
+        FlConfig(data="mnist")

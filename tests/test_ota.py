@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from fluidfed.channel import EffectiveGains
 from fluidfed.ota import (
     NoParticipantsError,
     OtaConfig,
@@ -16,8 +15,7 @@ from fluidfed.ota import (
 
 
 def _eff(gains):
-    g = np.asarray(gains, dtype=float)
-    return EffectiveGains(gain=g, port_index=np.ones(g.size, dtype=int))
+    return np.asarray(gains, dtype=float)
 
 
 def test_dbm_conversions():
