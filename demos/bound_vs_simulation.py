@@ -55,7 +55,7 @@ def main():
     # 2. schedule harvested from a real noisy run
     fl = FlConfig(n_clients=K, rounds=30, n_ports=10, lr=0.01,
                   classes=8, dims=8, separation=1.2, samples=6000, split=0.7)
-    link = OtaConfig(p_max=0.01, sigma2=3e-3, tau=4.0, d=1)
+    link = OtaConfig(p_max=0.01, sigma2=3e-3, tau=4.0)
     records = run_training(fl, link, Clayton(2.0), *training_data(fl, 1), seed=1)
     log = HERE / "bound_input_run.csv"
     records_to_csv(records, log)

@@ -26,7 +26,7 @@ VARIANTS = [
 
 
 def main():
-    link = OtaConfig(p_max=0.01, sigma2=3e-3, tau=4.0, d=1)
+    link = OtaConfig(p_max=0.01, sigma2=3e-3, tau=4.0)
     base = dict(n_clients=10, rounds=30, n_ports=10, lr=0.01,
                 classes=8, dims=8, separation=1.2, samples=6000, split=0.7)
 

@@ -27,7 +27,7 @@ TRIALS = 30000
 
 
 def empirical_pmf(dep, rng):
-    thr = gain_threshold(OtaConfig(p_max=P_MAX, sigma2=SIGMA2, tau=TAU, d=1))
+    thr = gain_threshold(OtaConfig(p_max=P_MAX, sigma2=SIGMA2, tau=TAU))
     counts = np.zeros(K + 1)
     for _ in range(TRIALS):
         best = select_ports(sample_port_gains(dep, K, N, rng))

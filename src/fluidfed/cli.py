@@ -18,9 +18,10 @@ state ``system.tau`` explicitly.  One table (``_ROWS``) gives each key's
 kind, default and target field; flags are checked like ``--set``, and every
 configuration error names its key.
 
-Every run writes its result tables (CSV + JSON) plus ``manifest.json``
-recording the tool version, resolved config, master seed, timestamps, and
-sha256 of each output.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
+Each command (one row of ``_COMMANDS``) writes its result tables (CSV +
+JSON); ``main`` then writes ``manifest.json`` once, recording the tool
+version, resolved config, master seed, status, timestamps, and sha256 of
+each output.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
 per-variant telemetry (seconds, trial blocks, trials and their rate,
 failing points) and ``train`` adds its own (rounds, skipped rounds, client
 updates and their rate, per-round wall time and norm scale); no hashed
@@ -40,6 +41,7 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -305,35 +307,20 @@ def _plan(cfg: dict) -> montecarlo.McPlan:
     return _build(montecarlo.McPlan, cfg, ("system", "mc"), variants=tuple(variants))
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    cfg: dict,
-    source: dict,
-    seed: int,
-    outputs: list[Path],
-    started: str,
-    status: str,
-    telemetry: dict | None = None,
-) -> None:
-    manifest = {
-        "tool": "fluidfed",
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "status": status,
-        "started_utc": started,
-        "finished_utc": datetime.now(timezone.utc).isoformat(),
-        "config": cfg,
-        "config_sources": source,
-        "outputs": [{"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
-                    for p in sorted(outputs)],
-    }
-    if telemetry is not None:
-        manifest["telemetry"] = telemetry
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(path: Path, blob: dict) -> Path:
+    with open(path, "w") as fh:
+        json.dump(blob, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def _write_reports(out_dir: Path, prefix: str, reports: dict, blob: dict) -> list[Path]:
+    """One CSV per report, then ``blob`` as the summary JSON; the paths written."""
+    outputs = []
+    for label, report in reports.items():
+        outputs.append(out_dir / f"{prefix}_{label}.csv")
+        report.to_csv(outputs[-1])
+    return outputs + [_write_json(out_dir / f"{prefix}_report.json", blob)]
 
 
 def _report_failures(reports) -> bool:
@@ -359,65 +346,34 @@ def _report_failures(reports) -> bool:
     return ok
 
 
-# comparison commands -> montecarlo experiment, looked up when the command runs
-_COMPARISONS = {
-    "cdf-mse": "run_mse_cdf_experiment",
-    "pmf-users": "run_participation_experiment",
-    "port-sweep": "run_port_sweep",
-}
-
-
-def _cmd_compare(command: str, cfg: dict, source: dict, out_dir: Path) -> int:
+def _cmd_compare(experiment: str, args, cfg: dict, out_dir: Path):
     """Run one analytic-vs-Monte-Carlo experiment; write a CSV per variant."""
-    started = datetime.now(timezone.utc).isoformat()
     plan = _plan(cfg)
     for label, dep in plan.variants:
         if isinstance(dep, GaussianJakes):
             raise ConfigError(f"mc.variants: `{label}` has no closed form to compare against")
-    prefix = command.replace("-", "_")
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = getattr(montecarlo, _COMPARISONS[command])(plan)
-    outputs = []
+    # looked up when the command runs, so a wrapper set on montecarlo is the one called
+    reports = getattr(montecarlo, experiment)(plan)
+    blob = {label: report.to_json_dict() for label, report in reports.items()}
+    outputs = _write_reports(out_dir, args.command.replace("-", "_"), reports, blob)
     for label, report in reports.items():
-        path = out_dir / f"{prefix}_{label}.csv"
-        report.to_csv(path)
-        outputs.append(path)
         mean = report.meta.get("mean_check")
         summary = f"sup gap {report.sup_gap:.4g}"
         if mean is not None:
             summary = (f"mean participants {mean['empirical_mean']:.3f} "
                        f"(analytic {mean['analytic_mean']:.3f})")
         print(f"{label}: {summary} ({'pass' if report.all_pass else 'FAIL'})")
-    json_path = out_dir / f"{prefix}_report.json"
-    blob = {label: report.to_json_dict() for label, report in reports.items()}
-    with open(json_path, "w") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(json_path)
     ok = _report_failures(reports.values())
-    _write_manifest(
-        out_dir, command, cfg, source, plan.seed, outputs, started,
-        "pass" if ok else "statistical-failure",
-        {label: report.telemetry for label, report in reports.items()},
-    )
-    return 0 if ok else 1
+    telemetry = {label: report.telemetry for label, report in reports.items()}
+    return outputs, "pass" if ok else "statistical-failure", telemetry
 
 
-def _cmd_copula_check(cfg: dict, source: dict, out_dir: Path) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def _cmd_copula_check(args, cfg: dict, out_dir: Path):
     plan = _plan(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     diag = montecarlo.run_copula_diagnostics(plan)
-    outputs = []
-    for label, report in diag.cdf_reports.items():
-        path = out_dir / f"copula_check_{label}.csv"
-        report.to_csv(path)
-        outputs.append(path)
-    json_path = out_dir / "copula_check_report.json"
-    with open(json_path, "w") as fh:
-        json.dump(diag.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(json_path)
+    outputs = _write_reports(out_dir, "copula_check", diag.cdf_reports, diag.to_json_dict())
     for check in diag.marginal_checks:
         print(
             f"beta={check['beta']:g}: max KS {check['max_ks_statistic']:.5f}, "
@@ -433,17 +389,12 @@ def _cmd_copula_check(cfg: dict, source: dict, out_dir: Path) -> int:
     print("bessel-model sup gaps (report only):")
     for label, gap in sorted(diag.jakes_gaps.items()):
         print(f"  vs {label}: {gap:.4f}")
-    ok = diag.all_pass
-    if not ok:
+    if not diag.all_pass:
         _report_failures(diag.cdf_reports.values())
         for check in diag.marginal_checks + diag.tau_checks:
             if not check["passed"]:
                 print(f"FAIL diagnostics: {check}", file=sys.stderr)
-    _write_manifest(
-        out_dir, "copula-check", cfg, source, plan.seed, outputs, started,
-        "pass" if ok else "statistical-failure",
-    )
-    return 0 if ok else 1
+    return outputs, "pass" if diag.all_pass else "statistical-failure", None
 
 
 def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
@@ -461,13 +412,11 @@ def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
     }
 
 
-def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def _cmd_train(args, cfg: dict, out_dir: Path):
     seed = int(cfg["mc"]["seed"])
     if not cfg["fl"]["variants"]:  # also when --benchmark kept none of them
         raise ConfigError("fl.variants must not be empty")
-    # run_training sets the link's d to the model's parameter count
-    link = _build(ota.OtaConfig, cfg, ("system",), d=1)
+    link = _build(ota.OtaConfig, cfg, ("system",))
     runs = [
         (label, dep, _build(fedlearn.FlConfig, cfg, ("system", "fl"),
                             benchmark="ideal" if dep == "ideal" else "ota"))
@@ -504,23 +453,17 @@ def _cmd_train(cfg: dict, source: dict, out_dir: Path) -> int:
                 f"{last.test_acc:.4f}, mean participants "
                 f"{np.mean([r.participants for r in records]):.2f}"
             )
-    ok = not diverged
-    _write_manifest(
-        out_dir, "train", cfg, source, seed, outputs, started,
-        "pass" if ok else "diverged", telemetry,
-    )
-    return 0 if ok else 1
+    return outputs, "diverged" if diverged else "pass", telemetry
 
 
-def _cmd_bound(cfg: dict, source: dict, out_dir: Path, records_path) -> int:
-    started = datetime.now(timezone.utc).isoformat()
+def _cmd_bound(args, cfg: dict, out_dir: Path):
     b = cfg["bound"]
     constants = _build(analytics.ConvergenceConstants, cfg, ("bound",))
     origin = None  # the constant schedule of bound.rounds, bound.participants, bound.mse
-    if records_path is not None:
-        origin = f"--records {records_path}"
+    if args.records is not None:
+        origin = f"--records {args.records}"
         try:
-            schedule = fedlearn.schedule_from_records(records_path)
+            schedule = fedlearn.schedule_from_records(args.records)
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{origin}: {exc}")
     elif b["schedule"] is not None:
@@ -541,11 +484,22 @@ def _cmd_bound(cfg: dict, source: dict, out_dir: Path, records_path) -> int:
         f"bound: psi={constants.psi:.4f}, {len(schedule)} rounds, "
         f"final value {trajectory[-1]:.6g}"
     )
-    _write_manifest(
-        out_dir, "bound", cfg, source, int(cfg["mc"]["seed"]), [csv_path],
-        started, "pass",
-    )
-    return 0
+    return [csv_path], "pass", None
+
+
+# subcommand -> (help, handler); a handler checks its config, makes out_dir,
+# writes its data files and returns (those paths, status, telemetry or None)
+_COMMANDS = {
+    "cdf-mse": ("aggregation-error CDF vs Monte Carlo",
+                partial(_cmd_compare, "run_mse_cdf_experiment")),
+    "pmf-users": ("participant-count PMF vs Monte Carlo",
+                  partial(_cmd_compare, "run_participation_experiment")),
+    "port-sweep": ("full-participation probability vs port count",
+                   partial(_cmd_compare, "run_port_sweep")),
+    "copula-check": ("copula sampler diagnostics", _cmd_copula_check),
+    "train": ("federated training per variant", _cmd_train),
+    "bound": ("convergence-bound trajectory", _cmd_bound),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,16 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument("--trials", type=int, default=None, help="MC trials")
-    commands = {}
-    for name, help_text in [
-        ("cdf-mse", "aggregation-error CDF vs Monte Carlo"),
-        ("pmf-users", "participant-count PMF vs Monte Carlo"),
-        ("port-sweep", "full-participation probability vs port count"),
-        ("copula-check", "copula sampler diagnostics"),
-        ("train", "federated training per variant"),
-        ("bound", "convergence-bound trajectory"),
-    ]:
-        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
+    commands = {name: sub.add_parser(name, parents=[common], help=help_text)
+                for name, (help_text, _) in _COMMANDS.items()}
     commands["train"].add_argument(
         "--benchmark", choices=["ideal", "ota"],
         help="restrict to the ideal benchmark or the OTA variants",
@@ -588,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = datetime.now(timezone.utc).isoformat()
     try:
         cfg, source = load_config(args.config, args.overrides)
         flags = [("--seed", "mc.seed", args.seed), ("--trials", "mc.trials", args.trials)]
@@ -602,21 +548,30 @@ def main(argv=None) -> int:
                 _set(cfg, source, key, value, "flag", flag)
         # commands make out_dir after their config checks: errors leave none
         out_dir = Path(args.out) if args.out else Path("runs") / args.command.replace("-", "_")
-        if args.command in _COMPARISONS:
-            return _cmd_compare(args.command, cfg, source, out_dir)
-        if args.command == "copula-check":
-            return _cmd_copula_check(cfg, source, out_dir)
-        if args.command == "train":
-            return _cmd_train(cfg, source, out_dir)
-        if args.command == "bound":
-            return _cmd_bound(cfg, source, out_dir, args.records)
-        raise AssertionError(f"unhandled command {args.command}")
+        outputs, status, telemetry = _COMMANDS[args.command][1](args, cfg, out_dir)
+        manifest = {
+            "tool": "fluidfed",
+            "version": __version__,
+            "command": args.command,
+            "seed": int(cfg["mc"]["seed"]),
+            "status": status,
+            "started_utc": started,
+            "finished_utc": datetime.now(timezone.utc).isoformat(),
+            "config": cfg,
+            "config_sources": source,
+            "outputs": [{"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                        for p in sorted(outputs)],
+        }
+        if telemetry is not None:
+            manifest["telemetry"] = telemetry
+        _write_json(out_dir / "manifest.json", manifest)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    return 0 if status == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import struct
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -140,15 +140,6 @@ def ingest_mnist(images_path, labels_path, split: float = 0.9, rng: RngLike = 0)
     return _split(images.astype(np.float64) / 255.0, labels.astype(np.int64), split, rng)
 
 
-def _check_blobs(classes: int, dims: int, samples: int) -> None:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if classes < 2:
-        raise ValueError("classes must be >= 2")
-    if dims < classes:
-        raise ValueError("dims must be >= classes")
-
-
 def synthesize_dataset(
     classes: int = 3,
     dims: int = 16,
@@ -163,7 +154,12 @@ def synthesize_dataset(
     dims >= classes); unit isotropic noise.  At the default separation the
     classes are cleanly separable.
     """
-    _check_blobs(classes, dims, samples)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if classes < 2:
+        raise ValueError("classes must be >= 2")
+    if dims < classes:
+        raise ValueError("dims must be >= classes")
     gen = as_generator(rng)
     means = np.zeros((classes, dims))
     means[np.arange(classes), np.arange(classes)] = 1.0
@@ -181,17 +177,13 @@ class ClientState:
     y: np.ndarray
 
 
-def _check_shards(n_clients: int, n_train: int) -> None:
-    if n_clients < 1:
-        raise ValueError("n_clients must be >= 1")
-    if n_clients > n_train:
-        raise ValueError(f"n_clients must be <= {n_train}, the training samples to split")
-
-
 def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> list[ClientState]:
     """Shuffle the training split into near-equal shards (sizes differ <= 1)."""
     n = dataset.train_x.shape[0]
-    _check_shards(n_clients, n)
+    if n_clients < 1:
+        raise ValueError("n_clients must be >= 1")
+    if n_clients > n:
+        raise ValueError(f"n_clients must be <= {n}, the training samples to split")
     order = as_generator(rng).permutation(n)
     shards = np.array_split(order, n_clients)
     return [ClientState(x=dataset.train_x[s], y=dataset.train_y[s]) for s in shards]
@@ -330,14 +322,11 @@ class FlConfig:
             raise ValueError("benchmark must be 'ota' or 'ideal'")
         if self.data not in ("synthetic", "mnist"):
             raise ValueError("data must be 'synthetic' or 'mnist'")
-        n_train = _train_count(self.samples, self.split)  # checks split for either data
-        if self.data == "mnist":  # the shard count is known once the files are read
+        _train_count(self.samples, self.split)  # checks split for either data
+        if self.data == "mnist":
             for name in ("mnist_images", "mnist_labels"):
                 if not getattr(self, name):
                     raise ValueError(f"{name} must name an IDX file when data is 'mnist'")
-        else:
-            _check_blobs(self.classes, self.dims, self.samples)
-            _check_shards(self.n_clients, n_train)
 
 
 @dataclass
@@ -408,7 +397,6 @@ def local_update(
     sizes = [c.x.shape[0] for c in members]
     lengths = [min(cfg.batch_size, n) for n in sizes]
     groups = [np.flatnonzero(np.equal(lengths, n)) for n in sorted(set(lengths))]
-    whole = np.array_equal(cohort, np.arange(len(clients)))  # Adam stacks used in place
     w = w_global
     for step in range(cfg.local_steps):
         loss, grad = np.empty(len(members)), np.empty((len(members), w_global.size))
@@ -427,8 +415,7 @@ def local_update(
             continue
         if step == 0:
             adam = adam if adam is not None else AdamMoments.zeros(len(clients), w_global.size)
-            m, v, steps = (adam.m, adam.v, adam.steps) if whole else (
-                adam.m[cohort], adam.v[cohort], adam.steps[cohort])
+            m, v, steps = adam.m[cohort], adam.v[cohort], adam.steps[cohort]
         steps += 1
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * grad
@@ -443,7 +430,7 @@ def local_update(
         m_hat *= cfg.lr
         m_hat /= denom
         w = np.subtract(w, m_hat, out=m_hat)
-    if cfg.optimizer == "adam" and not whole:
+    if cfg.optimizer == "adam":
         adam.m[cohort], adam.v[cohort], adam.steps[cohort] = m, v, steps
     return w, first_loss
 
@@ -487,13 +474,11 @@ def run_training(
     ``spawn(K)[k]``) is client k's stream.  Each round is one
     ``local_update`` call: on every client for the ideal benchmark, then
     averaged; on the selected clients for the OTA path, then normalized and
-    aggregated over the air.  The link config's vector length is overridden
-    with the model dimension.
+    aggregated over the air as vectors of the model's parameter count.
     """
     _, init_ss, rounds_ss = np.random.SeedSequence(seed).spawn(3)
     model = MlpModel(dataset.n_features, fl.hidden, dataset.n_classes)
     w = model.init_params(np.random.default_rng(init_ss))
-    link = replace(link, d=model.n_params)
     adam = AdamMoments.zeros(fl.n_clients, model.n_params) if fl.optimizer == "adam" else None
 
     records: list[RoundRecord] = []
@@ -513,7 +498,7 @@ def run_training(
             if fl.benchmark == "ideal":
                 w, rec.mse = stack.mean(axis=0), 0.0
             else:
-                outcome = ota.zf_power_control(best, cohort, link)
+                outcome = ota.zf_power_control(best, cohort, link, model.n_params)
                 rec.mse, rec.eta = outcome.realized_mse, outcome.eta
                 rec.norm_scale = float(np.max(np.linalg.norm(stack, axis=1))) or 1.0
                 estimate = ota.ota_aggregate(stack / rec.norm_scale, outcome, link, noise_ss)

@@ -137,6 +137,16 @@ class McPlan:
                 raise ValueError(f"{name} entries must be finite")
         if not all(0 < b < np.inf for b in self.diag_betas):
             raise ValueError("diag_betas must be finite and > 0")
+        # the participation threshold and the error CDF's largest gain argument
+        # must be finite; p_max is named when it alone overflows them
+        p_max = float(self.p_max)
+        for top, name, low, expr in (
+            (self.sigma2, "tau", self.tau, "sigma2/(p_max*tau)"),
+            (1.0, "tau_grid", float(np.min(self.tau_grid)), "1/(p_max*min(tau_grid))"),
+        ):
+            if not (p_max * low > 0 and np.isfinite(top / (p_max * low))):
+                name = name if np.isfinite(top / p_max) else "p_max"
+                raise ValueError(f"{name} makes {expr} overflow")
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Each round the server wants the mean of the selected users' update vectors.
 Users transmit simultaneously; user k inverts its own effective channel so
 the superimposed signal is the plain sum, scaled by a shared denoising
-factor.  With per-entry transmit budget p_max and receiver noise power
-sigma2:
+factor.  With per-entry transmit budget p_max, receiver noise power sigma2
+and vectors of length d (an argument of `zf_power_control`, the model
+dimension in training):
 
 * selection: user k participates iff its best-port gain reaches
   sigma2 / (tau * p_max), which caps the realized aggregation error at tau;
@@ -50,23 +51,17 @@ def dbm_to_linear(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class OtaConfig:
-    """Link parameters: per-entry power budget, noise power, error target.
-
-    ``d`` is the length of the transmitted vectors (model dimension).
-    """
+    """Link parameters: per-entry power budget, noise power, error target."""
 
     p_max: float
     sigma2: float
     tau: float
-    d: int
 
     def __post_init__(self):
         for name in ("p_max", "sigma2", "tau"):
             v = getattr(self, name)
             if not (v > 0) or not np.isfinite(v):
                 raise ValueError(f"{name} must be finite and > 0")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,12 +72,14 @@ class SelectionOutcome:
     eta: shared denoising factor
     scale: per-selected transmit amplitude sqrt(eta / gain_k)
     realized_mse: aggregation error of the round, d * sigma2 / eta
+    d: length of the transmitted vectors
     """
 
     selected: np.ndarray
     eta: float
     scale: np.ndarray
     realized_mse: float
+    d: int
 
 
 def gain_threshold(cfg: OtaConfig) -> float:
@@ -96,14 +93,16 @@ def select_users(gain: np.ndarray, cfg: OtaConfig) -> np.ndarray:
 
 
 def zf_power_control(
-    gain: np.ndarray, selected: np.ndarray, cfg: OtaConfig
+    gain: np.ndarray, selected: np.ndarray, cfg: OtaConfig, d: int
 ) -> SelectionOutcome:
-    """Zero-forcing scaling for a given participant set.
+    """Zero-forcing scaling for a given participant set sending length-``d`` vectors.
 
     ``gain`` is the (K,) array of best-port gains, ``selected`` indexes it.
     The denoising factor binds the power constraint at the weakest
     participant: eta = d * p_max * min gain.
     """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     selected = np.asarray(selected, dtype=int)
     if selected.size == 0:
         raise NoParticipantsError("no users passed the participation threshold")
@@ -111,11 +110,11 @@ def zf_power_control(
     if np.any(gains <= 0) or not np.all(np.isfinite(gains)):
         raise ValueError("selected gains must be finite and > 0")
     g_min = float(gains.min())
-    eta = cfg.d * cfg.p_max * g_min
+    eta = d * cfg.p_max * g_min
     scale = np.sqrt(eta / gains)
     realized = cfg.sigma2 / (cfg.p_max * g_min)
     return SelectionOutcome(
-        selected=selected, eta=eta, scale=scale, realized_mse=realized
+        selected=selected, eta=eta, scale=scale, realized_mse=realized, d=d
     )
 
 
@@ -127,15 +126,16 @@ def ota_aggregate(
 ) -> np.ndarray:
     """Noisy mean of the participants' update vectors.
 
-    ``updates`` is (S, d), row k the vector of selected user k.  Returns
-    (1/S) * (sum_k u_k + z / sqrt(eta)) with z ~ N(0, sigma2 I) real.
+    ``updates`` is (S, d) with the ``d`` of ``outcome``, row k the vector of
+    selected user k.  Returns (1/S) * (sum_k u_k + z / sqrt(eta)) with
+    z ~ N(0, sigma2 I) real.
     """
     u = np.asarray(updates, dtype=float)
     s = outcome.selected.size
     if u.ndim != 2 or u.shape[0] != s:
         raise ValueError("updates must be (n_selected, d)")
-    if u.shape[1] != cfg.d:
-        raise ValueError(f"update dimension {u.shape[1]} != configured d={cfg.d}")
+    if u.shape[1] != outcome.d:
+        raise ValueError(f"update dimension {u.shape[1]} != power-controlled d={outcome.d}")
     gen = as_generator(rng)
-    noise = gen.standard_normal(cfg.d) * np.sqrt(cfg.sigma2)
+    noise = gen.standard_normal(outcome.d) * np.sqrt(cfg.sigma2)
     return (u.sum(axis=0) + noise / np.sqrt(outcome.eta)) / s

@@ -200,14 +200,14 @@ def test_accept_05_order_statistic_oracle():
 def test_accept_06_zf_feasibility():
     rng = np.random.default_rng(99)
     variants = [Independent(), Clayton(1.0), Clayton(2.0), PerfectDependence()]
-    cfg_pool = [
-        ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.05, d=64),
-        ota.OtaConfig(p_max=1.0, sigma2=0.05, tau=0.3, d=8),
-        ota.OtaConfig(p_max=0.1, sigma2=1e-4, tau=0.01, d=1000),
+    cfg_pool = [  # (link, vector length d)
+        (ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.05), 64),
+        (ota.OtaConfig(p_max=1.0, sigma2=0.05, tau=0.3), 8),
+        (ota.OtaConfig(p_max=0.1, sigma2=1e-4, tau=0.01), 1000),
     ]
     checked = 0
     while checked < 10_000:
-        cfg = cfg_pool[int(rng.integers(len(cfg_pool)))]
+        cfg, d = cfg_pool[int(rng.integers(len(cfg_pool)))]
         dep = variants[int(rng.integers(len(variants)))]
         k = int(rng.integers(2, 25))
         gains = sample_port_gains(dep, k, 8, rng)
@@ -215,8 +215,8 @@ def test_accept_06_zf_feasibility():
         sel = ota.select_users(best, cfg)
         if sel.size == 0:
             continue
-        out = ota.zf_power_control(best, sel, cfg)
-        per_entry = out.scale**2 / cfg.d
+        out = ota.zf_power_control(best, sel, cfg, d)
+        per_entry = out.scale**2 / d
         # constraint holds everywhere, binds exactly at the weakest user
         assert per_entry.max() <= cfg.p_max * (1.0 + 1e-12)
         weakest = np.argmin(best[sel])
@@ -290,7 +290,7 @@ def test_accept_09_training_ordering():
     # The task is sized so accuracy does not saturate (8 close classes)
     # and the link so every variant participates while the realized
     # aggregation error still separates them.
-    link = ota.OtaConfig(p_max=0.01, sigma2=3e-3, tau=4.0, d=1)
+    link = ota.OtaConfig(p_max=0.01, sigma2=3e-3, tau=4.0)
     fl_base = dict(
         n_clients=10,
         rounds=30,

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from fluidfed import cli
+from fluidfed import __version__, cli
+from fluidfed import montecarlo as mc
 from fluidfed.cli import ConfigError, load_config, main, parse_variant
 from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence
 from fluidfed.montecarlo import BLOCK_VALUES, McPlan, default_variants
@@ -251,6 +252,15 @@ def _write_idx_pair(directory, n):
         ("train", "system.d=1000", "unknown key `system.d`"),
         # 10^400 overflows to inf, which the report would write as `Infinity`
         ("cdf-mse", "mc.tau_grid=[1.0,400,5]", "mc.tau_grid: tau_grid entries must be finite"),
+        # an infinite participation threshold, or 1/(p_max*tau) of the error CDF
+        ("pmf-users", "system.p_max=1e-320", "system.p_max: p_max makes sigma2/(p_max*tau) overflow"),
+        ("port-sweep", "system.tau=1e-310", "system.tau: tau makes sigma2/(p_max*tau) overflow"),
+        ("pmf-users", ["--set", "system.sigma2=1e300", "--set", "system.tau=1e-10"],
+         "system.tau: tau makes sigma2/(p_max*tau) overflow"),
+        ("cdf-mse", ["--set", "system.p_max=1e-310", "--set", "system.sigma2=1e-300"],
+         "system.p_max: p_max makes 1/(p_max*min(tau_grid)) overflow"),
+        # 10^-400 underflows to 0, which the error CDF cannot take
+        ("cdf-mse", "mc.tau_grid=[-400,1,5]", "mc.tau_grid: tau_grid makes 1/(p_max*min(tau_grid)) overflow"),
     ],
 )
 def test_unsupported_values_exit_2(tmp_path, capsys, command, spec, message):
@@ -330,6 +340,44 @@ def test_cdf_mse_run_outputs_and_manifest(tmp_path, capsys):
     for entry in manifest["outputs"]:
         digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+
+
+# a gate that fails: one grid point outside its band
+DOCTORED = mc.ComparisonReport("doctored", [mc.GridPointCheck(1.0, 0.9, 0.1, 0.01, False)])
+
+
+@pytest.mark.parametrize(
+    "command, extra, telemetry, doctored",
+    [
+        ("cdf-mse", FAST_MC, True, False),
+        ("pmf-users", FAST_MC, True, False),
+        ("port-sweep", FAST_MC, True, False),
+        ("copula-check", FAST_MC, False, False),
+        ("train", FAST_FL, True, False),
+        ("bound", [], False, False),
+        ("bound", ["--records", "{records}"], False, False),
+        ("cdf-mse", FAST_MC, True, True),
+    ],
+    ids=["cdf-mse", "pmf-users", "port-sweep", "copula-check", "train", "bound",
+         "bound-records", "cdf-mse-failing-gate"],
+)
+def test_manifest_lists_every_output(tmp_path, monkeypatch, command, extra, telemetry, doctored):
+    records = tmp_path / "records.csv"
+    records.write_text("round,participants,mse\n1,3,0.01\n2,0,\n")
+    if doctored:
+        monkeypatch.setattr(mc, "run_mse_cdf_experiment", lambda plan: {"doctored": DOCTORED})
+    out = tmp_path / "out"
+    args = [arg.format(records=records) for arg in extra]
+    assert main([command, "--out", str(out), "--seed", "5", *args]) == (1 if doctored else 0)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tool"] == "fluidfed" and manifest["version"] == __version__
+    assert manifest["command"] == command and manifest["seed"] == 5
+    assert manifest["status"] == ("statistical-failure" if doctored else "pass")
+    on_disk = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "manifest.json"}
+    assert on_disk and len(manifest["outputs"]) == len(on_disk)
+    assert {entry["path"]: entry["sha256"] for entry in manifest["outputs"]} == on_disk
+    assert ("telemetry" in manifest) == telemetry
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -650,14 +698,7 @@ def test_failure_reporting_prints_grid_points(capsys):
     # honest runs pass their own bands, so exercise the failure path with
     # a doctored report: it must print the offending point to stderr and
     # report not-ok, which main() turns into exit code 1
-    from fluidfed import montecarlo as mc
-    from fluidfed.cli import _report_failures
-
-    report = mc.ComparisonReport(
-        label="doctored",
-        points=[mc.GridPointCheck(1.0, 0.9, 0.1, 0.01, False)],
-    )
-    assert _report_failures([report]) is False
+    assert cli._report_failures([DOCTORED]) is False
     err = capsys.readouterr().err
     assert "FAIL doctored" in err and "x=1" in err
 

@@ -341,9 +341,9 @@ def test_gradient_vanishes_at_symmetric_origin():
 # -------------------------------------------------------------- training
 
 
-def _quiet_link(d=1):
+def _quiet_link():
     # effectively noiseless, threshold ~ 0: everyone always participates
-    return ota.OtaConfig(p_max=1.0, sigma2=1e-12, tau=1e6, d=d)
+    return ota.OtaConfig(p_max=1.0, sigma2=1e-12, tau=1e6)
 
 
 def _train(fl, link, dep, seed):
@@ -355,7 +355,7 @@ def test_noiseless_full_participation_matches_plain_fedavg():
 
     fl = FlConfig(n_clients=5, rounds=3, samples=400, classes=2, dims=4)
     # sigma2 so small the additive noise is swallowed by float rounding
-    link = ota.OtaConfig(p_max=1.0, sigma2=1e-300, tau=1e6, d=1)
+    link = ota.OtaConfig(p_max=1.0, sigma2=1e-300, tau=1e6)
     ideal = _train(
         dataclasses.replace(fl, benchmark="ideal"), link, Independent(), seed=4
     )
@@ -372,7 +372,7 @@ def test_noiseless_full_participation_matches_plain_fedavg():
 
 def test_training_is_deterministic_given_seed():
     fl = FlConfig(n_clients=4, rounds=4, samples=300, classes=2, dims=4)
-    link = ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.5, d=1)
+    link = ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.5)
     a = _train(fl, link, Clayton(2.0), seed=11)
     b = _train(fl, link, Clayton(2.0), seed=11)
     assert len(a) == len(b) == 4
@@ -388,7 +388,7 @@ def test_training_is_deterministic_given_seed():
 def test_impossible_threshold_skips_every_round():
     fl = FlConfig(n_clients=3, rounds=3, samples=200, classes=2, dims=4)
     # threshold = sigma2/(tau*p_max) = 1e9: nobody ever qualifies
-    link = ota.OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9, d=1)
+    link = ota.OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9)
     records = _train(fl, link, PerfectDependence(), seed=0)
     assert [r.participants for r in records] == [0, 0, 0]
     assert all(r.mse is None and r.eta is None for r in records)
@@ -398,7 +398,7 @@ def test_impossible_threshold_skips_every_round():
 
 def test_round_records_serialize_and_read_back(tmp_path):
     fl = FlConfig(n_clients=3, rounds=4, samples=200, classes=2, dims=4)
-    link = ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.2, d=1)
+    link = ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.2)
     records = _train(fl, link, PerfectDependence(), seed=21)
     csv_path = tmp_path / "run.csv"
     jsonl_path = tmp_path / "run.jsonl"
@@ -425,7 +425,7 @@ def test_round_records_serialize_and_read_back(tmp_path):
 
 def test_skipped_rounds_serialize_empty_fields(tmp_path):
     fl = FlConfig(n_clients=2, rounds=2, samples=100, classes=2, dims=4)
-    link = ota.OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9, d=1)
+    link = ota.OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9)
     records = _train(fl, link, Independent(), seed=0)
     path = tmp_path / "skipped.csv"
     records_to_csv(records, path)
