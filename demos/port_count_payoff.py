@@ -3,6 +3,7 @@
 import pathlib
 
 from fluidfed.montecarlo import McPlan, run_port_sweep
+from fluidfed.ota import gain_threshold
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -14,7 +15,7 @@ def main():
     grid = [int(n) for n in plan.n_grid]
     labels = list(results)
     print(f"probability that all {plan.n_users} users clear the power check "
-          f"(threshold {plan.sigma2 / (plan.p_max * plan.tau):.2f}):\n")
+          f"(threshold {gain_threshold(plan.link):.2f}):\n")
     print("ports  " + "".join(f"{lbl:>14s}" for lbl in labels))
     for i, n in enumerate(grid):
         row = f"{n:5d}  "

@@ -8,6 +8,8 @@ simulated histogram for two coupling strengths, then sweep the error
 target tau to show the participation cliff.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from fluidfed.analytics import (
@@ -20,14 +22,11 @@ from fluidfed.ota import OtaConfig, gain_threshold
 
 K = 16          # users
 N = 8           # ports each
-P_MAX = 0.01    # watts (10 dBm)
-SIGMA2 = 1e-3
-TAU = 0.05
+LINK = OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.05)  # p_max in watts (10 dBm)
 TRIALS = 30000
 
 
-def empirical_pmf(dep, rng):
-    thr = gain_threshold(OtaConfig(p_max=P_MAX, sigma2=SIGMA2, tau=TAU))
+def empirical_pmf(dep, thr, rng):
     counts = np.zeros(K + 1)
     for _ in range(TRIALS):
         best = select_ports(sample_port_gains(dep, K, N, rng))
@@ -37,14 +36,14 @@ def empirical_pmf(dep, rng):
 
 def main():
     rng = np.random.default_rng(11)
-    print(f"K={K} users, N={N} ports, tau={TAU}, threshold="
-          f"{SIGMA2 / (P_MAX * TAU):.2f}\n")
+    thr = gain_threshold(LINK)
+    print(f"K={K} users, N={N} ports, tau={LINK.tau}, threshold={thr:.2f}\n")
 
     for label, dep in [("independent", Independent()), ("clayton beta=3", Clayton(3.0))]:
         dist = GainDistribution(N, dep)
-        q = qualify_probability(dist, SIGMA2 / (P_MAX * TAU))
-        pmf = participation_pmf_vector(dist, K, P_MAX, SIGMA2, TAU)
-        emp = empirical_pmf(dep, rng)
+        q = qualify_probability(dist, thr)
+        pmf = participation_pmf_vector(dist, K, thr)
+        emp = empirical_pmf(dep, thr, rng)
         print(f"{label}: per-user qualify probability q = {q:.4f}")
         print("  #users   analytic  simulated")
         for s in range(K + 1):
@@ -58,7 +57,7 @@ def main():
     print("mean participants vs error target (independent ports):")
     dist = GainDistribution(N, Independent())
     for tau in (0.5, 0.2, 0.1, 0.05, 0.02, 0.01):
-        q = qualify_probability(dist, SIGMA2 / (P_MAX * tau))
+        q = qualify_probability(dist, gain_threshold(replace(LINK, tau=tau)))
         print(f"  tau={tau:<5g}  E[participants] = {K * q:6.2f}")
 
 

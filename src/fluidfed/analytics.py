@@ -18,8 +18,9 @@ keeps its relative precision where F rounds to 1:
   statistic of the per-user error scores over K users):
   Pr(Bin(K, q) >= S) = I_q(S, K - S + 1), the regularized incomplete
   beta function, with threshold x = 1/(p_max * tau);
-* participation count PMF: Binomial(K, q) with threshold
-  x = sigma2/(p_max * tau), in the log domain (gammaln, xlogy, xlog1py).
+* participation count PMF: Binomial(K, q) in the log domain (gammaln,
+  xlogy, xlog1py) at a link's threshold x = ota.gain_threshold(link) =
+  sigma2/(p_max * tau); ota.OtaConfig checks the link, not this module.
 
 `optimality_gap_trajectory` evaluates the per-round contraction bound
 psi^T * gap_1 + sum_t psi^(T-t) * residual_t with psi = 1 - lr * pl_constant
@@ -122,15 +123,6 @@ def qualify_probability(dist: GainDistribution, threshold: float) -> float:
     return float(_survival(dist, threshold))
 
 
-def _check_system(k: int, p_max: float, tau: float) -> None:
-    if k < 1:
-        raise ValueError("n_users must be >= 1")
-    if not (p_max > 0):
-        raise ValueError("p_max must be > 0")
-    if not (tau > 0):
-        raise ValueError("tau must be > 0")
-
-
 def normalized_mse_cdf(
     dist: GainDistribution, n_users: int, s_target: int, p_max: float, tau
 ) -> np.ndarray | float:
@@ -141,7 +133,8 @@ def normalized_mse_cdf(
     so Pr(error < tau) = Pr(Bin(K, q) >= S) with
     q = 1 - F_gain(1/(p_max * tau)).
     """
-    _check_system(n_users, p_max, 1.0)
+    if not (p_max > 0):
+        raise ValueError("p_max must be > 0")
     if not (1 <= s_target <= n_users):
         raise ValueError("s_target must be in 1..n_users")
     taus = np.asarray(tau, dtype=float)
@@ -153,13 +146,12 @@ def normalized_mse_cdf(
 
 
 def participation_pmf_vector(
-    dist: GainDistribution, n_users: int, p_max: float, sigma2: float, tau: float
+    dist: GainDistribution, n_users: int, threshold: float
 ) -> np.ndarray:
-    """Full participation PMF over s = 0..K (sums to 1)."""
-    _check_system(n_users, p_max, tau)
-    if not (sigma2 > 0):
-        raise ValueError("sigma2 must be > 0")
-    q = qualify_probability(dist, sigma2 / (p_max * tau))
+    """Full participation PMF over s = 0..K (sums to 1) at gain ``threshold``."""
+    if n_users < 1:
+        raise ValueError("n_users must be >= 1")
+    q = qualify_probability(dist, threshold)
     s = np.arange(n_users + 1)
     log_binom = gammaln(n_users + 1) - gammaln(s + 1) - gammaln(n_users - s + 1)
     return np.exp(log_binom + xlogy(s, q) + xlog1py(n_users - s, -q))

@@ -62,6 +62,7 @@ from .channel import (
     sample_best_gains,
     sample_port_gains,
 )
+from .ota import OtaConfig, gain_threshold
 
 __all__ = [
     "BLOCK_VALUES",
@@ -94,7 +95,7 @@ def default_variants() -> tuple[tuple[str, DependenceSpec], ...]:
 
 @dataclass
 class McPlan:
-    """Experiment sizing, system parameters, grids, and variants."""
+    """Experiment sizing, system parameters (checked as ``link``), grids, and variants."""
 
     n_users: int = 20
     n_ports: int = 10
@@ -120,9 +121,7 @@ class McPlan:
         for name in ("n_users", "n_ports", "trials", "diag_rows"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("p_max", "sigma2", "tau"):
-            if not (0 < getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be finite and > 0")
+        self.link  # building the OtaConfig checks p_max, sigma2 and tau
         if not (1 <= self.s_target <= self.n_users):
             raise ValueError("s_target must be in 1..n_users")
         for name in ("tau_grid", "n_grid", "gain_grid", "variants", "diag_betas"):
@@ -137,16 +136,17 @@ class McPlan:
                 raise ValueError(f"{name} entries must be finite")
         if not all(0 < b < np.inf for b in self.diag_betas):
             raise ValueError("diag_betas must be finite and > 0")
-        # the participation threshold and the error CDF's largest gain argument
-        # must be finite; p_max is named when it alone overflows them
-        p_max = float(self.p_max)
-        for top, name, low, expr in (
-            (self.sigma2, "tau", self.tau, "sigma2/(p_max*tau)"),
-            (1.0, "tau_grid", float(np.min(self.tau_grid)), "1/(p_max*min(tau_grid))"),
-        ):
-            if not (p_max * low > 0 and np.isfinite(top / (p_max * low))):
-                name = name if np.isfinite(top / p_max) else "p_max"
-                raise ValueError(f"{name} makes {expr} overflow")
+        # the error CDF's largest gain argument must be finite; p_max is named
+        # when it alone overflows it
+        p_max, low = float(self.p_max), float(np.min(self.tau_grid))
+        if not (p_max * low > 0 and np.isfinite(1.0 / (p_max * low))):
+            name = "tau_grid" if np.isfinite(1.0 / p_max) else "p_max"
+            raise ValueError(f"{name} makes 1/(p_max*min(tau_grid)) overflow")
+
+    @property
+    def link(self) -> OtaConfig:
+        """The plan's link; building it checks (p_max, sigma2, tau)."""
+        return OtaConfig(self.p_max, self.sigma2, self.tau)
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,7 @@ def run_mse_cdf_experiment(plan: McPlan) -> dict:
 
 def _threshold_meta(plan: McPlan, experiment: str) -> dict:
     return {"experiment": experiment, "p_max": plan.p_max, "sigma2": plan.sigma2,
-            "tau": plan.tau, "threshold": plan.sigma2 / (plan.p_max * plan.tau)}
+            "tau": plan.tau, "threshold": gain_threshold(plan.link)}
 
 
 def run_participation_experiment(plan: McPlan) -> dict:
@@ -360,7 +360,7 @@ def run_participation_experiment(plan: McPlan) -> dict:
         return np.bincount(heard, minlength=plan.n_users + 1)
 
     def law(dist):
-        return participation_pmf_vector(dist, plan.n_users, plan.p_max, plan.sigma2, plan.tau)
+        return participation_pmf_vector(dist, plan.n_users, threshold)
 
     return _compare(
         plan, np.arange(plan.n_users + 1), plan.n_ports, sample_best_gains, histogram,

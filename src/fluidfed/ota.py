@@ -51,7 +51,7 @@ def dbm_to_linear(dbm: float) -> float:
 
 @dataclass(frozen=True)
 class OtaConfig:
-    """Link parameters: per-entry power budget, noise power, error target."""
+    """Power budget, noise power, error target: the one check of a link and its threshold."""
 
     p_max: float
     sigma2: float
@@ -62,6 +62,11 @@ class OtaConfig:
             v = getattr(self, name)
             if not (v > 0) or not np.isfinite(v):
                 raise ValueError(f"{name} must be finite and > 0")
+        # p_max is named when sigma2/p_max alone overflows the threshold
+        with np.errstate(over="ignore"):
+            if not (self.p_max * self.tau > 0 and np.isfinite(gain_threshold(self))):
+                name = "tau" if np.isfinite(self.sigma2 / self.p_max) else "p_max"
+                raise ValueError(f"{name} makes sigma2/(p_max*tau) overflow")
 
 
 @dataclass(frozen=True)

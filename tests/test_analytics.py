@@ -246,12 +246,16 @@ def test_mse_cdf_edge_ranks():
         normalized_mse_cdf(dist, 10, 5, 1.0, -2.0)
 
 
+# the participation threshold sigma2/(p_max*tau) at p_max=0.01, sigma2=1e-3, tau=0.05
+THRESHOLD = 1e-3 / (0.01 * 0.05)
+
+
 def test_participation_pmf_sums_to_one_and_matches_scipy():
     dist = GainDistribution(10, Clayton(2.0))
-    pmf = participation_pmf_vector(dist, 20, 0.01, 1e-3, 0.05)
+    pmf = participation_pmf_vector(dist, 20, THRESHOLD)
     assert pmf.shape == (21,)
     assert np.isclose(pmf.sum(), 1.0, atol=1e-12)
-    q = qualify_probability(dist, 1e-3 / (0.01 * 0.05))
+    q = qualify_probability(dist, THRESHOLD)
     ref = binom.pmf(np.arange(21), 20, q)
     assert np.allclose(pmf, ref, rtol=1e-10, atol=1e-14)
     # frozen: P(count=10) at q = 0.52192661780584111 (mpmath enumeration)
@@ -262,15 +266,15 @@ def test_participation_pmf_is_one_hot_where_q_is_0_or_1():
     # threshold 800: q = e^-800 underflows to 0; threshold 1e-20: F ~ 1e-200, q = 1
     dist = GainDistribution(10, Independent())
     assert qualify_probability(dist, 800.0) == 0.0 and qualify_probability(dist, 1e-20) == 1.0
-    nobody = participation_pmf_vector(dist, 20, 1.0, 800.0, 1.0)
-    everybody = participation_pmf_vector(dist, 20, 1.0, 1e-20, 1.0)
+    nobody = participation_pmf_vector(dist, 20, 800.0)
+    everybody = participation_pmf_vector(dist, 20, 1e-20)
     assert nobody.tolist() == [1.0] + [0.0] * 20
     assert everybody.tolist() == [0.0] * 20 + [1.0]
 
 
 def test_participation_mean_is_k_times_q():
     dist = GainDistribution(10, Independent())
-    pmf = participation_pmf_vector(dist, 20, 0.01, 1e-3, 0.05)
+    pmf = participation_pmf_vector(dist, 20, THRESHOLD)
     q = qualify_probability(dist, 2.0)
     mean = float(np.arange(21) @ pmf)
     assert mean == pytest.approx(20.0 * q, rel=1e-12)
@@ -280,17 +284,17 @@ def test_participation_pmf_shifts_down_with_dependence():
     # dependence shrinks the max gain, so fewer users clear the threshold
     means = []
     for dep in (Independent(), Clayton(1.0), Clayton(2.0), PerfectDependence()):
-        pmf = participation_pmf_vector(GainDistribution(10, dep), 20, 0.01, 1e-3, 0.05)
+        pmf = participation_pmf_vector(GainDistribution(10, dep), 20, THRESHOLD)
         means.append(float(np.arange(21) @ pmf))
     assert means[0] > means[1] > means[2] > means[3]
 
 
 def test_participation_pmf_validation():
+    # the link's own values are checked by OtaConfig (tests/test_ota.py)
     dist = GainDistribution(10, Independent())
-    for n_users, p_max, sigma2, tau in [(0, 0.01, 1e-3, 0.05), (20, 0.0, 1e-3, 0.05),
-                                        (20, 0.01, 0.0, 0.05), (20, 0.01, 1e-3, 0.0)]:
+    for n_users, threshold in [(0, 2.0), (20, -1.0), (20, np.inf), (20, np.nan)]:
         with pytest.raises(ValueError):
-            participation_pmf_vector(dist, n_users, p_max, sigma2, tau)
+            participation_pmf_vector(dist, n_users, threshold)
 
 
 def test_import_pulls_in_no_scipy_stats():

@@ -1,8 +1,10 @@
 """The package names the benchmark reaches from outside.
 
 ``bench/tracer.py`` wraps the functions named in its ``SPANS`` at their
-callers' lookup names and reads ``.gains.size`` off each sampled gain
-matrix; ``bench/child.py`` drives ``cli.load_config`` and ``cli.main``.
+callers' lookup names, reads ``.gains.size`` off each sampled gain matrix
+and reads the training results (``fl.benchmark``, each round's
+``wall_time`` and ``participants``, ``TrainingDivergedError.records``);
+``bench/child.py`` drives ``cli.load_config`` and ``cli.main``.
 Removing or reshaping one of them breaks traced benchmark runs, so the
 names are checked here, in the tier-1 suite.
 """
@@ -14,7 +16,8 @@ import pytest
 
 import fluidfed
 from fluidfed import cli, fedlearn, montecarlo
-from fluidfed.channel import Clayton
+from fluidfed.channel import Clayton, Independent
+from fluidfed.ota import OtaConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -26,7 +29,8 @@ def _load_tracer():
     return module
 
 
-SPANS = [attr for attr, _ in _load_tracer().SPANS]
+TRACER_MODULE = _load_tracer()
+SPANS = [attr for attr, _ in TRACER_MODULE.SPANS]
 
 
 @pytest.mark.parametrize("attr", SPANS)
@@ -45,3 +49,15 @@ def test_child_entry_points_exist():
 def test_sampled_gains_expose_their_size(module):
     # the tracer's observer counts channel.sample.values as result.gains.size
     assert module.sample_port_gains(Clayton(2.0), 3, 4, 0).gains.size == 12
+
+
+def test_training_results_expose_what_the_tracer_reads():
+    # the tracer observes records as run_training returns them, or as a
+    # TrainingDivergedError carries them; this link skips every round
+    fl = fedlearn.FlConfig(n_clients=3, rounds=2, samples=200, classes=2, dims=4)
+    link = OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9)
+    records = fedlearn.run_training(fl, link, Independent(), *fedlearn.training_data(fl, 0))
+    tracer = TRACER_MODULE.Tracer()
+    tracer._observe_rounds(fl, fedlearn.TrainingDivergedError("diverged", records).records)
+    assert tracer.counters == {"fedlearn.rounds": 2, "ota.skipped_rounds": 2}
+    assert len(tracer.round_s) == 2 and all(s >= 0 for s in tracer.round_s)

@@ -261,6 +261,9 @@ def _write_idx_pair(directory, n):
          "system.p_max: p_max makes 1/(p_max*min(tau_grid)) overflow"),
         # 10^-400 underflows to 0, which the error CDF cannot take
         ("cdf-mse", "mc.tau_grid=[-400,1,5]", "mc.tau_grid: tau_grid makes 1/(p_max*min(tau_grid)) overflow"),
+        # train checks its link as the Monte-Carlo commands do
+        ("train", "system.p_max=1e-320", "system.p_max: p_max makes sigma2/(p_max*tau) overflow"),
+        ("train", "system.tau=1e-310", "system.tau: tau makes sigma2/(p_max*tau) overflow"),
     ],
 )
 def test_unsupported_values_exit_2(tmp_path, capsys, command, spec, message):

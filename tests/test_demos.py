@@ -1,18 +1,38 @@
-"""The demos still run against the package: every name they take from
-fluidfed exists, and every call of such a name fits its signature.
+"""The demos and the README's ```python blocks still run against the
+package: every name they take from fluidfed exists, and every call of such
+a name fits its signature.
 
-The demos are parsed, not run, so this stays fast and needs no plotting
+The code is parsed, not run, so this stays fast and needs no plotting
 backend.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _readme_blocks() -> list:
+    """Each ```python block of README.md, parsed with README line numbers."""
+    text = (ROOT / "README.md").read_text()
+    return [
+        ast.increment_lineno(ast.parse(m.group(1), filename="README.md"),
+                             text.count("\n", 0, m.start(1)))
+        for m in re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S)
+    ]
+
+
+# (file name, parsed code), one per demo and per README block
+SOURCES = [pytest.param(p.name, ast.parse(p.read_text(), filename=str(p)), id=p.name)
+           for p in DEMOS]
+SOURCES += [pytest.param("README.md", tree, id=f"README.md-{i}")
+            for i, tree in enumerate(_readme_blocks(), 1)]
 
 
 def _fluidfed_imports(tree: ast.AST) -> list:
@@ -34,24 +54,23 @@ def test_there_are_demos_to_check():
     assert DEMOS
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_imports_resolve(path):
-    imports = _fluidfed_imports(ast.parse(path.read_text(), filename=str(path)))
-    assert imports, f"{path.name} imports nothing from fluidfed"
-    for module, name, _ in imports:
+@pytest.mark.parametrize("name, tree", SOURCES)
+def test_demo_imports_resolve(name, tree):
+    imports = _fluidfed_imports(tree)
+    assert imports, f"{name} imports nothing from fluidfed"
+    for module, attr, _ in imports:
         owner = importlib.import_module(module)
-        if name is not None:
-            assert hasattr(owner, name), f"{path.name}: {module}.{name} does not exist"
+        if attr is not None:
+            assert hasattr(owner, attr), f"{name}: {module}.{attr} does not exist"
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_calls_fit_their_signatures(path):
-    # a call with *args or **kwargs cannot be bound without running the demo
-    tree = ast.parse(path.read_text(), filename=str(path))
+@pytest.mark.parametrize("name, tree", SOURCES)
+def test_demo_calls_fit_their_signatures(name, tree):
+    # a call with *args or **kwargs cannot be bound without running the code
     imported = {
-        bound: getattr(importlib.import_module(module), name)
-        for module, name, bound in _fluidfed_imports(tree)
-        if name is not None
+        bound: getattr(importlib.import_module(module), attr)
+        for module, attr, bound in _fluidfed_imports(tree)
+        if attr is not None
     }
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -64,4 +83,4 @@ def test_demo_calls_fit_their_signatures(path):
             inspect.signature(imported[node.func.id]).bind(
                 *node.args, **{k.arg: None for k in node.keywords})
         except TypeError as exc:
-            pytest.fail(f"{path.name}:{node.lineno}: {node.func.id}(...) {exc}")
+            pytest.fail(f"{name}:{node.lineno}: {node.func.id}(...) {exc}")

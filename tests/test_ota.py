@@ -32,6 +32,13 @@ def test_config_validation():
         OtaConfig(p_max=0.01, sigma2=-1.0, tau=0.05)
     with pytest.raises(ValueError):
         OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.0)
+    # finite fields whose threshold sigma2/(p_max*tau) overflows; p_max is
+    # named when sigma2/p_max alone overflows
+    with pytest.raises(ValueError, match=r"^p_max makes sigma2/\(p_max\*tau\) overflow"):
+        OtaConfig(p_max=1e-320, sigma2=1e-3, tau=0.05)
+    for sigma2, tau in [(1e-3, 1e-310), (1e300, 1e-10)]:
+        with pytest.raises(ValueError, match=r"^tau makes sigma2/\(p_max\*tau\) overflow"):
+            OtaConfig(p_max=0.01, sigma2=sigma2, tau=tau)
 
 
 def test_zf_rejects_empty_vectors():
