@@ -295,9 +295,15 @@ def parse_variant(spec: str, aperture: float = 0.5):
 
 def _variants(cfg: dict, section: str) -> list:
     try:
-        return [parse_variant(v, aperture=float(cfg["system"]["W"])) for v in cfg[section]["variants"]]
+        variants = [parse_variant(v, aperture=float(cfg["system"]["W"]))
+                    for v in cfg[section]["variants"]]
     except ConfigError as exc:
         raise ConfigError(f"{section}.variants: {exc}")
+    labels = [label for label, _ in variants]
+    for label in labels:
+        if labels.count(label) > 1:  # their output files and reports would collide
+            raise ConfigError(f"{section}.variants: `{label}` is listed more than once")
+    return variants
 
 
 def _plan(cfg: dict) -> montecarlo.McPlan:

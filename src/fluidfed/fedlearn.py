@@ -12,11 +12,13 @@ the round reproduces plain FedAvg to float rounding.
 
 The model is a single-hidden-layer MLP (ReLU hidden, softmax output,
 cross-entropy loss) in plain float64 numpy, trained with Adam or SGD.
-A round's local updates are one ``local_update`` call on (S, .) stacks:
-one ``loss_and_grad`` call per local step and batch length, with Adam
-moments kept as run-level (K, P) stacks.  Every slice equals a
-per-client computation bit for bit.  Data comes from IDX image/label
-files or from a synthetic Gaussian-blob generator.
+Client shards are rows of one (K, max shard) index matrix into the
+training split.  A round's local updates are one ``local_update`` call on
+(S, .) stacks: per local step, one key draw for all K clients, one gather
+and one ``loss_and_grad`` call per batch length, with Adam moments kept
+as run-level (K, P) stacks.  Every slice equals a per-client computation
+bit for bit.  Data comes from IDX image/label files or from a synthetic
+Gaussian-blob generator.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .channel import (
 __all__ = [
     "TrainingDivergedError",
     "Dataset",
-    "ClientState",
     "AdamMoments",
     "MlpModel",
     "FlConfig",
@@ -169,25 +170,23 @@ def synthesize_dataset(
     return _split(x, y, split, gen)
 
 
-@dataclass
-class ClientState:
-    """One client's data shard."""
+def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle the training split into near-equal shards (sizes differ <= 1).
 
-    x: np.ndarray
-    y: np.ndarray
-
-
-def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> list[ClientState]:
-    """Shuffle the training split into near-equal shards (sizes differ <= 1)."""
+    Returns a (K, max shard) matrix whose row k holds client k's training
+    row indices in its first ``sizes[k]`` columns, and the (K,) ``sizes``.
+    """
     n = dataset.train_x.shape[0]
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
     if n_clients > n:
         raise ValueError(f"n_clients must be <= {n}, the training samples to split")
     order = as_generator(rng).permutation(n)
-    shards = np.array_split(order, n_clients)
-    return [ClientState(x=dataset.train_x[s], y=dataset.train_y[s]) for s in shards]
-
+    sizes = np.full(n_clients, n // n_clients)
+    sizes[: n % n_clients] += 1
+    index = np.zeros((n_clients, sizes[0]), dtype=np.intp)
+    index[np.arange(sizes[0]) < sizes[:, None]] = order
+    return index, sizes
 
 
 # ----------------------------------------------------------------------
@@ -376,34 +375,40 @@ def _bias_correction(beta: float, steps: np.ndarray) -> np.ndarray:
 
 def local_update(
     model: MlpModel,
-    clients: Sequence[ClientState],
+    dataset: Dataset,
+    shards: tuple[np.ndarray, np.ndarray],
     cohort: np.ndarray,
     w_global: np.ndarray,
     cfg: FlConfig,
-    streams: Sequence[RngLike],
+    rng: RngLike,
     adam: Optional[AdamMoments] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minibatch step(s) from w_global for the clients in ``cohort``.
 
-    Client ``cohort[j]`` draws its batches from ``streams[j]``.  Clients of
-    equal batch length (at most two lengths, as shard sizes differ by at
-    most one) share one ``loss_and_grad`` call per step.  Adam moments are
-    gathered from and scattered back to the run-level ``adam`` stacks (zero
-    moments when None).  Returns the (S, P) new parameters and the (S,)
-    losses of each client's first batch at w_global.
+    Each local step draws one (K, max shard) uniform key matrix from
+    ``rng``, so a client's batch does not depend on the rest of the cohort:
+    client k takes the rows of its ``min(batch_size, sizes[k])`` smallest
+    keys among the first ``sizes[k]`` columns of its :func:`partition_iid`
+    ``shards`` row, in column order.  Clients of equal batch length (at most
+    two, as shard sizes differ by at most one) share one gather and one
+    ``loss_and_grad`` call per step.  Adam moments are gathered from and
+    scattered back to the run-level ``adam`` stacks (zero moments when
+    None).  Returns the (S, P) new parameters and the (S,) losses of each
+    client's first batch at w_global.
     """
-    gens = [as_generator(s) for s in streams]
-    members = [clients[k] for k in cohort]
-    sizes = [c.x.shape[0] for c in members]
-    lengths = [min(cfg.batch_size, n) for n in sizes]
-    groups = [np.flatnonzero(np.equal(lengths, n)) for n in sorted(set(lengths))]
+    gen = as_generator(rng)
+    index, sizes = shards
+    lengths = np.minimum(cfg.batch_size, sizes[cohort])
+    padding = np.arange(index.shape[1]) >= sizes[cohort, None]
     w = w_global
     for step in range(cfg.local_steps):
-        loss, grad = np.empty(len(members)), np.empty((len(members), w_global.size))
-        for pos in groups:
-            batches = [gens[i].choice(sizes[i], size=lengths[i], replace=False) for i in pos]
-            x = np.stack([members[i].x[b] for i, b in zip(pos, batches)])
-            y = np.stack([members[i].y[b] for i, b in zip(pos, batches)])
+        keys = np.where(padding, np.inf, gen.random(index.shape)[cohort])
+        loss, grad = np.empty(cohort.size), np.empty((cohort.size, w_global.size))
+        for n in np.unique(lengths):
+            pos = np.flatnonzero(lengths == n)
+            picked = np.sort(np.argpartition(keys[pos], n - 1, axis=1)[:, :n], axis=1)
+            rows = index[cohort[pos, None], picked]
+            x, y = dataset.train_x[rows], dataset.train_y[rows]
             loss[pos], grad[pos] = model.loss_and_grad(w if w.ndim == 1 else w[pos], x, y)
         if step == 0:
             first_loss = loss
@@ -414,7 +419,7 @@ def local_update(
             w = np.subtract(w, grad, out=grad)
             continue
         if step == 0:
-            adam = adam if adam is not None else AdamMoments.zeros(len(clients), w_global.size)
+            adam = adam if adam is not None else AdamMoments.zeros(sizes.size, w_global.size)
             m, v, steps = adam.m[cohort], adam.v[cohort], adam.steps[cohort]
         steps += 1
         m *= ADAM_BETA1
@@ -435,7 +440,7 @@ def local_update(
     return w, first_loss
 
 
-def training_data(fl: FlConfig, seed: int = 0) -> tuple[Dataset, list[ClientState]]:
+def training_data(fl: FlConfig, seed: int = 0) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
     """The dataset of ``fl`` and its client shards, for :func:`run_training`.
 
     Drawn from child 0 of ``SeedSequence(seed)``, split into a data and a
@@ -451,30 +456,24 @@ def training_data(fl: FlConfig, seed: int = 0) -> tuple[Dataset, list[ClientStat
     return dataset, partition_iid(dataset, fl.n_clients, np.random.default_rng(part_ss))
 
 
-def _client_stream(root: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
-    """``root.spawn(n)[k]`` for any n > k, built without its siblings."""
-    key = root.spawn_key + (k,)
-    return np.random.SeedSequence(root.entropy, spawn_key=key, pool_size=root.pool_size)
-
-
 def run_training(
     fl: FlConfig,
     link: ota.OtaConfig,
     dep: DependenceSpec,
     dataset: Dataset,
-    clients: Sequence[ClientState],
+    shards: tuple[np.ndarray, np.ndarray],
     seed: int = 0,
 ) -> list[RoundRecord]:
-    """Run T federated rounds on ``clients`` and return one record per round.
+    """Run T federated rounds on the client ``shards`` and return one record per round.
 
-    ``dataset`` and ``clients`` come from :func:`training_data`, child 0 of
+    ``dataset`` and ``shards`` come from :func:`training_data`, child 0 of
     the RNG tree spawned from ``seed``.  Child 1 is the model init, child 2
-    the per-round children, split into channel, uplink noise, and a clients
-    root whose child k (built only for the cohort; equal to
-    ``spawn(K)[k]``) is client k's stream.  Each round is one
-    ``local_update`` call: on every client for the ideal benchmark, then
-    averaged; on the selected clients for the OTA path, then normalized and
-    aggregated over the air as vectors of the model's parameter count.
+    the per-round children, split into channel, uplink noise, and the batch
+    stream from which ``local_update`` draws every client's batch keys.
+    Each round is one ``local_update`` call: on every client for the ideal
+    benchmark, then averaged; on the selected clients for the OTA path, then
+    normalized and aggregated over the air as vectors of the model's
+    parameter count.
     """
     _, init_ss, rounds_ss = np.random.SeedSequence(seed).spawn(3)
     model = MlpModel(dataset.n_features, fl.hidden, dataset.n_classes)
@@ -484,7 +483,7 @@ def run_training(
     records: list[RoundRecord] = []
     for t, round_ss in enumerate(rounds_ss.spawn(fl.rounds), start=1):
         t0 = time.monotonic()
-        ch_ss, noise_ss, clients_root = round_ss.spawn(3)
+        ch_ss, noise_ss, batch_ss = round_ss.spawn(3)
         if fl.benchmark == "ideal":
             cohort = np.arange(fl.n_clients)
         else:
@@ -492,8 +491,7 @@ def run_training(
             cohort = ota.select_users(best, link)
         rec = RoundRecord(t, int(cohort.size), None, None, None, float("nan"))
         if cohort.size:
-            streams = [_client_stream(clients_root, int(k)) for k in cohort]
-            stack, losses = local_update(model, clients, cohort, w, fl, streams, adam)
+            stack, losses = local_update(model, dataset, shards, cohort, w, fl, batch_ss, adam)
             rec.train_loss = float(np.mean(losses))
             if fl.benchmark == "ideal":
                 w, rec.mse = stack.mean(axis=0), 0.0

@@ -198,6 +198,12 @@ def _write_idx_pair(directory, n):
     (directory / "labels.idx").write_bytes(struct.pack(">II", 2049, n) + labels.tobytes())
 
 
+def _flags(n, command, flags, message):
+    # a row whose spec is a list of flags, under the id pytest gave it by
+    # position ("spec<n>"), pinned so that inserting a row renames no test
+    return pytest.param(command, flags, message, id=f"{command}-spec{n}-{message}")
+
+
 @pytest.mark.parametrize(
     "command, spec, message",
     [
@@ -210,8 +216,8 @@ def _write_idx_pair(directory, n):
         ("cdf-mse", "mc.tau_grid=[1.0,4.0,-1]", "`mc.tau_grid[2]` must be a whole number >= 0"),
         ("cdf-mse", "mc.tau_grid=[1.0,Infinity,5]", "`mc.tau_grid[1]` must be a finite number"),
         ("cdf-mse", "mc.seed=-1", "`mc.seed` must be a whole number >= 0"),
-        ("cdf-mse", ["--seed", "-1"], "--seed: key `mc.seed` must be a whole number >= 0"),
-        ("pmf-users", ["--trials", "0"], "mc.trials: trials must be >= 1"),
+        _flags(9, "cdf-mse", ["--seed", "-1"], "--seed: key `mc.seed` must be a whole number >= 0"),
+        _flags(10, "pmf-users", ["--trials", "0"], "mc.trials: trials must be >= 1"),
         ("copula-check", "mc.diag_rows=0", "diag_rows must be >= 1"),
         ("copula-check", "mc.diag_betas=[]", "diag_betas must not be empty"),
         ("copula-check", "mc.diag_betas=[0]", "diag_betas must be finite and > 0"),
@@ -221,23 +227,29 @@ def _write_idx_pair(directory, n):
         ("cdf-mse", 'mc.variants=["jakes"]', "`jakes` has no closed form"),
         ("port-sweep", 'mc.variants=["fpa","jakes"]', "`jakes` has no closed form"),
         ("pmf-users", 'mc.variants=["clayton:1e999"]', "clayton beta must be finite"),
+        # both labelled `fpa`: one report would silently replace the other
+        ("pmf-users", 'mc.variants=["fpa","perfect"]', "`fpa` is listed more than once"),
         ("cdf-mse", "mc.variants=[3]", "must be a string"),
         ("train", 'fl.variants=["clayton:1e999"]', "clayton beta must be finite"),
         ("train", "fl.variants=[]", "fl.variants must not be empty"),
-        ("train", ["--benchmark", "ota", "--set", 'fl.variants=["ideal"]'],
-         "fl.variants must not be empty"),
+        # both labelled `clayton-2`: the second run would overwrite the first's files
+        ("train", 'fl.variants=["clayton:2","clayton:2.0"]', "`clayton-2` is listed more than once"),
+        _flags(23, "train", ["--benchmark", "ota", "--set", 'fl.variants=["ideal"]'],
+               "fl.variants must not be empty"),
         ("train", "system.tau=-1", "tau must be finite and > 0"),
         ("train", "fl.split=1.5", "split must be in (0, 1]"),
         ("train", "fl.batch=0", "fl.batch: batch_size must be >= 1"),
         ("train", "fl.separation=NaN", "`fl.separation` must be a finite number"),
         ("train", "fl.lr=1e999", "`fl.lr` must be a finite number"),
-        ("train", ["--set", "fl.data=mnist"], "fl.mnist_images: mnist_images must name an IDX file"),
+        _flags(29, "train", ["--set", "fl.data=mnist"],
+               "fl.mnist_images: mnist_images must name an IDX file"),
         ("train", "fl.clients=5000", "fl.clients: n_clients must be <= 1800"),
         # {idx} is a directory holding a 20-image IDX pair, 18 of them for training
-        ("train", [*MNIST, "--set", "fl.mnist_images={idx}/images.idx", "--set", "fl.clients=50"],
-         "fl.clients: n_clients must be <= 18"),
-        ("train", [*MNIST, "--set", "fl.mnist_images={idx}/labels.idx"],
-         "labels.idx has magic 2049, expected 2051"),
+        _flags(31, "train",
+               [*MNIST, "--set", "fl.mnist_images={idx}/images.idx", "--set", "fl.clients=50"],
+               "fl.clients: n_clients must be <= 18"),
+        _flags(32, "train", [*MNIST, "--set", "fl.mnist_images={idx}/labels.idx"],
+               "labels.idx has magic 2049, expected 2051"),
         ("train", "fl.classes=0", "fl.classes: classes must be >= 2"),
         ("train", "fl.samples=0", "fl.samples: samples must be >= 1"),
         ("train", "fl.dims=0", "fl.dims: dims must be >= classes"),
@@ -255,10 +267,10 @@ def _write_idx_pair(directory, n):
         # an infinite participation threshold, or 1/(p_max*tau) of the error CDF
         ("pmf-users", "system.p_max=1e-320", "system.p_max: p_max makes sigma2/(p_max*tau) overflow"),
         ("port-sweep", "system.tau=1e-310", "system.tau: tau makes sigma2/(p_max*tau) overflow"),
-        ("pmf-users", ["--set", "system.sigma2=1e300", "--set", "system.tau=1e-10"],
-         "system.tau: tau makes sigma2/(p_max*tau) overflow"),
-        ("cdf-mse", ["--set", "system.p_max=1e-310", "--set", "system.sigma2=1e-300"],
-         "system.p_max: p_max makes 1/(p_max*min(tau_grid)) overflow"),
+        _flags(47, "pmf-users", ["--set", "system.sigma2=1e300", "--set", "system.tau=1e-10"],
+               "system.tau: tau makes sigma2/(p_max*tau) overflow"),
+        _flags(48, "cdf-mse", ["--set", "system.p_max=1e-310", "--set", "system.sigma2=1e-300"],
+               "system.p_max: p_max makes 1/(p_max*min(tau_grid)) overflow"),
         # 10^-400 underflows to 0, which the error CDF cannot take
         ("cdf-mse", "mc.tau_grid=[-400,1,5]", "mc.tau_grid: tau_grid makes 1/(p_max*min(tau_grid)) overflow"),
         # train checks its link as the Monte-Carlo commands do
@@ -496,27 +508,28 @@ def test_train_manifest_records_telemetry(tmp_path):
         assert "norm_scale" not in (out / name).read_text()
 
 
-# sha256 of the seed-0 data files, frozen before training ran as one batched
-# call per round; the second run has 12 rounds of 3 Adam steps (bias
-# corrections past step 8) and ragged shards of 61/60/60 rows in one cohort
+# sha256 of the seed-0 data files, frozen when each local step's batches
+# became one key draw for every client from the round's batch stream; the
+# second run has 12 rounds of 3 Adam steps (bias corrections past step 8)
+# and ragged shards of 61/60/60 rows in one cohort
 TRAIN_GOLDEN = [
     (
         [],
         {
-            "train_ideal.csv": "3b9b8661de068ab973f7d3b4bff5d4d7e95b2d5c9b445194d1f7a55d1b324c74",
-            "train_ideal.jsonl": "0955695313a5c4ec2f5f3b79cccc99336fd4a83c0016d94dea3892f8fc40f451",
-            "train_independent.csv": "854c12a5e0a56ef35a969bc349a00c8aad25f2e5acdd4c89a3ffcad5854c2d1b",
-            "train_independent.jsonl": "324110f13a292a2ceaf99edb5947df96c6aa21cbdefd2f7c3f685fe1d061f684",
+            "train_ideal.csv": "7422b286b5b26a06783f527736cb07cb2921712d0a959240f7c4ff87629adbdd",
+            "train_ideal.jsonl": "b01a007087aba3f26a63b5e91d00d80fecc26c05990ee996c66fd34cc60d74d8",
+            "train_independent.csv": "d8e85ab4aafb000c71e4103cb83664cd6e99ccd031e3bf0853a4fb58a9c83bbd",
+            "train_independent.jsonl": "01ae964132cf2a6c32dffdff4991e1b7363d2c9a0c03a44544d23fe63cbb0c18",
         },
     ),
     (
         ["--set", "fl.rounds=12", "--set", "fl.samples=201",
          "--set", "fl.local_steps=3", "--set", "fl.batch=100"],
         {
-            "train_ideal.csv": "fd8b0f66c347a9def8f86581f83532be69eb232b44d304caf2b7c185ca671dc1",
-            "train_ideal.jsonl": "6d5f3059ffc5fe17a345aa486b4567040f911e3e681bc77345808ff5d9b54082",
-            "train_independent.csv": "db810af46cce2c9efac940a0de53ac9b726ff5c04018c166b441553e830e5552",
-            "train_independent.jsonl": "6a1b2922a9c74e9c556453545c8cba6d3cb0197015b08e3e4b06ab6a4d724e16",
+            "train_ideal.csv": "275b3bc963d4bd9b0bab0789612660ad0ce2f0e2cda9b3240105b33eefb535e8",
+            "train_ideal.jsonl": "2f5a6f5a56ce02cde3a0fd307b0f55a5b142d29ecd52a84ad1502b987b79b8fc",
+            "train_independent.csv": "7a09ffce34c940d0f64eed966d2a9db9f0116c190dfbefe95aecc5e68c24f73f",
+            "train_independent.jsonl": "837757d936e4e02e1fca7d032892b047a2ecbbead06f4a9c4989943be47d985d",
         },
     ),
 ]

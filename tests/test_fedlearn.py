@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from fluidfed import fedlearn, ota
+from fluidfed import montecarlo, ota
+from fluidfed.analytics import GainDistribution, qualify_probability
 from fluidfed.channel import Clayton, Independent, PerfectDependence
 from fluidfed.fedlearn import (
     ADAM_BETA1,
@@ -25,6 +26,8 @@ from fluidfed.fedlearn import (
     synthesize_dataset,
     training_data,
 )
+from fluidfed.montecarlo import FAMILY_ALPHA
+from fluidfed.ota import gain_threshold
 
 # ------------------------------------------------------------------ idx
 
@@ -128,13 +131,17 @@ def test_synthetic_class_means_are_centered():
 
 def test_partition_sizes_differ_by_at_most_one():
     ds = synthesize_dataset(samples=103, rng=0)
-    clients = partition_iid(ds, 7, rng=1)
-    sizes = [c.x.shape[0] for c in clients]
-    assert sum(sizes) == ds.train_x.shape[0]
-    assert max(sizes) - min(sizes) <= 1
-    # shards are disjoint: every training row used exactly once
-    stacked = np.vstack([c.x for c in clients])
-    assert stacked.shape == ds.train_x.shape
+    index, sizes = partition_iid(ds, 7, rng=1)
+    n = ds.train_x.shape[0]
+    assert index.shape == (7, sizes.max()) and sizes.sum() == n
+    assert sizes.max() - sizes.min() <= 1
+    # the shards are np.array_split of one permutation, and disjoint:
+    # every training row appears exactly once
+    order = np.random.default_rng(1).permutation(n)
+    for k, shard in enumerate(np.array_split(order, 7)):
+        assert np.array_equal(index[k, : sizes[k]], shard)
+    used = index[np.arange(index.shape[1]) < sizes[:, None]]
+    assert np.array_equal(np.sort(used), np.arange(n))
 
 
 def test_partition_more_clients_than_samples_raises():
@@ -194,15 +201,16 @@ def test_sgd_local_update_is_one_explicit_step():
     rng = np.random.default_rng(3)
     model = MlpModel(4, 5, 2)
     ds = synthesize_dataset(classes=2, dims=4, samples=50, rng=0)
-    clients = partition_iid(ds, 2, rng=0)
+    shards = partition_iid(ds, 2, rng=0)
     cfg = FlConfig(optimizer="sgd", lr=0.2, batch_size=8, classes=2, dims=4)
     w0 = model.init_params(rng)
-    w1, loss = local_update(model, clients, np.array([1]), w0, cfg, [99])
+    w1, loss = local_update(model, ds, shards, np.array([1]), w0, cfg, 99)
     assert w1.shape == (1, model.n_params) and loss.shape == (1,)
-    # replay the same batch draw and apply w - lr*g by hand
-    gen = np.random.default_rng(99)
-    batch = gen.choice(clients[1].x.shape[0], size=8, replace=False)
-    ref_loss, g = model.loss_and_grad(w0, clients[1].x[batch], clients[1].y[batch])
+    # replay the key draw for both clients and apply w - lr*g by hand
+    shard = np.array_split(np.random.default_rng(0).permutation(ds.train_x.shape[0]), 2)[1]
+    keys = np.random.default_rng(99).random((2, shards[0].shape[1]))
+    batch = shard[np.sort(np.argsort(keys[1, : shard.size])[:8])]
+    ref_loss, g = model.loss_and_grad(w0, ds.train_x[batch], ds.train_y[batch])
     assert loss[0] == ref_loss
     assert np.array_equal(w1[0], w0 - 0.2 * g)
 
@@ -227,15 +235,16 @@ def _reference_loss_and_grad(model, w, x, y):
     return loss, grad
 
 
-def _reference_local_update(model, client, w_global, cfg, stream, state):
-    # one client's round; ``state`` holds its Adam m, v and step count
-    gen = np.random.default_rng(stream)
+def _reference_local_update(model, x, y, w_global, cfg, keys, state):
+    # one client's round on its own unpadded shard rows ``x``, ``y``, with
+    # ``keys`` its (steps, max shard) rows of the key draws; ``state`` holds
+    # its Adam m, v and step count
     w = w_global.copy()
     first_loss = None
-    for _ in range(cfg.local_steps):
-        n = client.x.shape[0]
-        batch = gen.choice(n, size=min(cfg.batch_size, n), replace=False)
-        loss, grad = _reference_loss_and_grad(model, w, client.x[batch], client.y[batch])
+    n = x.shape[0]
+    for step in range(cfg.local_steps):
+        batch = np.sort(np.argsort(keys[step, :n])[: min(cfg.batch_size, n)])
+        loss, grad = _reference_loss_and_grad(model, w, x[batch], y[batch])
         first_loss = loss if first_loss is None else first_loss
         if cfg.optimizer == "sgd":
             w = w - cfg.lr * grad
@@ -270,6 +279,16 @@ def test_cohort_loss_and_grad_slices_equal_single_client_calls():
             assert np.array_equal(one_grad, ref_grad)
 
 
+def _ragged_clients():
+    # 49 training rows in shards of 10, 10, 9, 9, 9, each also cut out on
+    # its own from the same permutation, without the index matrix
+    ds = synthesize_dataset(classes=3, dims=4, samples=52, rng=2)
+    shards = partition_iid(ds, 5, rng=3)
+    own = np.array_split(np.random.default_rng(3).permutation(ds.train_x.shape[0]), 5)
+    assert [rows.size for rows in own] == [10, 10, 9, 9, 9]
+    return ds, shards, own
+
+
 @pytest.mark.parametrize(
     "optimizer, local_steps, batch_size",
     [
@@ -286,23 +305,22 @@ def test_cohort_loss_and_grad_slices_equal_single_client_calls():
 )
 def test_cohort_update_equals_per_client_loop_bitwise(optimizer, local_steps, batch_size):
     model = MlpModel(4, 6, 3)
-    ds = synthesize_dataset(classes=3, dims=4, samples=52, rng=2)
-    clients = partition_iid(ds, 5, rng=3)
-    assert [c.x.shape[0] for c in clients] == [10, 10, 9, 9, 9]
+    ds, shards, own = _ragged_clients()
     cfg = FlConfig(optimizer=optimizer, local_steps=local_steps, batch_size=batch_size,
                    lr=0.05, classes=3, dims=4)
     w = model.init_params(np.random.default_rng(4))
     adam = AdamMoments.zeros(5, model.n_params)
-    states = [{"m": 0.0, "v": 0.0, "step": 0} for _ in clients]
+    states = [{"m": 0.0, "v": 0.0, "step": 0} for _ in own]
     # changing cohorts, the whole population among them, so Adam state is
     # gathered from and scattered back to the stacks across 12 steps
     cohorts = [[0, 2, 3], [1, 2], [0, 1, 2, 3, 4], [4], [0, 3, 4], [0, 1, 2, 3, 4]]
     for r, cohort in enumerate(cohorts):
-        streams = [np.random.SeedSequence([r, k]) for k in cohort]
-        new_w, losses = local_update(model, clients, np.array(cohort), w, cfg, streams, adam)
+        new_w, losses = local_update(model, ds, shards, np.array(cohort), w, cfg, r, adam)
+        gen = np.random.default_rng(r)
+        keys = np.stack([gen.random((5, 10)) for _ in range(local_steps)])
         for j, k in enumerate(cohort):
             ref_w, ref_loss = _reference_local_update(
-                model, clients[k], w, cfg, streams[j], states[k]
+                model, ds.train_x[own[k]], ds.train_y[own[k]], w, cfg, keys[:, k], states[k]
             )
             assert np.array_equal(new_w[j], ref_w), (r, k)
             assert losses[j] == ref_loss, (r, k)
@@ -314,17 +332,19 @@ def test_cohort_update_equals_per_client_loop_bitwise(optimizer, local_steps, ba
             assert adam.steps[k] == state["step"]
 
 
-def test_client_streams_are_built_without_their_siblings():
-    clients_root = np.random.SeedSequence(5).spawn(3)[1].spawn(3)[2]
-    spawned = np.random.SeedSequence(5).spawn(3)[1].spawn(3)[2].spawn(100)
-    for k in (0, 1, 37, 99):
-        lazy = fedlearn._client_stream(clients_root, k)
-        assert lazy.spawn_key == spawned[k].spawn_key
-        assert np.array_equal(lazy.generate_state(4), spawned[k].generate_state(4))
-        assert np.array_equal(
-            np.random.default_rng(lazy).integers(0, 2**32, 8),
-            np.random.default_rng(spawned[k]).integers(0, 2**32, 8),
-        )
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_client_update_does_not_depend_on_its_cohort(optimizer):
+    model = MlpModel(4, 6, 3)
+    ds, shards, _ = _ragged_clients()
+    cfg = FlConfig(optimizer=optimizer, local_steps=3, batch_size=8, lr=0.05, classes=3, dims=4)
+    w = model.init_params(np.random.default_rng(4))
+    for k in range(5):
+        alone_w, alone_loss = local_update(model, ds, shards, np.array([k]), w, cfg, 7)
+        for cohort in ([k, (k + 1) % 5], list(range(5)), sorted({0, 2, 4, k})):
+            cohort_w, losses = local_update(model, ds, shards, np.array(cohort), w, cfg, 7)
+            j = cohort.index(k)
+            assert np.array_equal(cohort_w[j], alone_w[0]), (k, cohort)
+            assert losses[j] == alone_loss[0], (k, cohort)
 
 
 def test_gradient_vanishes_at_symmetric_origin():
@@ -394,6 +414,27 @@ def test_impossible_threshold_skips_every_round():
     assert all(r.mse is None and r.eta is None for r in records)
     # the model never moves, so accuracy is frozen at its initial value
     assert len({r.test_acc for r in records}) == 1
+
+
+def test_training_participation_matches_the_closed_form():
+    # rounds and clients draw independent channels, so one variant's total
+    # participant count is Binomial(K*T, q) with q the closed-form
+    # qualify_probability; exact two-sided tests, Bonferroni over variants
+    fl = FlConfig(n_clients=40, rounds=50, samples=100, classes=2, dims=2, hidden=2,
+                  batch_size=2)
+    link = ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.05)
+    data = training_data(fl, 0)
+    trials = fl.n_clients * fl.rounds
+    variants = (Independent(), Clayton(2.0), PerfectDependence())
+    alpha = FAMILY_ALPHA / len(variants)
+    for dep in variants:
+        count = sum(r.participants for r in run_training(fl, link, dep, *data, seed=0))
+        dist = GainDistribution(fl.n_ports, dep)
+        q = qualify_probability(dist, gain_threshold(link))
+        assert montecarlo._p_values(count, trials, q) > alpha, (dep, count, q)
+        # power: the same count rejects the law at twice the threshold
+        q_wrong = qualify_probability(dist, 2 * gain_threshold(link))
+        assert montecarlo._p_values(count, trials, q_wrong) <= alpha, (dep, count, q_wrong)
 
 
 def test_round_records_serialize_and_read_back(tmp_path):
