@@ -6,22 +6,12 @@ constant idealized schedule, then the per-round schedule from an actual
 noisy run, and print both trajectories.
 """
 
-import pathlib
-
 import numpy as np
 
 from fluidfed.analytics import ConvergenceConstants, optimality_gap_trajectory
 from fluidfed.channel import Clayton
-from fluidfed.fedlearn import (
-    FlConfig,
-    records_to_csv,
-    run_training,
-    schedule_from_records,
-    training_data,
-)
+from fluidfed.fedlearn import FlConfig, run_training, training_data
 from fluidfed.ota import OtaConfig
-
-HERE = pathlib.Path(__file__).resolve().parent
 
 K = 10
 CONSTANTS = ConvergenceConstants(
@@ -57,9 +47,8 @@ def main():
                   classes=8, dims=8, separation=1.2, samples=6000, split=0.7)
     link = OtaConfig(p_max=0.01, sigma2=3e-3, tau=4.0)
     records = run_training(fl, link, Clayton(2.0), *training_data(fl, 1), seed=1)
-    log = HERE / "bound_input_run.csv"
-    records_to_csv(records, log)
-    schedule = schedule_from_records(log)  # same round-trip the CLI uses
+    # a skipped round counts as (0, 0.0), as in `fluidfed bound --records`
+    schedule = [(r.participants, r.mse or 0.0) for r in records]
     traj = show("recorded clayton-2 run", schedule)
 
     parts = np.array([s for s, _ in schedule])

@@ -4,17 +4,16 @@ Same data, same model init, same round seeds -- the only thing that
 changes is the channel each client gets.  'ideal' is the noiseless
 full-participation reference; the others pay both an aggregation-noise
 tax and a participation tax that grows as ports become more correlated.
-Writes per-round CSVs next to this script.
+Prints one summary row per variant and writes no file; `fluidfed train`
+writes the per-round records.
 """
 
-import pathlib
 import time
 
 from fluidfed.channel import Clayton, Independent, PerfectDependence
-from fluidfed.fedlearn import FlConfig, records_to_csv, run_training, training_data
+from fluidfed.fedlearn import FlConfig, run_training, training_data
 from fluidfed.ota import OtaConfig
 
-HERE = pathlib.Path(__file__).resolve().parent
 SEED = 0
 
 VARIANTS = [
@@ -45,10 +44,7 @@ def main():
         print(f"{label:<16s} {mean_part:10.2f} {mean_mse:10.4f} "
               f"{records[-1].test_acc:10.4f} {secs:6.2f}")
 
-        records_to_csv(records, HERE / f"train_{label}.csv")
-
-    print(f"\nper-round logs written to {HERE}/train_<variant>.csv")
-    print("with tau this loose everyone participates nearly every round, so"
+    print("\nwith tau this loose everyone participates nearly every round, so"
           " the accuracy gap is pure aggregation-noise damage.")
 
 

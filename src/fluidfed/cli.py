@@ -18,10 +18,14 @@ state ``system.tau`` explicitly.  One table (``_ROWS``) gives each key's
 kind, default and target field; flags are checked like ``--set``, and every
 configuration error names its key.
 
-Each command (one row of ``_COMMANDS``) writes its result tables (CSV +
-JSON); ``main`` then writes ``manifest.json`` once, recording the tool
-version, resolved config, master seed, status, timestamps, and sha256 of
-each output.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
+Each command (one row of ``_COMMANDS``) checks its config, computes, and
+returns its result tables as text by file name; it touches no file.
+``main`` alone writes: once the command has returned, it makes the output
+directory, writes each table (CSV with LF line ends, JSON, JSONL; one
+cell rule in ``_cell``) and then ``manifest.json``, recording the tool
+version, resolved config, master seed, status, timestamps, and the sha256
+of the bytes it wrote for each table.  A command that fails leaves no
+directory.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
 per-variant telemetry (seconds, trial blocks, trials and their rate,
 failing points) and ``train`` adds its own (rounds, skipped rounds, client
 updates and their rate, per-round wall time and norm scale); no hashed
@@ -313,20 +317,62 @@ def _plan(cfg: dict) -> montecarlo.McPlan:
     return _build(montecarlo.McPlan, cfg, ("system", "mc"), variants=tuple(variants))
 
 
-def _write_json(path: Path, blob: dict) -> Path:
-    with open(path, "w") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _cell(value) -> str:
+    """None -> empty, bool -> true/false, float -> its repr, else str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _write_reports(out_dir: Path, prefix: str, reports: dict, blob: dict) -> list[Path]:
-    """One CSV per report, then ``blob`` as the summary JSON; the paths written."""
-    outputs = []
-    for label, report in reports.items():
-        outputs.append(out_dir / f"{prefix}_{label}.csv")
-        report.to_csv(outputs[-1])
-    return outputs + [_write_json(out_dir / f"{prefix}_report.json", blob)]
+def _csv(header, rows) -> str:
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+
+
+def _json(blob: dict) -> str:
+    return json.dumps(blob, indent=2, sort_keys=True) + "\n"
+
+
+def _report_files(prefix: str, reports: dict, blob: dict) -> dict:
+    """One CSV per report, then ``blob`` as the summary JSON, by file name."""
+    files = {
+        f"{prefix}_{label}.csv": _csv(
+            ("x", "analytic", "empirical", "stderr", "pass"),
+            ((p.x, p.analytic, p.empirical, p.stderr, p.passed) for p in report.points))
+        for label, report in reports.items()
+    }
+    files[f"{prefix}_report.json"] = _json(blob)
+    return files
+
+
+_RECORD_FIELDS = ("round", "participants", "mse", "eta", "train_loss", "test_acc")
+
+
+def _record_files(label: str, records) -> dict:
+    """A variant's round records as CSV and JSONL; wall time and norm scale stay out."""
+    rows = [[getattr(r, f) for f in _RECORD_FIELDS] for r in records]
+    return {
+        f"train_{label}.csv": _csv(_RECORD_FIELDS, rows),
+        f"train_{label}.jsonl": "".join(json.dumps(dict(zip(_RECORD_FIELDS, row))) + "\n"
+                                        for row in rows),
+    }
+
+
+def _schedule_from_records(path) -> list[tuple[int, float]]:
+    """The (participants, mse) schedule of a round-record CSV.
+
+    Skipped rounds keep participants = 0 and mse = 0; the bound trajectory
+    treats them as no-contraction rounds.
+    """
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        try:
+            i_part, i_mse = header.index("participants"), header.index("mse")
+        except ValueError as exc:
+            raise ValueError(f"not a round-record CSV: {exc}") from exc
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    return [(int(cells[i_part]), float(cells[i_mse] or 0.0)) for cells in rows]
 
 
 def _report_failures(reports) -> bool:
@@ -352,17 +398,16 @@ def _report_failures(reports) -> bool:
     return ok
 
 
-def _cmd_compare(experiment: str, args, cfg: dict, out_dir: Path):
-    """Run one analytic-vs-Monte-Carlo experiment; write a CSV per variant."""
+def _cmd_compare(experiment: str, args, cfg: dict):
+    """Run one analytic-vs-Monte-Carlo experiment; a CSV per variant."""
     plan = _plan(cfg)
     for label, dep in plan.variants:
         if isinstance(dep, GaussianJakes):
             raise ConfigError(f"mc.variants: `{label}` has no closed form to compare against")
-    out_dir.mkdir(parents=True, exist_ok=True)
     # looked up when the command runs, so a wrapper set on montecarlo is the one called
     reports = getattr(montecarlo, experiment)(plan)
     blob = {label: report.to_json_dict() for label, report in reports.items()}
-    outputs = _write_reports(out_dir, args.command.replace("-", "_"), reports, blob)
+    files = _report_files(args.command.replace("-", "_"), reports, blob)
     for label, report in reports.items():
         mean = report.meta.get("mean_check")
         summary = f"sup gap {report.sup_gap:.4g}"
@@ -372,14 +417,16 @@ def _cmd_compare(experiment: str, args, cfg: dict, out_dir: Path):
         print(f"{label}: {summary} ({'pass' if report.all_pass else 'FAIL'})")
     ok = _report_failures(reports.values())
     telemetry = {label: report.telemetry for label, report in reports.items()}
-    return outputs, "pass" if ok else "statistical-failure", telemetry
+    return files, "pass" if ok else "statistical-failure", telemetry
 
 
-def _cmd_copula_check(args, cfg: dict, out_dir: Path):
+def _cmd_copula_check(args, cfg: dict):
     plan = _plan(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if plan.n_ports < 2:
+        raise ConfigError("system.N: copula-check needs n_ports >= 2, "
+                          "its Kendall check pairs ports 1 and 2")
     diag = montecarlo.run_copula_diagnostics(plan)
-    outputs = _write_reports(out_dir, "copula_check", diag.cdf_reports, diag.to_json_dict())
+    files = _report_files("copula_check", diag.cdf_reports, diag.to_json_dict())
     for check in diag.marginal_checks:
         print(
             f"beta={check['beta']:g}: max KS {check['max_ks_statistic']:.5f}, "
@@ -400,7 +447,7 @@ def _cmd_copula_check(args, cfg: dict, out_dir: Path):
         for check in diag.marginal_checks + diag.tau_checks:
             if not check["passed"]:
                 print(f"FAIL diagnostics: {check}", file=sys.stderr)
-    return outputs, "pass" if diag.all_pass else "statistical-failure", None
+    return files, "pass" if diag.all_pass else "statistical-failure", None
 
 
 def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
@@ -418,7 +465,7 @@ def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
     }
 
 
-def _cmd_train(args, cfg: dict, out_dir: Path):
+def _cmd_train(args, cfg: dict):
     seed = int(cfg["mc"]["seed"])
     if not cfg["fl"]["variants"]:  # also when --benchmark kept none of them
         raise ConfigError("fl.variants must not be empty")
@@ -432,8 +479,7 @@ def _cmd_train(args, cfg: dict, out_dir: Path):
         data = fedlearn.training_data(runs[0][2], seed)
     except ValueError as exc:
         raise _keyed(exc, _ROWS)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    files = {}
     diverged = []
     telemetry = {}
     for label, dep, fl in runs:
@@ -447,11 +493,7 @@ def _cmd_train(args, cfg: dict, out_dir: Path):
             print(f"{label}: DIVERGED ({exc})", file=sys.stderr)
         seconds = time.perf_counter() - t0
         telemetry[label] = _train_telemetry(records, seconds, label in diverged)
-        csv_path = out_dir / f"train_{label}.csv"
-        jsonl_path = out_dir / f"train_{label}.jsonl"
-        fedlearn.records_to_csv(records, csv_path)
-        fedlearn.records_to_jsonl(records, jsonl_path)
-        outputs += [csv_path, jsonl_path]
+        files.update(_record_files(label, records))
         if records:
             last = records[-1]
             print(
@@ -459,17 +501,17 @@ def _cmd_train(args, cfg: dict, out_dir: Path):
                 f"{last.test_acc:.4f}, mean participants "
                 f"{np.mean([r.participants for r in records]):.2f}"
             )
-    return outputs, "diverged" if diverged else "pass", telemetry
+    return files, "diverged" if diverged else "pass", telemetry
 
 
-def _cmd_bound(args, cfg: dict, out_dir: Path):
+def _cmd_bound(args, cfg: dict):
     b = cfg["bound"]
     constants = _build(analytics.ConvergenceConstants, cfg, ("bound",))
     origin = None  # the constant schedule of bound.rounds, bound.participants, bound.mse
     if args.records is not None:
         origin = f"--records {args.records}"
         try:
-            schedule = fedlearn.schedule_from_records(args.records)
+            schedule = _schedule_from_records(args.records)
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{origin}: {exc}")
     elif b["schedule"] is not None:
@@ -480,21 +522,17 @@ def _cmd_bound(args, cfg: dict, out_dir: Path):
         trajectory = analytics.optimality_gap_trajectory(constants, schedule, float(b["f1_gap"]))
     except ValueError as exc:
         raise _keyed(exc, [_ROW["bound.f1_gap"]] if origin else _ROWS, origin)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "bound.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("round,bound\n")
-        for t, v in enumerate(trajectory, start=1):
-            fh.write(f"{t},{float(v)!r}\n")
     print(
         f"bound: psi={constants.psi:.4f}, {len(schedule)} rounds, "
         f"final value {trajectory[-1]:.6g}"
     )
-    return [csv_path], "pass", None
+    rows = enumerate(map(float, trajectory), start=1)
+    return {"bound.csv": _csv(("round", "bound"), rows)}, "pass", None
 
 
-# subcommand -> (help, handler); a handler checks its config, makes out_dir,
-# writes its data files and returns (those paths, status, telemetry or None)
+# subcommand -> (help, handler); a handler (args, cfg) checks its config,
+# computes, and returns ({file name: text}, status, telemetry or None);
+# it writes nothing, main writes and hashes the files
 _COMMANDS = {
     "cdf-mse": ("aggregation-error CDF vs Monte Carlo",
                 partial(_cmd_compare, "run_mse_cdf_experiment")),
@@ -552,9 +590,15 @@ def main(argv=None) -> int:
         for flag, key, value in flags:
             if value is not None:
                 _set(cfg, source, key, value, "flag", flag)
-        # commands make out_dir after their config checks: errors leave none
+        files, status, telemetry = _COMMANDS[args.command][1](args, cfg)
+        # made only now, so a command that fails leaves no directory
         out_dir = Path(args.out) if args.out else Path("runs") / args.command.replace("-", "_")
-        outputs, status, telemetry = _COMMANDS[args.command][1](args, cfg, out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outputs = []
+        for name, text in sorted(files.items()):
+            data = text.encode()
+            (out_dir / name).write_bytes(data)
+            outputs.append({"path": name, "sha256": hashlib.sha256(data).hexdigest()})
         manifest = {
             "tool": "fluidfed",
             "version": __version__,
@@ -565,12 +609,11 @@ def main(argv=None) -> int:
             "finished_utc": datetime.now(timezone.utc).isoformat(),
             "config": cfg,
             "config_sources": source,
-            "outputs": [{"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
-                        for p in sorted(outputs)],
+            "outputs": outputs,
         }
         if telemetry is not None:
             manifest["telemetry"] = telemetry
-        _write_json(out_dir / "manifest.json", manifest)
+        (out_dir / "manifest.json").write_text(_json(manifest))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -23,11 +23,10 @@ Gaussian-blob generator.
 
 from __future__ import annotations
 
-import json
 import struct
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -53,9 +52,6 @@ __all__ = [
     "training_data",
     "local_update",
     "run_training",
-    "records_to_csv",
-    "records_to_jsonl",
-    "schedule_from_records",
 ]
 
 IDX_IMAGE_MAGIC = 2051
@@ -507,46 +503,3 @@ def run_training(
         rec.wall_time = time.monotonic() - t0
         records.append(rec)
     return records
-
-
-# ----------------------------------------------------------------------
-# record serialization
-# ----------------------------------------------------------------------
-
-_RECORD_FIELDS = ("round", "participants", "mse", "eta", "train_loss", "test_acc")
-
-
-def _field_str(v) -> str:
-    return "" if v is None else repr(v) if isinstance(v, float) else str(v)
-
-
-def records_to_csv(records: Sequence[RoundRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_RECORD_FIELDS) + "\n")
-        for r in records:
-            fh.write(",".join(_field_str(getattr(r, f)) for f in _RECORD_FIELDS) + "\n")
-
-
-def records_to_jsonl(records: Sequence[RoundRecord], path) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps({f: getattr(r, f) for f in _RECORD_FIELDS}) + "\n")
-
-
-def schedule_from_records(path) -> list[tuple[int, float]]:
-    """Read a round-record CSV back into a (participants, mse) schedule.
-
-    Skipped rounds keep participants = 0 and mse = 0; the bound trajectory
-    treats them as no-contraction rounds.
-    """
-    out: list[tuple[int, float]] = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            i_part, i_mse = header.index("participants"), header.index("mse")
-        except ValueError as exc:
-            raise ValueError(f"not a round-record CSV: {exc}") from exc
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            out.append((int(cells[i_part]), float(cells[i_mse] or 0.0)))
-    return out

@@ -7,11 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from fluidfed import __version__, cli
+from fluidfed import __version__, cli, fedlearn
 from fluidfed import montecarlo as mc
 from fluidfed.cli import ConfigError, load_config, main, parse_variant
-from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence
+from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence, SamplingError
+from fluidfed.fedlearn import FlConfig
 from fluidfed.montecarlo import BLOCK_VALUES, McPlan, default_variants
+from fluidfed.ota import OtaConfig
 
 FAST_MC = [
     "--set", "mc.trials=400",
@@ -223,6 +225,9 @@ def _flags(n, command, flags, message):
         ("copula-check", "mc.diag_betas=[0]", "diag_betas must be finite and > 0"),
         ("copula-check", "mc.diag_betas=[true]", "`mc.diag_betas[0]` must be a finite number"),
         ("copula-check", "mc.gain_grid=[-1.0,6.0,24]", "gain_grid entries must be >= 0"),
+        # the Kendall check pairs the first two ports
+        pytest.param("copula-check", "system.N=1", "system.N: copula-check needs n_ports >= 2",
+                     id="copula-check-system.N=1-needs two ports"),
         ("cdf-mse", "mc.variants=[]", "variants must not be empty"),
         ("cdf-mse", 'mc.variants=["jakes"]', "`jakes` has no closed form"),
         ("port-sweep", 'mc.variants=["fpa","jakes"]', "`jakes` has no closed form"),
@@ -393,6 +398,100 @@ def test_manifest_lists_every_output(tmp_path, monkeypatch, command, extra, tele
     assert on_disk and len(manifest["outputs"]) == len(on_disk)
     assert {entry["path"]: entry["sha256"] for entry in manifest["outputs"]} == on_disk
     assert ("telemetry" in manifest) == telemetry
+    # every data file has LF line ends, the Monte-Carlo CSVs included
+    assert not [p.name for p in out.iterdir() if b"\r" in p.read_bytes()]
+
+
+@pytest.mark.parametrize("command, extra", [("cdf-mse", FAST_MC), ("train", FAST_FL)],
+                         ids=["cdf-mse", "train"])
+def test_failing_command_leaves_no_directory(tmp_path, monkeypatch, command, extra):
+    # cdf-mse fails in its experiment, train in its second variant
+    run_training, calls = fedlearn.run_training, []
+
+    def fail(*args, **kwargs):
+        raise SamplingError("sampler produced a nonfinite draw")
+
+    def second_run_fails(*args, **kwargs):
+        calls.append(None)
+        return (run_training if len(calls) == 1 else fail)(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "run_mse_cdf_experiment", fail)
+    monkeypatch.setattr(fedlearn, "run_training", second_run_fails)
+    with pytest.raises(SamplingError):
+        main([command, "--out", str(tmp_path / "a" / "nested"), *extra])
+    assert not (tmp_path / "a").exists()
+
+
+def test_failed_mean_check_counts_as_a_failing_point(tmp_path, monkeypatch):
+    # only the participation mean check calls montecarlo.qualify_probability
+    qualify = mc.qualify_probability
+    monkeypatch.setattr(mc, "qualify_probability", lambda *args: 1.2 * qualify(*args))
+    assert main(["pmf-users", "--out", str(tmp_path), *FAST_MC, "--trials", "2000"]) == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    report = json.loads((tmp_path / "pmf_users_report.json").read_text())
+    assert set(manifest["telemetry"]) == set(report)
+    for label, block in manifest["telemetry"].items():
+        assert report[label]["all_pass"] is False
+        assert report[label]["meta"]["mean_check"]["passed"] is False
+        points = sum(not p["pass"] for p in report[label]["points"])
+        assert block["failing_points"] == points + 1, label
+
+
+def _train(fl, link, dep, seed):
+    return fedlearn.run_training(fl, link, dep, *fedlearn.training_data(fl, seed), seed=seed)
+
+
+def test_round_records_serialize_and_read_back(tmp_path):
+    fl = FlConfig(n_clients=3, rounds=4, samples=200, classes=2, dims=4)
+    link = OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.2)
+    records = _train(fl, link, PerfectDependence(), seed=21)
+    files = cli._record_files("run", records)
+    assert set(files) == {"train_run.csv", "train_run.jsonl"}
+
+    text = files["train_run.csv"].splitlines()
+    assert text[0] == "round,participants,mse,eta,train_loss,test_acc"
+    assert len(text) == 5
+
+    lines = [json.loads(s) for s in files["train_run.jsonl"].splitlines()]
+    for rec, blob in zip(records, lines):
+        assert blob["round"] == rec.round
+        assert blob["participants"] == rec.participants
+        assert blob["mse"] == rec.mse  # None -> null round-trips
+
+    csv_path = tmp_path / "run.csv"
+    csv_path.write_text(files["train_run.csv"])
+    sched = cli._schedule_from_records(csv_path)
+    assert sched == [
+        (r.participants, r.mse if r.mse is not None else 0.0) for r in records
+    ]
+
+
+def test_skipped_rounds_serialize_empty_fields():
+    fl = FlConfig(n_clients=2, rounds=2, samples=100, classes=2, dims=4)
+    link = OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9)
+    records = _train(fl, link, Independent(), seed=0)
+    row = cli._record_files("skipped", records)["train_skipped.csv"].splitlines()[1].split(",")
+    assert row[1] == "0"  # participants
+    assert row[2] == "" and row[3] == "" and row[4] == ""  # mse, eta, loss
+
+
+def test_schedule_reader_rejects_wrong_csv(tmp_path):
+    p = tmp_path / "other.csv"
+    p.write_text("a,b\n1,2\n")
+    with pytest.raises(ValueError, match="round-record"):
+        cli._schedule_from_records(p)
+
+
+def test_report_csv_format():
+    r = mc.ComparisonReport(
+        label="x",
+        points=[mc.GridPointCheck(1.5, 0.25, 0.26, 0.01, True)],
+    )
+    files = cli._report_files("prefix", {"x": r}, {})
+    assert set(files) == {"prefix_x.csv", "prefix_report.json"}
+    lines = files["prefix_x.csv"].strip().split("\n")
+    assert lines[0] == "x,analytic,empirical,stderr,pass"
+    assert lines[1] == "1.5,0.26,0.25,0.01,true"
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -545,48 +644,50 @@ def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
 # sha256 of the seed-0 data files, frozen after the closed forms moved to
 # the survival form and the incomplete beta (the empirical counts and pass
 # flags were frozen before cdf-mse and pmf-users drew best-port gains
-# instead of whole gain matrices); the second plan has 33 ports (a partial
-# last block) and Clayton betas near both dependence limits
+# instead of whole gain matrices; the CSV digests were taken again when the
+# CSV line ends became LF, with every byte else unchanged); the second plan
+# has 33 ports (a partial last block) and Clayton betas near both dependence
+# limits
 MC_WIDE_BETAS = ["--set", "system.K=40", "--set", "system.N=33",
                  "--set", 'mc.variants=["independent","clayton:0.05","clayton:30","fpa"]']
 MC_GOLDEN = [
     (
         "cdf-mse", [],
         {
-            "cdf_mse_clayton-1.csv": "b3fb187bd33c81944bd530a32ef223727788f5a10688a2121e0046e96c6c3849",
-            "cdf_mse_clayton-2.csv": "02ee112497b36c37f31d6b2abf0c6f6f7897860c785f53daed8d331510bfd750",
-            "cdf_mse_fpa.csv": "7d758d9ae3d883527fe2dfe9bb70dba27128e04b8b30842a4fed76642eaa45c1",
-            "cdf_mse_independent.csv": "77d53e9b16e90a8a7d3d080ec8422325c96ef08879ae1806bc7d35b89eff4428",
+            "cdf_mse_clayton-1.csv": "350f1d7882db8a02309d20dd260f2570ad96ce74e13f3f2bc0d965f58fe9f65a",
+            "cdf_mse_clayton-2.csv": "27f9e9d25e0e076a2a01e83467f4ec5caf4bdfc85e261fe95e97511ca17f61f3",
+            "cdf_mse_fpa.csv": "93483f46c4be23f3a89f1bbe0a9225c858b98d102d16e00adcd97cf9822933ea",
+            "cdf_mse_independent.csv": "36e82479e7a54b39f89e25ac9792b5554a3d13eb552114d3fa6e146b080aa9c2",
             "cdf_mse_report.json": "ee3d160056734780a01d570e65559a3f9ffd98e8f744835e575854d210d13c42",
         },
     ),
     (
         "cdf-mse", MC_WIDE_BETAS,
         {
-            "cdf_mse_clayton-0.05.csv": "b1b6731da8262e98847210a8a2191fd2aaaf6b25e5536f10dc5498d19937611c",
-            "cdf_mse_clayton-30.csv": "fdfe201bcf5b9b78591be2d4daa1915f2aaa9fa68209499151edf57860cb1eea",
-            "cdf_mse_fpa.csv": "8fa40d63f13302fd3280e2bb9914c82bb22c6e76515162c641d35383c1fa9c71",
-            "cdf_mse_independent.csv": "36ecc6ce806f6ae6efd36a1f511e635aff65d884a27f5e16db553f97efd25f7f",
+            "cdf_mse_clayton-0.05.csv": "49f6a852ad7aec337a4e2f64f9e2ccefd9239035b167672624066a9d229fe1c6",
+            "cdf_mse_clayton-30.csv": "f2b24d518234d773fe9f09c4678eec99d3d1b6e98439f9037d79c7de17eb6ad6",
+            "cdf_mse_fpa.csv": "aef8430be44578b838706d56823da4c67072ab76cf83ef0733e3e7c3564f2b02",
+            "cdf_mse_independent.csv": "68c714eabb5171c25b3f1545472723e477b3f1da55f93e5e57cd6762946db72e",
             "cdf_mse_report.json": "f976b264e0dc688ccac1bee8de52676e0bd50b8469e4cea5ac7c33dcc1403c84",
         },
     ),
     (
         "pmf-users", [],
         {
-            "pmf_users_clayton-1.csv": "5c5321633bf78e9a9b456c412d6354d2a9d561f54e118058e8de3d413c1a6c0d",
-            "pmf_users_clayton-2.csv": "6329bacb0ccdcb7b11bac6326265387a5bc7206472ff0d68e0814c3d42ddfa3b",
-            "pmf_users_fpa.csv": "732b9c3d2322b47957e6f0999ed5b8867cf74099ad5d5a54b39d9ca935ade5b9",
-            "pmf_users_independent.csv": "f4c467a27c75024aa150f917fc09c17b2fd19fdcad9fa050699b36fa1a37f601",
+            "pmf_users_clayton-1.csv": "072d73902943ad7abbf281fba7a4a516ec7f8782b34f4ba1fb6a5231d9916664",
+            "pmf_users_clayton-2.csv": "fa5f9000ce1143c6b608be50030c723ff58fe6a40e8f85a768fad510dee7da09",
+            "pmf_users_fpa.csv": "871910f0685761d8c54a1933db46739be10eefa4dccc5b67405bed6caade712e",
+            "pmf_users_independent.csv": "87396c38ac951d1f28045451ee279e6377e291e1cab4fac4a5e235fca9e0df52",
             "pmf_users_report.json": "820b252e9c66a5b0d608cfdfc97d4fac1da21f66de475c1550b0632180b78aac",
         },
     ),
     (
         "pmf-users", MC_WIDE_BETAS,
         {
-            "pmf_users_clayton-0.05.csv": "032fc27362c609bc86c8d3dac3bda9a4c189519467e8beb44964377b44c8458a",
-            "pmf_users_clayton-30.csv": "98ea19da0b6180e64cfd910e94b4b13bb211dc7ac5a6160361dcc74320fe3a9d",
-            "pmf_users_fpa.csv": "1e32f1ca2e05ecc31f05ff7b122c4bb5bc3da1b6c9c04e74de896d3ab6baad42",
-            "pmf_users_independent.csv": "8254d171e29478cf43d01587588d14440549135eab0e095c781945d831c6e42e",
+            "pmf_users_clayton-0.05.csv": "d6c62fc4a73effc78a6fed62b7bce562d11932106c1f1612b353842664ee4490",
+            "pmf_users_clayton-30.csv": "281f8b43dcd646e68ecab120cd3ad5d93fdd1c8887133587b432cbf6e68573fa",
+            "pmf_users_fpa.csv": "d989b7141aa1f3467a239b8fa67c7f1c16a62bf422b8afc7bc73adc0520347f2",
+            "pmf_users_independent.csv": "72a3f1ec4028ad397e19dfb5936ad501d8b07e02aa702306c590fe2c3a62f96a",
             "pmf_users_report.json": "f23622754c6925a397674868145ed11334fae1a31f0b9b6ee2e0a9eb80a51258",
         },
     ),
@@ -595,17 +696,17 @@ MC_GOLDEN = [
     (
         "port-sweep", [],
         {
-            "port_sweep_clayton-1.csv": "7191429fc74a465a261987e21ae2cf006b8f784afb939048a68fe7e32ddd6fcb",
-            "port_sweep_clayton-2.csv": "2bab1f4d8619b8587121657024aa1691bb0d3e6278fa6af3cc9fab35c6754916",
-            "port_sweep_fpa.csv": "390c008fc8df5fd735929264910387e8f002dedfcf0bc18086c533c070d48160",
-            "port_sweep_independent.csv": "ce133fba4a80f805c5c6908dc18c7fc5f974a0fac5416e498f3200f72dc76ade",
+            "port_sweep_clayton-1.csv": "632aa15977e1071931120b687dc54d6b46ae5333477002f45d810cafb5ab99dd",
+            "port_sweep_clayton-2.csv": "2a683a2a2064a295773beae6ca45d06475063506cd7a7790e56d1be2c49aee15",
+            "port_sweep_fpa.csv": "0337c1e38de08db5228f0ec84287ea3b46fee57e86b5136da6ecf1d0e5bba3ee",
+            "port_sweep_independent.csv": "2aeb139cd85b0a0454774282bc1fe60b17d1bcd996d0944de0d8508de8c752c6",
             "port_sweep_report.json": "f69ed74455e0d620080017658494f47710d7a092f28325035ccef611c0e2144b",
         },
     ),
     (
         "copula-check", [],
         {
-            "copula_check_clayton-1.csv": "e2fc6846682305846c58ad1d9648dce24f6fb012480e0b38db30c498e7380434",
+            "copula_check_clayton-1.csv": "ba1dd6570b74631857303015701173f83169478ec8a17d8a69fe69ce2e1a1833",
             "copula_check_report.json": "819c8371866816e44d7254edf0f3f5e14b8f8f3a10d50cde9d4a72c49f346f42",
         },
     ),

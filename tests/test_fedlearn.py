@@ -19,10 +19,7 @@ from fluidfed.fedlearn import (
     ingest_mnist,
     local_update,
     partition_iid,
-    records_to_csv,
-    records_to_jsonl,
     run_training,
-    schedule_from_records,
     synthesize_dataset,
     training_data,
 )
@@ -435,51 +432,6 @@ def test_training_participation_matches_the_closed_form():
         # power: the same count rejects the law at twice the threshold
         q_wrong = qualify_probability(dist, 2 * gain_threshold(link))
         assert montecarlo._p_values(count, trials, q_wrong) <= alpha, (dep, count, q_wrong)
-
-
-def test_round_records_serialize_and_read_back(tmp_path):
-    fl = FlConfig(n_clients=3, rounds=4, samples=200, classes=2, dims=4)
-    link = ota.OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.2)
-    records = _train(fl, link, PerfectDependence(), seed=21)
-    csv_path = tmp_path / "run.csv"
-    jsonl_path = tmp_path / "run.jsonl"
-    records_to_csv(records, csv_path)
-    records_to_jsonl(records, jsonl_path)
-
-    text = csv_path.read_text().splitlines()
-    assert text[0] == "round,participants,mse,eta,train_loss,test_acc"
-    assert len(text) == 5
-
-    import json
-
-    lines = [json.loads(s) for s in jsonl_path.read_text().splitlines()]
-    for rec, blob in zip(records, lines):
-        assert blob["round"] == rec.round
-        assert blob["participants"] == rec.participants
-        assert blob["mse"] == rec.mse  # None -> null round-trips
-
-    sched = schedule_from_records(csv_path)
-    assert sched == [
-        (r.participants, r.mse if r.mse is not None else 0.0) for r in records
-    ]
-
-
-def test_skipped_rounds_serialize_empty_fields(tmp_path):
-    fl = FlConfig(n_clients=2, rounds=2, samples=100, classes=2, dims=4)
-    link = ota.OtaConfig(p_max=1.0, sigma2=1.0, tau=1e-9)
-    records = _train(fl, link, Independent(), seed=0)
-    path = tmp_path / "skipped.csv"
-    records_to_csv(records, path)
-    row = path.read_text().splitlines()[1].split(",")
-    assert row[1] == "0"  # participants
-    assert row[2] == "" and row[3] == "" and row[4] == ""  # mse, eta, loss
-
-
-def test_schedule_reader_rejects_wrong_csv(tmp_path):
-    p = tmp_path / "other.csv"
-    p.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="round-record"):
-        schedule_from_records(p)
 
 
 def test_divergence_raises_with_partial_records():

@@ -306,18 +306,6 @@ def test_report_all_pass_logic():
     assert not r2.all_pass
 
 
-def test_report_csv_format(tmp_path):
-    r = ComparisonReport(
-        label="x",
-        points=[GridPointCheck(1.5, 0.25, 0.26, 0.01, True)],
-    )
-    p = tmp_path / "report.csv"
-    r.to_csv(p)
-    lines = p.read_text().strip().split("\n")
-    assert lines[0] == "x,analytic,empirical,stderr,pass"
-    assert lines[1] == "1.5,0.26,0.25,0.01,true"
-
-
 def test_default_variants_cover_the_dependence_range():
     labels = [label for label, _ in default_variants()]
     assert labels == ["independent", "clayton-1", "clayton-2", "fpa"]
