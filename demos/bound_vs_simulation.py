@@ -20,7 +20,7 @@ CONSTANTS = ConvergenceConstants(
     smoothness=4.0,
     grad_norm_bound=1.0,
     grad_variance=0.5,
-    batch_sizes=32,
+    batch_size=32,
     n_users=K,
 )
 FIRST_GAP = 1.0

@@ -4,23 +4,26 @@ For Clayton-coupled Exp(1) ports the best-port power gain has CDF
 
     F(x) = ( N * (1 - e^-x)^-beta - N + 1 )^(-1/beta),
 
-evaluated here in the equivalent stable form
-m * (N - (N-1) * m^beta)^(-1/beta) with m = 1 - e^-x, which has no
-singularity at x = 0 and degenerates correctly: m^N as beta -> 0
-(independent ports) and m as beta -> inf (fully dependent ports, the
-fixed-antenna case).
+which degenerates to m^N as beta -> 0 (independent ports) and to m as
+beta -> inf (fully dependent ports, the fixed-antenna case), with
+m = 1 - e^-x.  One function, ``_log_cdf``, evaluates log F for the three
+dependence models, in the stable form
+log m - log1p((N-1) * (1 - m^beta)) / beta with log m taken from
+log(-expm1(-x)) or log1p(-e^-x), whichever keeps its digits; it is -inf
+at x = 0.  Every law below is read off that one log F:
 
-Downstream laws are binomial in the per-user qualify probability
-q = 1 - F(threshold), taken as the survival form -expm1(log F) so it
-keeps its relative precision where F rounds to 1:
-
-* normalized aggregation-error CDF at target rank S (the S-th order
+* the best-port CDF F = exp(log F);
+* the per-user qualify probability q = 1 - F(threshold) = -expm1(log F),
+  which keeps its relative precision where F rounds to 1;
+* the normalized aggregation-error CDF at target rank S (the S-th order
   statistic of the per-user error scores over K users):
   Pr(Bin(K, q) >= S) = I_q(S, K - S + 1), the regularized incomplete
   beta function, with threshold x = 1/(p_max * tau);
-* participation count PMF: Binomial(K, q) in the log domain (gammaln,
-  xlogy, xlog1py) at a link's threshold x = ota.gain_threshold(link) =
-  sigma2/(p_max * tau); ota.OtaConfig checks the link, not this module.
+* the participation count PMF, Binomial(K, q) in the log domain:
+  log C(K, s) + s log q + (K - s) log F, so the lower tail keeps its
+  relative precision where q rounds to 1; the threshold is a link's
+  x = ota.gain_threshold(link) = sigma2/(p_max * tau), and
+  ota.OtaConfig checks the link, not this module.
 
 `optimality_gap_trajectory` evaluates the per-round contraction bound
 psi^T * gap_1 + sum_t psi^(T-t) * residual_t with psi = 1 - lr * pl_constant
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import betainc, gammaln, xlog1py, xlogy
+from scipy.special import betainc, gammaln, xlogy
 
 from .channel import Clayton, Independent, PerfectDependence
 
@@ -72,55 +75,38 @@ class GainDistribution:
             )
 
 
-def channel_gain_cdf(dist: GainDistribution, x) -> np.ndarray | float:
-    """CDF of the best-port power gain, vectorized over x >= 0."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("gain threshold x must be >= 0")
-    m = np.atleast_1d(-np.expm1(-arr))
-    dep = dist.dependence
-    n = dist.n_ports
-    if isinstance(dep, PerfectDependence) or n == 1:
-        out = m.copy()
-    elif isinstance(dep, Independent):
-        out = m**n
-    else:
-        # stable Clayton form: m * (N - (N-1) m^beta)^(-1/beta), via
-        # expm1/log1p so both beta extremes keep full precision
-        beta = dep.beta
-        out = np.zeros_like(m)
-        pos = m > 0
-        mp = m[pos]
-        spread = (n - 1) * (-np.expm1(beta * np.log(mp)))
-        out[pos] = mp * np.exp(-np.log1p(spread) / beta)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
-
-
-def _survival(dist: GainDistribution, x) -> np.ndarray:
-    """1 - F(x) of the best-port gain as -expm1(log F(x)), shaped like x."""
+def _log_cdf(dist: GainDistribution, x) -> np.ndarray:
+    """log F(x) of the best-port gain, shaped like x; -inf at x = 0."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):  # log F(0) = -inf gives 1 - F = 1
+    with np.errstate(divide="ignore"):  # log m(0) = -inf
         log_m = np.where(
             x < np.log(2.0), np.log(-np.expm1(-x)), np.log1p(-np.exp(-x))
         )
     dep, n = dist.dependence, dist.n_ports
     if isinstance(dep, PerfectDependence):
-        log_f = log_m
-    elif isinstance(dep, Independent):
-        log_f = n * log_m
-    else:
-        spread = (n - 1) * (-np.expm1(dep.beta * log_m))
-        log_f = log_m - np.log1p(spread) / dep.beta
-    return -np.expm1(log_f)
+        return log_m
+    if isinstance(dep, Independent):
+        return n * log_m
+    # stable Clayton form log m - log(N - (N-1) m^beta) / beta, via
+    # expm1/log1p so both beta extremes keep full precision
+    spread = (n - 1) * (-np.expm1(dep.beta * log_m))
+    return log_m - np.log1p(spread) / dep.beta
+
+
+def channel_gain_cdf(dist: GainDistribution, x) -> np.ndarray | float:
+    """CDF of the best-port power gain, vectorized over x >= 0."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("gain threshold x must be >= 0")
+    out = np.exp(_log_cdf(dist, arr))
+    return float(out) if arr.ndim == 0 else out
 
 
 def qualify_probability(dist: GainDistribution, threshold: float) -> float:
     """Probability a user's best-port gain reaches ``threshold``."""
     if not (threshold >= 0) or not np.isfinite(threshold):
         raise ValueError("threshold must be finite and >= 0")
-    return float(_survival(dist, threshold))
+    return float(-np.expm1(_log_cdf(dist, threshold)))
 
 
 def normalized_mse_cdf(
@@ -140,7 +126,7 @@ def normalized_mse_cdf(
     taus = np.asarray(tau, dtype=float)
     if np.any(taus <= 0):
         raise ValueError("tau must be > 0")
-    q = _survival(dist, 1.0 / (p_max * taus))
+    q = -np.expm1(_log_cdf(dist, 1.0 / (p_max * taus)))
     out = betainc(s_target, n_users - s_target + 1, q)
     return float(out) if taus.ndim == 0 else out
 
@@ -151,10 +137,13 @@ def participation_pmf_vector(
     """Full participation PMF over s = 0..K (sums to 1) at gain ``threshold``."""
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    q = qualify_probability(dist, threshold)
+    q = qualify_probability(dist, threshold)  # also checks threshold
     s = np.arange(n_users + 1)
     log_binom = gammaln(n_users + 1) - gammaln(s + 1) - gammaln(n_users - s + 1)
-    return np.exp(log_binom + xlogy(s, q) + xlog1py(n_users - s, -q))
+    # (K - s) log(1 - q) as (K - s) log F, exactly 0 at s = K even where F = 0
+    rest = np.multiply(n_users - s, float(_log_cdf(dist, threshold)),
+                       out=np.zeros(n_users + 1), where=s < n_users)
+    return np.exp(log_binom + xlogy(s, q) + rest)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +160,7 @@ class ConvergenceConstants:
     smoothness: gradient Lipschitz constant L > 0
     grad_norm_bound: squared-gradient bound kappa >= 0
     grad_variance: per-sample stochastic-gradient variance bound >= 0
-    batch_sizes: minibatch size, one int for all users or one per user
+    batch_size: minibatch size of every user, >= 1
     n_users: total user count K
     """
 
@@ -180,7 +169,7 @@ class ConvergenceConstants:
     smoothness: float
     grad_norm_bound: float
     grad_variance: float
-    batch_sizes: Union[int, Sequence[int]]
+    batch_size: int
     n_users: int
 
     def __post_init__(self):
@@ -195,9 +184,8 @@ class ConvergenceConstants:
                 raise ValueError(f"{name} must be >= 0")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
-        sizes = np.atleast_1d(np.asarray(self.batch_sizes))
-        if np.any(sizes < 1):
-            raise ValueError("batch_sizes must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         psi = self.psi
         if not (abs(psi) < 1):
             warnings.warn(
@@ -210,10 +198,6 @@ class ConvergenceConstants:
     def psi(self) -> float:
         return 1.0 - self.lr * self.pl_constant
 
-    def mean_inverse_batch(self) -> float:
-        sizes = np.atleast_1d(np.asarray(self.batch_sizes, dtype=float))
-        return float(np.mean(1.0 / sizes))
-
 
 def round_residual(
     constants: ConvergenceConstants, participants: int, mse: float
@@ -222,10 +206,8 @@ def round_residual(
 
     Three parts: the partial-participation penalty
     2*lr*kappa*(1 - S/K)^2, the minibatch-noise term
-    lr^2 * L / S^2 * sum_{k in S} grad_variance/batch_k (the sum taken as
-    S * mean(grad_variance/batch) since the schedule records only the
-    participant count; exact for uniform batch sizes), and the
-    aggregation-error term (L/2) * mse.
+    lr^2 * L / S^2 * S * grad_variance / batch, and the aggregation-error
+    term (L/2) * mse.
     """
     if not (1 <= participants <= constants.n_users):
         raise ValueError("participants must be in 1..n_users")
@@ -233,7 +215,7 @@ def round_residual(
         raise ValueError("mse must be >= 0")
     c = constants
     drop = 2.0 * c.lr * c.grad_norm_bound * (1.0 - participants / c.n_users) ** 2
-    grad_sum = participants * c.grad_variance * c.mean_inverse_batch()
+    grad_sum = participants * c.grad_variance * (1.0 / c.batch_size)
     noise = (c.lr**2) * c.smoothness / participants**2 * grad_sum
     return drop + noise + (c.smoothness / 2.0) * mse
 

@@ -42,7 +42,6 @@ __all__ = [
     "GaussianJakes",
     "DependenceSpec",
     "PortGainMatrix",
-    "as_generator",
     "jakes_correlation_matrix",
     "sample_port_gains",
     "sample_best_gains",
@@ -54,13 +53,6 @@ RngLike = Union[np.random.Generator, np.random.SeedSequence, int]
 
 class SamplingError(RuntimeError):
     """A sampler produced a nonfinite draw or an unusable covariance."""
-
-
-def as_generator(rng: RngLike) -> np.random.Generator:
-    """Coerce a seed, SeedSequence, or Generator into a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 @dataclass(frozen=True)
@@ -212,7 +204,7 @@ def _draw(
         raise ValueError("n_users must be >= 1")
     if n_ports < 1:
         raise ValueError("n_ports must be >= 1")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     if isinstance(dep, Independent):
         gains = gen.standard_exponential(size=(n_users, n_ports))
     elif isinstance(dep, Clayton):

@@ -142,7 +142,7 @@ _ROWS = (
     _Row("bound.smoothness", _NUMBER, "smoothness", 4.0),
     _Row("bound.grad_norm_bound", _NUMBER, "grad_norm_bound", 1.0),
     _Row("bound.grad_variance", _NUMBER, "grad_variance", 1.0),
-    _Row("bound.batch", _COUNT, "batch_sizes", 32),
+    _Row("bound.batch", _COUNT, "batch_size", 32),
     _Row("bound.n_users", _COUNT, "n_users", 10),
     # the trajectory's checks name the first gap and the schedule these four make
     _Row("bound.f1_gap", _NUMBER, "first_round_gap", 1.0),
@@ -404,8 +404,10 @@ def _cmd_compare(experiment: str, args, cfg: dict):
     for label, dep in plan.variants:
         if isinstance(dep, GaussianJakes):
             raise ConfigError(f"mc.variants: `{label}` has no closed form to compare against")
-    # looked up when the command runs, so a wrapper set on montecarlo is the one called
-    reports = getattr(montecarlo, experiment)(plan)
+    try:  # looked up when the command runs, so a wrapper set on montecarlo is the one called
+        reports = getattr(montecarlo, experiment)(plan)
+    except ValueError as exc:  # a plan field only this experiment reads, checked before it draws
+        raise _keyed(exc, _ROWS)
     blob = {label: report.to_json_dict() for label, report in reports.items()}
     files = _report_files(args.command.replace("-", "_"), reports, blob)
     for label, report in reports.items():
@@ -425,6 +427,9 @@ def _cmd_copula_check(args, cfg: dict):
     if plan.n_ports < 2:
         raise ConfigError("system.N: copula-check needs n_ports >= 2, "
                           "its Kendall check pairs ports 1 and 2")
+    if plan.diag_rows < 2:
+        raise ConfigError("mc.diag_rows: copula-check needs diag_rows >= 2, "
+                          "its Kendall check needs two rows")
     diag = montecarlo.run_copula_diagnostics(plan)
     files = _report_files("copula_check", diag.cdf_reports, diag.to_json_dict())
     for check in diag.marginal_checks:

@@ -34,7 +34,6 @@ from . import ota
 from .channel import (
     DependenceSpec,
     RngLike,
-    as_generator,
     sample_port_gains,
     select_ports,
 )
@@ -122,7 +121,7 @@ def _train_count(n: int, split: float) -> int:
 
 def _split(x: np.ndarray, y: np.ndarray, split: float, rng: RngLike) -> Dataset:
     n_train = _train_count(x.shape[0], split)
-    order = as_generator(rng).permutation(x.shape[0])
+    order = np.random.default_rng(rng).permutation(x.shape[0])
     idx_train, idx_test = order[:n_train], order[n_train:]
     return Dataset(x[idx_train], y[idx_train], x[idx_test], y[idx_test])
 
@@ -157,7 +156,7 @@ def synthesize_dataset(
         raise ValueError("classes must be >= 2")
     if dims < classes:
         raise ValueError("dims must be >= classes")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     means = np.zeros((classes, dims))
     means[np.arange(classes), np.arange(classes)] = 1.0
     means = separation * (means - means.mean(axis=0))
@@ -177,7 +176,7 @@ def partition_iid(dataset: Dataset, n_clients: int, rng: RngLike) -> tuple[np.nd
         raise ValueError("n_clients must be >= 1")
     if n_clients > n:
         raise ValueError(f"n_clients must be <= {n}, the training samples to split")
-    order = as_generator(rng).permutation(n)
+    order = np.random.default_rng(rng).permutation(n)
     sizes = np.full(n_clients, n // n_clients)
     sizes[: n % n_clients] += 1
     index = np.zeros((n_clients, sizes[0]), dtype=np.intp)
@@ -210,7 +209,7 @@ class MlpModel:
 
     def init_params(self, rng: RngLike) -> np.ndarray:
         """Uniform Xavier/Glorot weights, zero biases."""
-        gen = as_generator(rng)
+        gen = np.random.default_rng(rng)
         lim1 = np.sqrt(6.0 / (self.n_inputs + self.n_hidden))
         lim2 = np.sqrt(6.0 / (self.n_hidden + self.n_classes))
         w1 = gen.uniform(-lim1, lim1, size=(self.n_inputs, self.n_hidden))
@@ -328,10 +327,11 @@ class FlConfig:
 class RoundRecord:
     """One training round's outcome.
 
-    ``mse``, ``eta``, ``train_loss`` are None when undefined (skipped round
-    or the ideal benchmark); ``norm_scale`` is None unless the round went
-    over the air.  ``wall_time`` and ``norm_scale`` stay in memory and are
-    not serialized, so reruns are byte-identical.
+    ``mse``, ``eta``, ``train_loss`` are None on a skipped round; the ideal
+    benchmark's noise-free mean records ``mse`` = 0.0 and ``eta`` None.
+    ``norm_scale`` is None unless the round went over the air.
+    ``wall_time`` and ``norm_scale`` stay in memory and are not serialized,
+    so reruns are byte-identical.
     """
 
     round: int
@@ -392,7 +392,7 @@ def local_update(
     None).  Returns the (S, P) new parameters and the (S,) losses of each
     client's first batch at w_global.
     """
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     index, sizes = shards
     lengths = np.minimum(cfg.batch_size, sizes[cohort])
     padding = np.arange(index.shape[1]) >= sizes[cohort, None]

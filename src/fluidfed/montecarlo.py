@@ -121,8 +121,6 @@ class McPlan:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.link  # building the OtaConfig checks p_max, sigma2 and tau
-        if not (1 <= self.s_target <= self.n_users):
-            raise ValueError("s_target must be in 1..n_users")
         for name in ("tau_grid", "n_grid", "gain_grid", "variants", "diag_betas"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must not be empty")
@@ -310,8 +308,11 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
 def run_mse_cdf_experiment(plan: McPlan) -> dict:
     """Empirical vs analytic CDF of the rank-S normalized error.
 
-    Returns {variant label: ComparisonReport}.
+    Returns {variant label: ComparisonReport}.  ``plan.s_target`` is
+    checked here, before any draw: no other experiment reads it.
     """
+    if not (1 <= plan.s_target <= plan.n_users):
+        raise ValueError("s_target must be in 1..n_users")
     rank, grid = plan.s_target - 1, plan.tau_grid
 
     def below_tau(best):

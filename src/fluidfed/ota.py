@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .channel import RngLike, as_generator
+from .channel import RngLike
 
 __all__ = [
     "NoParticipantsError",
@@ -141,6 +141,6 @@ def ota_aggregate(
         raise ValueError("updates must be (n_selected, d)")
     if u.shape[1] != outcome.d:
         raise ValueError(f"update dimension {u.shape[1]} != power-controlled d={outcome.d}")
-    gen = as_generator(rng)
+    gen = np.random.default_rng(rng)
     noise = gen.standard_normal(outcome.d) * np.sqrt(cfg.sigma2)
     return (u.sum(axis=0) + noise / np.sqrt(outcome.eta)) / s

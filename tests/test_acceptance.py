@@ -344,7 +344,7 @@ def test_accept_10_bound_properties():
         smoothness=3.0,
         grad_norm_bound=0.8,
         grad_variance=1.0,
-        batch_sizes=32,
+        batch_size=32,
         n_users=10,
     )
     rng = np.random.default_rng(5)
@@ -371,7 +371,7 @@ def test_accept_10_bound_properties():
         smoothness=3.0,
         grad_norm_bound=0.0,
         grad_variance=0.0,
-        batch_sizes=32,
+        batch_size=32,
         n_users=10,
     )
     traj = optimality_gap_trajectory(c0, [(10, 0.0)] * 40, 1.0)

@@ -13,6 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import binom
@@ -262,6 +263,16 @@ def test_participation_pmf_sums_to_one_and_matches_scipy():
     assert pmf[10] == pytest.approx(0.17283776919534384, rel=1e-11)
 
 
+def _log_relative_error(got, expected):
+    """|got - expected| / expected in units of max(1, |log expected|) * eps.
+
+    exp turns an absolute error d in a log into a relative error d, so a
+    value formed as exp(log) is good to a few eps times |log| at best.
+    """
+    ref = float(expected)
+    return abs(got - ref) / ref / max(1.0, abs(float(mp.log(expected)))) / np.finfo(float).eps
+
+
 def test_participation_pmf_is_one_hot_where_q_is_0_or_1():
     # threshold 800: q = e^-800 underflows to 0; threshold 1e-20: F ~ 1e-200, q = 1
     dist = GainDistribution(10, Independent())
@@ -269,7 +280,53 @@ def test_participation_pmf_is_one_hot_where_q_is_0_or_1():
     nobody = participation_pmf_vector(dist, 20, 800.0)
     everybody = participation_pmf_vector(dist, 20, 1e-20)
     assert nobody.tolist() == [1.0] + [0.0] * 20
-    assert everybody.tolist() == [0.0] * 20 + [1.0]
+    # q rounds to 1, yet P(count = 19) = 20 F (1 - F)^19 = 1.9999999999999989e-199
+    # (mpmath, 60 digits); every lower count underflows
+    assert everybody[:19].tolist() == [0.0] * 19 and everybody[20] == 1.0
+    assert _log_relative_error(everybody[19], mp.mpf("1.9999999999999989e-199")) < 4
+
+
+@pytest.mark.parametrize("threshold", [0.05, 1e-3])
+def test_participation_pmf_lower_tail_matches_mpmath(threshold):
+    # independent ports, N=10, K=20; 0.05 is sigma2/(p_max*tau) at tau=2 and
+    # the default link. F = 7.7e-14 and 1.0e-30 there, so q rounds toward 1
+    # and log(1 - q) loses F's digits; counts below 20 are all in the tail
+    pmf = participation_pmf_vector(GainDistribution(10, Independent()), 20, threshold)
+    with mp.workdps(60):
+        f = (-mp.expm1(-mp.mpf(threshold))) ** 10
+        expected = [mp.binomial(20, s) * (1 - f) ** s * f ** (20 - s) for s in range(21)]
+        for s, want in enumerate(expected):
+            if want > mp.mpf("1e-290"):  # below that, subnormal or 0 in double
+                assert _log_relative_error(pmf[s], want) < 4, s
+            else:
+                assert pmf[s] < 1e-290, s
+
+
+def _gain_cdf_oracle(n, dep, x):
+    """Direct-form best-port CDF at the working mpmath precision."""
+    m = -mp.expm1(-mp.mpf(x))
+    if isinstance(dep, PerfectDependence) or m == 0:
+        return m
+    if isinstance(dep, Independent):
+        return m**n
+    beta = mp.mpf(dep.beta)
+    return (n * m**-beta - n + 1) ** (-1 / beta)
+
+
+@pytest.mark.parametrize("n", [1, 10, 64])
+@pytest.mark.parametrize("label", list(DEEP_DEPS))
+def test_cdf_relative_precision_matches_mpmath_from_1e_200_to_1(label, n):
+    dist = GainDistribution(n, DEEP_DEPS[label])
+    assert channel_gain_cdf(dist, 0.0) == 0.0
+    # near x = 0, F grows like x^N under independence and like a multiple of x
+    # otherwise; one grid for each reaches F = 1e-200, and both end at 1 - 1e-13
+    xs = np.concatenate([np.logspace(-200.0, 1.5, 41), np.logspace(-200.0 / n, 1.5, 40)])
+    got = channel_gain_cdf(dist, xs)
+    with mp.workdps(60):
+        for x, value in zip(xs, got):
+            want = _gain_cdf_oracle(n, DEEP_DEPS[label], x)
+            if want > mp.mpf("1e-200"):
+                assert _log_relative_error(value, want) < 4, x
 
 
 def test_participation_mean_is_k_times_q():
@@ -352,7 +409,7 @@ def _constants(**kw):
         smoothness=2.0,
         grad_norm_bound=1.0,
         grad_variance=1.0,
-        batch_sizes=4,
+        batch_size=4,
         n_users=4,
     )
     base.update(kw)
@@ -431,7 +488,7 @@ def test_constants_validation():
     with pytest.raises(ValueError):
         _constants(pl_constant=-1.0)
     with pytest.raises(ValueError):
-        _constants(batch_sizes=[4, 0, 2])
+        _constants(batch_size=0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _constants(lr=0.99, pl_constant=0.9)  # psi = 0.109, contracting
@@ -444,8 +501,3 @@ def test_constants_psi_warning_fires_outside_unit_interval():
     with pytest.warns(UserWarning):
         c = _constants(lr=0.9, pl_constant=3.0)
     assert c.psi == pytest.approx(-1.7)
-
-
-def test_per_user_batch_sizes():
-    c = _constants(batch_sizes=[2, 4, 8, 8])
-    assert c.mean_inverse_batch() == pytest.approx((1 / 2 + 1 / 4 + 1 / 8 + 1 / 8) / 4)

@@ -228,6 +228,9 @@ def _flags(n, command, flags, message):
         # the Kendall check pairs the first two ports
         pytest.param("copula-check", "system.N=1", "system.N: copula-check needs n_ports >= 2",
                      id="copula-check-system.N=1-needs two ports"),
+        # kendalltau of one row is NaN, which the run would report as a statistical failure
+        pytest.param("copula-check", "mc.diag_rows=1", "mc.diag_rows: copula-check needs diag_rows >= 2",
+                     id="copula-check-mc.diag_rows=1-needs two rows"),
         ("cdf-mse", "mc.variants=[]", "variants must not be empty"),
         ("cdf-mse", 'mc.variants=["jakes"]', "`jakes` has no closed form"),
         ("port-sweep", 'mc.variants=["fpa","jakes"]', "`jakes` has no closed form"),
@@ -263,7 +266,7 @@ def _flags(n, command, flags, message):
         ("bound", "bound.f1_gap=NaN", "`bound.f1_gap` must be a finite number"),
         ("bound", "bound.f1_gap=-1", "bound.f1_gap: first_round_gap must be >= 0"),
         ("bound", "bound.grad_variance=-1", "bound.grad_variance: grad_variance must be >= 0"),
-        ("bound", "bound.batch=0", "bound.batch: batch_sizes must be >= 1"),
+        ("bound", "bound.batch=0", "bound.batch: batch_size must be >= 1"),
         ("bound", "bound.schedule=[[3.5,0.1]]", "`bound.schedule[0][0]` must be a whole number >= 0"),
         # train sends vectors of the model's parameter count
         ("train", "system.d=1000", "unknown key `system.d`"),
@@ -517,6 +520,26 @@ def test_different_seed_changes_outputs(tmp_path):
     assert blob1 != blob2
 
 
+@pytest.mark.parametrize("command, rc", [
+    pytest.param("pmf-users", 0, id="pmf-users-runs"),
+    pytest.param("port-sweep", 0, id="port-sweep-runs"),
+    pytest.param("copula-check", 0, id="copula-check-runs"),
+    pytest.param("cdf-mse", 2, id="cdf-mse-exits-2-before-drawing"),
+])
+def test_s_target_binds_only_cdf_mse(tmp_path, capsys, monkeypatch, command, rc):
+    # the default mc.s_target = 15 exceeds K = 10, and only cdf-mse ranks users by it
+    def no_draws(*args, **kwargs):
+        raise AssertionError("cdf-mse drew gains before checking mc.s_target")
+
+    if rc:
+        monkeypatch.setattr(mc, "sample_best_gains", no_draws)
+    out = tmp_path / "a" / "nested"
+    assert main([command, "--out", str(out), *FAST_MC, "--set", "system.K=10"]) == rc
+    assert out.exists() == (rc == 0)
+    if rc:
+        assert "config error: mc.s_target: s_target must be in 1..n_users" in capsys.readouterr().err
+
+
 def test_port_sweep_run(tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["port-sweep", "--out", str(out), *FAST_MC])
@@ -647,7 +670,9 @@ def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
 # instead of whole gain matrices; the CSV digests were taken again when the
 # CSV line ends became LF, with every byte else unchanged); the second plan
 # has 33 ports (a partial last block) and Clayton betas near both dependence
-# limits
+# limits.  The pmf-users and copula-check digests that moved were taken again
+# when every closed form came to be read off one log F: only the analytic,
+# stderr, sup_gap and jakes_gaps values moved, in their last digits
 MC_WIDE_BETAS = ["--set", "system.K=40", "--set", "system.N=33",
                  "--set", 'mc.variants=["independent","clayton:0.05","clayton:30","fpa"]']
 MC_GOLDEN = [
@@ -674,21 +699,21 @@ MC_GOLDEN = [
     (
         "pmf-users", [],
         {
-            "pmf_users_clayton-1.csv": "072d73902943ad7abbf281fba7a4a516ec7f8782b34f4ba1fb6a5231d9916664",
+            "pmf_users_clayton-1.csv": "bd7997580fbff0c7f711e4adbf478873d294a1b670bf24b57ee3f8b8f09ca431",
             "pmf_users_clayton-2.csv": "fa5f9000ce1143c6b608be50030c723ff58fe6a40e8f85a768fad510dee7da09",
             "pmf_users_fpa.csv": "871910f0685761d8c54a1933db46739be10eefa4dccc5b67405bed6caade712e",
             "pmf_users_independent.csv": "87396c38ac951d1f28045451ee279e6377e291e1cab4fac4a5e235fca9e0df52",
-            "pmf_users_report.json": "820b252e9c66a5b0d608cfdfc97d4fac1da21f66de475c1550b0632180b78aac",
+            "pmf_users_report.json": "f2bdbbeeb8374bd2126fa8c73aee5128e9055df0abd585cfa499d372acb4e172",
         },
     ),
     (
         "pmf-users", MC_WIDE_BETAS,
         {
-            "pmf_users_clayton-0.05.csv": "d6c62fc4a73effc78a6fed62b7bce562d11932106c1f1612b353842664ee4490",
+            "pmf_users_clayton-0.05.csv": "6e9d1d7e11acbcf3d21a8f568240fddbf7052490369219f14e289d667d3a1199",
             "pmf_users_clayton-30.csv": "281f8b43dcd646e68ecab120cd3ad5d93fdd1c8887133587b432cbf6e68573fa",
             "pmf_users_fpa.csv": "d989b7141aa1f3467a239b8fa67c7f1c16a62bf422b8afc7bc73adc0520347f2",
-            "pmf_users_independent.csv": "72a3f1ec4028ad397e19dfb5936ad501d8b07e02aa702306c590fe2c3a62f96a",
-            "pmf_users_report.json": "f23622754c6925a397674868145ed11334fae1a31f0b9b6ee2e0a9eb80a51258",
+            "pmf_users_independent.csv": "5fdff620f84af71985cce17f3cd385f393925a59328020f9a4883617bde4c5b9",
+            "pmf_users_report.json": "5d458bee51ea8de5807441e34ee3f9ec6c43527aa87602856b39f2e077545a6d",
         },
     ),
     # port-sweep frozen with the rows above, copula-check before the config
@@ -706,8 +731,8 @@ MC_GOLDEN = [
     (
         "copula-check", [],
         {
-            "copula_check_clayton-1.csv": "ba1dd6570b74631857303015701173f83169478ec8a17d8a69fe69ce2e1a1833",
-            "copula_check_report.json": "819c8371866816e44d7254edf0f3f5e14b8f8f3a10d50cde9d4a72c49f346f42",
+            "copula_check_clayton-1.csv": "3e5e9816179246f7f13f5ab507d18ad0fae537bd202f1f628362d74fb2782940",
+            "copula_check_report.json": "8524b515aadf75180869ca36ffb350ad4b64c166b882e1587c18b09e556015a9",
         },
     ),
 ]

@@ -55,8 +55,11 @@ def _small_plan(**kw):
 def test_plan_validation():
     with pytest.raises(ValueError):
         _small_plan(trials=0)
-    with pytest.raises(ValueError):
-        _small_plan(s_target=9)  # > n_users
+    # s_target > n_users: only the error-CDF experiment reads it, and it
+    # rejects it before drawing
+    plan = _small_plan(s_target=9)
+    with pytest.raises(ValueError, match="s_target must be in 1..n_users"):
+        run_mse_cdf_experiment(plan)
     for name in ("tau_grid", "gain_grid"):
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             _small_plan(**{name: np.array([1.0, np.inf])})
