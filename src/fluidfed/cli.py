@@ -27,9 +27,10 @@ version, resolved config, master seed, status, timestamps, and the sha256
 of the bytes it wrote for each table.  A command that fails leaves no
 directory.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
 per-variant telemetry (seconds, trial blocks, trials and their rate,
-failing points) and ``train`` adds its own (rounds, skipped rounds, client
-updates and their rate, per-round wall time and norm scale); no hashed
-output contains either.  Exit codes: 0 success,
+failing points), ``copula-check`` adds its own per beta (rows, ports,
+sampling seconds, KS-plus-Kendall seconds) and ``train`` its own (rounds,
+skipped rounds, client updates and their rate, per-round wall time and
+norm scale); no hashed output contains any of them.  Exit codes: 0 success,
 1 statistical check failure or training divergence, 2 usage/config
 error, 3 I/O error.
 """
@@ -424,13 +425,10 @@ def _cmd_compare(experiment: str, args, cfg: dict):
 
 def _cmd_copula_check(args, cfg: dict):
     plan = _plan(cfg)
-    if plan.n_ports < 2:
-        raise ConfigError("system.N: copula-check needs n_ports >= 2, "
-                          "its Kendall check pairs ports 1 and 2")
-    if plan.diag_rows < 2:
-        raise ConfigError("mc.diag_rows: copula-check needs diag_rows >= 2, "
-                          "its Kendall check needs two rows")
-    diag = montecarlo.run_copula_diagnostics(plan)
+    try:
+        diag = montecarlo.run_copula_diagnostics(plan)
+    except ValueError as exc:  # a plan it cannot diagnose, checked before it draws
+        raise _keyed(exc, _ROWS)
     files = _report_files("copula_check", diag.cdf_reports, diag.to_json_dict())
     for check in diag.marginal_checks:
         print(
@@ -452,7 +450,7 @@ def _cmd_copula_check(args, cfg: dict):
         for check in diag.marginal_checks + diag.tau_checks:
             if not check["passed"]:
                 print(f"FAIL diagnostics: {check}", file=sys.stderr)
-    return files, "pass" if diag.all_pass else "statistical-failure", None
+    return files, "pass" if diag.all_pass else "statistical-failure", diag.telemetry
 
 
 def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:

@@ -33,6 +33,13 @@ run_port_sweep : full-participation probability vs port count (per trial
 run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
     ports x betas at FAMILY_ALPHA), Kendall-tau identity, max-gain CDF
     check, and a Bessel-correlated cross-comparison
+
+Only the copula diagnostics load ``scipy.stats``: ``kstest`` takes its
+exact Kolmogorov tail and ``kendalltau`` its rank statistic from it, and
+both import it when first called.  The import costs about half a second
+per process, which every other command (and ``import fluidfed.cli``)
+would otherwise pay for nothing; the closed forms need ``scipy.special``
+only.
 """
 
 from __future__ import annotations
@@ -42,8 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, betaincc
-from scipy.stats import kendalltau, kstest
+from scipy.special import betainc, betaincc, expm1
 
 from .analytics import (
     GainDistribution,
@@ -76,6 +82,8 @@ __all__ = [
     "run_participation_experiment",
     "run_port_sweep",
     "run_copula_diagnostics",
+    "kstest",
+    "kendalltau",
 ]
 
 # gain values drawn per sampler call (trials per block x K x ports)
@@ -382,6 +390,32 @@ def run_port_sweep(plan: McPlan) -> dict:
     return _compare(plan, n_grid, int(n_grid.max()), _port_gains, all_heard, law, meta)
 
 
+def kstest(gains: np.ndarray) -> tuple[float, float]:
+    """Largest two-sided KS statistic of the columns of ``gains`` against
+    Exp(1), and the smallest p-value, from one sort of the block.
+
+    Per column this is ``scipy.stats.kstest(column, "expon")``'s
+    arithmetic: its CDF, its D+ and D-, and the exact kstwo tail.  The tail
+    falls as D rises, so the largest D has the smallest p-value and one
+    tail evaluation serves the whole block.
+    """
+    from scipy.stats import kstwo
+
+    n = gains.shape[0]
+    cdf = -expm1(-np.sort(gains, axis=0))  # expon's CDF; np.expm1 differs in the last ulp
+    d_plus = (np.arange(1, n + 1) / n)[:, None] - cdf
+    d_minus = cdf - (np.arange(0, n) / n)[:, None]
+    d = max(float(d_plus.max()), float(d_minus.max()))
+    return d, float(np.clip(kstwo.sf(d, n), 0.0, 1.0))
+
+
+def kendalltau(x, y) -> float:
+    """Kendall's tau-b of two samples (``scipy.stats.kendalltau``)."""
+    from scipy import stats
+
+    return float(stats.kendalltau(x, y).statistic)
+
+
 @dataclass
 class CopulaDiagnostics:
     """Sampler goodness-of-fit summary.
@@ -391,6 +425,10 @@ class CopulaDiagnostics:
     jakes_gaps: report-only sup gaps between the Bessel-correlated
         empirical max-gain CDF and each closed form (no pass flag; the two
         models are different generative processes).
+    telemetry: per beta label, the block's rows and ports, the seconds
+        spent sampling it and on its KS and Kendall statistics (the first
+        beta's include the ``scipy.stats`` import); kept out of
+        ``to_json_dict``.
     """
 
     marginal_checks: list
@@ -398,6 +436,7 @@ class CopulaDiagnostics:
     cdf_reports: dict
     jakes_gaps: dict
     meta: dict
+    telemetry: dict = field(default_factory=dict)
 
     @property
     def all_pass(self) -> bool:
@@ -421,7 +460,15 @@ class CopulaDiagnostics:
 
 
 def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
-    """Check the copula sampler's marginals, rank correlation, and max law."""
+    """Check the copula sampler's marginals, rank correlation, and max law.
+
+    The Kendall check pairs ports 1 and 2 and needs two rows; plans with
+    fewer are rejected before any draw.
+    """
+    if plan.n_ports < 2:
+        raise ValueError("n_ports must be >= 2: the Kendall check pairs ports 1 and 2")
+    if plan.diag_rows < 2:
+        raise ValueError("diag_rows must be >= 2: the Kendall check needs two rows")
     rows = plan.diag_rows
     root = np.random.SeedSequence(plan.seed)
     beta_streams = root.spawn(len(plan.diag_betas) + 1)
@@ -430,22 +477,27 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
     marginal_checks = []
     tau_checks = []
     cdf_reports = {}
+    telemetry = {}
     for beta, stream in zip(plan.diag_betas, beta_streams[:-1]):
         dep = Clayton(beta)
+        t0 = time.perf_counter()
         gains = sample_port_gains(dep, rows, plan.n_ports, stream).gains
-        ks = [kstest(gains[:, j], "expon") for j in range(plan.n_ports)]
-        min_p = min(float(r.pvalue) for r in ks)
+        t1 = time.perf_counter()
+        max_d, min_p = kstest(gains)
+        tau_emp = kendalltau(gains[:, 0], gains[:, 1])
+        label = f"clayton-{beta:g}"
+        telemetry[label] = {"rows": rows, "ports": plan.n_ports, "sample_s": t1 - t0,
+                            "stats_s": time.perf_counter() - t1}
         marginal_checks.append(
             {
                 "beta": beta,
-                "max_ks_statistic": max(float(r.statistic) for r in ks),
+                "max_ks_statistic": max_d,
                 "min_p_value": min_p,
                 "alpha": ks_alpha,
                 "family_alpha": FAMILY_ALPHA,
                 "passed": bool(min_p > ks_alpha),
             }
         )
-        tau_emp = float(kendalltau(gains[:, 0], gains[:, 1]).statistic)
         tau_ref = beta / (beta + 2.0)
         tau_checks.append(
             {
@@ -460,7 +512,6 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
         analytic = channel_gain_cdf(
             GainDistribution(plan.n_ports, dep), plan.gain_grid
         )
-        label = f"clayton-{beta:g}"
         cdf_reports[label] = ComparisonReport(
             label=label,
             points=_check_points(plan.gain_grid, counts, analytic, rows, alpha),
@@ -495,4 +546,5 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
         cdf_reports=cdf_reports,
         jakes_gaps=jakes_gaps,
         meta=meta,
+        telemetry=telemetry,
     )

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,11 +229,11 @@ def _flags(n, command, flags, message):
         ("copula-check", "mc.diag_betas=[0]", "diag_betas must be finite and > 0"),
         ("copula-check", "mc.diag_betas=[true]", "`mc.diag_betas[0]` must be a finite number"),
         ("copula-check", "mc.gain_grid=[-1.0,6.0,24]", "gain_grid entries must be >= 0"),
-        # the Kendall check pairs the first two ports
-        pytest.param("copula-check", "system.N=1", "system.N: copula-check needs n_ports >= 2",
+        # the Kendall check pairs the first two ports; run_copula_diagnostics rejects both
+        pytest.param("copula-check", "system.N=1", "system.N: n_ports must be >= 2",
                      id="copula-check-system.N=1-needs two ports"),
         # kendalltau of one row is NaN, which the run would report as a statistical failure
-        pytest.param("copula-check", "mc.diag_rows=1", "mc.diag_rows: copula-check needs diag_rows >= 2",
+        pytest.param("copula-check", "mc.diag_rows=1", "mc.diag_rows: diag_rows must be >= 2",
                      id="copula-check-mc.diag_rows=1-needs two rows"),
         ("cdf-mse", "mc.variants=[]", "variants must not be empty"),
         ("cdf-mse", 'mc.variants=["jakes"]', "`jakes` has no closed form"),
@@ -375,7 +379,7 @@ DOCTORED = mc.ComparisonReport("doctored", [mc.GridPointCheck(1.0, 0.9, 0.1, 0.0
         ("cdf-mse", FAST_MC, True, False),
         ("pmf-users", FAST_MC, True, False),
         ("port-sweep", FAST_MC, True, False),
-        ("copula-check", FAST_MC, False, False),
+        ("copula-check", FAST_MC, True, False),
         ("train", FAST_FL, True, False),
         ("bound", [], False, False),
         ("bound", ["--records", "{records}"], False, False),
@@ -560,6 +564,37 @@ def test_copula_check_run(tmp_path, capsys):
     assert blob["tau_checks"][0]["beta"] == 1.0
     stdout = capsys.readouterr().out
     assert "kendall tau" in stdout
+
+
+# copula-check alone loads scipy.stats; the check runs in a fresh interpreter
+FOOTPRINT = """
+import sys
+from fluidfed import cli
+argv = sys.argv[1:]
+if argv:
+    assert cli.main(argv) == 0
+print('scipy.stats' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], False),
+        (["cdf-mse", *FAST_MC], False),
+        (["train", *FAST_FL], False),
+        (["bound"], False),
+        (["copula-check", *FAST_MC], True),
+    ],
+    ids=["import", "cdf-mse", "train", "bound", "copula-check"],
+)
+def test_only_copula_check_loads_scipy_stats(tmp_path, argv, loaded):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    args = [*argv[:1], "--out", str(tmp_path / "out"), *argv[1:]] if argv else []
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_train_run_writes_per_variant_records(tmp_path, capsys):

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.stats import binom
 
 from fluidfed import montecarlo
@@ -292,6 +293,61 @@ def test_copula_marginal_gate_rejects_scaled_exponential_marginals(monkeypatch):
     assert not check["passed"]
     assert check["min_p_value"] < montecarlo.FAMILY_ALPHA / 40
     assert not diag.all_pass
+
+
+def _scipy_ks(gains):
+    """Per column scipy.stats.kstest against Exp(1): the D values, and
+    (max D, min p) as montecarlo.kstest reports them."""
+    per_column = [stats.kstest(gains[:, j], "expon") for j in range(gains.shape[1])]
+    d = [float(r.statistic) for r in per_column]
+    return d, (max(d), min(float(r.pvalue) for r in per_column))
+
+
+@pytest.mark.parametrize("rows, ports", [(20, 2), (500, 3), (20_000, 10)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_sort_kstest_matches_scipy_column_by_column(rows, ports, seed):
+    gains = sample_port_gains(Clayton(1.0 + seed), rows, ports, seed).gains
+    assert montecarlo.kstest(gains) == _scipy_ks(gains)[1]
+
+
+def test_one_sort_kstest_finds_a_stretched_last_column():
+    # Exp(scale 1.05) in the last port only, at the default 100k rows: the
+    # largest D is not column 0's, and the default plan's gate rejects it
+    plan = McPlan()
+    gains = sample_port_gains(Clayton(2.0), plan.diag_rows, plan.n_ports, 3).gains
+    gains[:, -1] *= 1.05
+    d, expected = _scipy_ks(gains)
+    assert int(np.argmax(d)) == plan.n_ports - 1
+    max_d, min_p = montecarlo.kstest(gains)
+    assert (max_d, min_p) == expected
+    assert min_p < montecarlo.FAMILY_ALPHA / (len(plan.diag_betas) * plan.n_ports)
+
+
+def test_kendalltau_matches_scipy():
+    gains = sample_port_gains(Clayton(2.0), 2000, 2, 0).gains
+    expected = stats.kendalltau(gains[:, 0], gains[:, 1]).statistic
+    assert montecarlo.kendalltau(gains[:, 0], gains[:, 1]) == expected
+
+
+@pytest.mark.parametrize("field, value", [("n_ports", 1), ("diag_rows", 1)])
+def test_copula_diagnostics_reject_plans_they_cannot_diagnose(monkeypatch, field, value):
+    # the Kendall check pairs ports 1 and 2 over at least two rows; the plan
+    # is rejected before any draw, with the field named first
+    def no_draw(*args):
+        raise AssertionError("drew before checking the plan")
+
+    monkeypatch.setattr(montecarlo, "sample_port_gains", no_draw)
+    with pytest.raises(ValueError, match=f"^{field} must be >= 2"):
+        run_copula_diagnostics(_small_plan(**{field: value}))
+
+
+def test_copula_diagnostics_telemetry_stays_out_of_the_report():
+    diag = run_copula_diagnostics(_small_plan(diag_rows=500))
+    assert set(diag.telemetry) == {"clayton-1", "clayton-2"}
+    for entry in diag.telemetry.values():
+        assert (entry["rows"], entry["ports"]) == (500, 5)
+        assert entry["sample_s"] >= 0 and entry["stats_s"] >= 0
+    assert "telemetry" not in diag.to_json_dict()
 
 
 def test_report_all_pass_logic():
