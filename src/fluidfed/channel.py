@@ -21,6 +21,9 @@ sample_best_gains : each user's best-port gain, from the same draws as
 select_ports : each user's best-port gain from a sampled gain matrix
 jakes_correlation_matrix : the port covariance of the Gaussian model
 
+Each DependenceSpec names itself by ``label`` (independent, clayton-{beta:g},
+fpa, jakes), the key of its reports, output files and manifest blocks.
+
 All samplers are pure functions of an explicit RNG stream: pass an integer
 seed, a ``numpy.random.SeedSequence``, or a ``numpy.random.Generator``.
 Sub-streams for parallel work should be derived with ``SeedSequence.spawn``.
@@ -59,6 +62,8 @@ class SamplingError(RuntimeError):
 class Independent:
     """Ports fade independently (infinite-spacing idealization)."""
 
+    label = "independent"
+
 
 @dataclass(frozen=True)
 class Clayton:
@@ -68,12 +73,18 @@ class Clayton:
 
     def __post_init__(self):
         if not (self.beta > 0) or not np.isfinite(self.beta):
-            raise ValueError("Clayton beta must be finite and > 0")
+            raise ValueError("clayton beta must be finite and > 0")
+
+    @property
+    def label(self) -> str:
+        return f"clayton-{self.beta:g}"
 
 
 @dataclass(frozen=True)
 class PerfectDependence:
     """All ports share one fade (single-port / FPA limit)."""
+
+    label = "fpa"
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,7 @@ class GaussianJakes:
 
     aperture: float
     power: float = 1.0
+    label = "jakes"  # a class attribute, not a field: every aperture shares it
 
     def __post_init__(self):
         if self.aperture < 0:

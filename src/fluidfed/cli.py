@@ -273,47 +273,36 @@ def _build(cls, cfg: dict, sections: tuple, **given):
         raise _keyed(exc, rows)
 
 
-def parse_variant(spec: str, aperture: float = 0.5):
-    """Variant string -> (file label, dependence or 'ideal')."""
+def parse_variant(spec: str, aperture: float):
+    """Variant string (case and blanks folded, ``perfect`` = ``fpa``) -> its
+    dependence spec, or None for the ideal benchmark."""
     name = spec.strip().lower()
-    if name == "ideal":
-        return "ideal", "ideal"
-    if name == "independent":
-        return "independent", Independent()
-    if name in ("fpa", "perfect"):
-        return "fpa", PerfectDependence()
     if name.startswith("clayton:"):
         try:
-            beta = float(name.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad clayton variant `{spec}`")
-        if not 0 < beta < np.inf:
-            raise ConfigError(f"clayton beta must be finite and > 0 in `{spec}`")
-        return f"clayton-{beta:g}", Clayton(beta)
+            return Clayton(float(name[len("clayton:"):]))
+        except ValueError as exc:  # not a number, or not a Clayton beta
+            raise ConfigError(f"bad clayton variant `{spec}`: {exc}")
     if name == "jakes":
-        return "jakes", GaussianJakes(aperture=aperture)
-    raise ConfigError(
-        f"unknown variant `{spec}` (expected ideal, independent, "
-        "clayton:<beta>, fpa, or jakes)"
-    )
+        return GaussianJakes(aperture=aperture)
+    named = {"ideal": None, "independent": Independent(), "fpa": PerfectDependence(),
+             "perfect": PerfectDependence()}
+    if name not in named:
+        raise ConfigError(f"unknown variant `{spec}` (expected ideal, independent, "
+                          "clayton:<beta>, fpa, or jakes)")
+    return named[name]
 
 
 def _variants(cfg: dict, section: str) -> list:
+    """The parsed specs of ``section.variants``, None standing for ``ideal``."""
     try:
-        variants = [parse_variant(v, aperture=float(cfg["system"]["W"]))
-                    for v in cfg[section]["variants"]]
+        return [parse_variant(v, float(cfg["system"]["W"])) for v in cfg[section]["variants"]]
     except ConfigError as exc:
         raise ConfigError(f"{section}.variants: {exc}")
-    labels = [label for label, _ in variants]
-    for label in labels:
-        if labels.count(label) > 1:  # their output files and reports would collide
-            raise ConfigError(f"{section}.variants: `{label}` is listed more than once")
-    return variants
 
 
 def _plan(cfg: dict) -> montecarlo.McPlan:
     variants = _variants(cfg, "mc")
-    if any(dep == "ideal" for _, dep in variants):
+    if None in variants:
         raise ConfigError("mc.variants: `ideal` is a training variant, not an mc variant")
     return _build(montecarlo.McPlan, cfg, ("system", "mc"), variants=tuple(variants))
 
@@ -402,9 +391,9 @@ def _report_failures(reports) -> bool:
 def _cmd_compare(experiment: str, args, cfg: dict):
     """Run one analytic-vs-Monte-Carlo experiment; a CSV per variant."""
     plan = _plan(cfg)
-    for label, dep in plan.variants:
+    for dep in plan.variants:
         if isinstance(dep, GaussianJakes):
-            raise ConfigError(f"mc.variants: `{label}` has no closed form to compare against")
+            raise ConfigError(f"mc.variants: `{dep.label}` has no closed form to compare against")
     try:  # looked up when the command runs, so a wrapper set on montecarlo is the one called
         reports = getattr(montecarlo, experiment)(plan)
     except ValueError as exc:  # a plan field only this experiment reads, checked before it draws
@@ -473,23 +462,24 @@ def _cmd_train(args, cfg: dict):
     if not cfg["fl"]["variants"]:  # also when --benchmark kept none of them
         raise ConfigError("fl.variants must not be empty")
     link = _build(ota.OtaConfig, cfg, ("system",))
-    runs = [
-        (label, dep, _build(fedlearn.FlConfig, cfg, ("system", "fl"),
-                            benchmark="ideal" if dep == "ideal" else "ota"))
-        for label, dep in _variants(cfg, "fl")
-    ]
-    try:  # the variants share one dataset and partition
-        data = fedlearn.training_data(runs[0][2], seed)
+    runs = {}  # label -> (dep, FlConfig), in config order
+    for dep in _variants(cfg, "fl"):
+        label = "ideal" if dep is None else dep.label
+        if label in runs:  # the second run would overwrite the first's files
+            raise ConfigError(f"fl.variants: `{label}` is listed more than once")
+        runs[label] = dep, _build(fedlearn.FlConfig, cfg, ("system", "fl"),
+                                  benchmark="ideal" if dep is None else "ota")
+    try:  # the variants differ in benchmark only: they share one dataset and partition
+        data = fedlearn.training_data(runs[label][1], seed)
     except ValueError as exc:
         raise _keyed(exc, _ROWS)
     files = {}
     diverged = []
     telemetry = {}
-    for label, dep, fl in runs:
-        dep_obj = Independent() if dep == "ideal" else dep
+    for label, (dep, fl) in runs.items():
         t0 = time.perf_counter()
         try:
-            records = fedlearn.run_training(fl, link, dep_obj, *data, seed=seed)
+            records = fedlearn.run_training(fl, link, dep, *data, seed=seed)
         except fedlearn.TrainingDivergedError as exc:
             records = exc.records
             diverged.append(label)
@@ -586,9 +576,9 @@ def main(argv=None) -> int:
     try:
         cfg, source = load_config(args.config, args.overrides)
         flags = [("--seed", "mc.seed", args.seed), ("--trials", "mc.trials", args.trials)]
-        if getattr(args, "benchmark", None) is not None:
+        if getattr(args, "benchmark", None) is not None:  # decided on the parsed variants
             kept = ["ideal"] if args.benchmark == "ideal" else [
-                v for v in cfg["fl"]["variants"] if v != "ideal"]
+                v for v, dep in zip(cfg["fl"]["variants"], _variants(cfg, "fl")) if dep is not None]
             flags.append(("--benchmark", "fl.variants", kept))
         for flag, key, value in flags:
             if value is not None:

@@ -455,7 +455,7 @@ def training_data(fl: FlConfig, seed: int = 0) -> tuple[Dataset, tuple[np.ndarra
 def run_training(
     fl: FlConfig,
     link: ota.OtaConfig,
-    dep: DependenceSpec,
+    dep: DependenceSpec | None,
     dataset: Dataset,
     shards: tuple[np.ndarray, np.ndarray],
     seed: int = 0,
@@ -469,7 +469,8 @@ def run_training(
     Each round is one ``local_update`` call: on every client for the ideal
     benchmark, then averaged; on the selected clients for the OTA path, then
     normalized and aggregated over the air as vectors of the model's
-    parameter count.
+    parameter count.  The ideal benchmark draws no channel: ``dep`` is
+    unused there, and may be None.
     """
     _, init_ss, rounds_ss = np.random.SeedSequence(seed).spawn(3)
     model = MlpModel(dataset.n_features, fl.hidden, dataset.n_classes)

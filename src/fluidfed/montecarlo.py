@@ -21,7 +21,10 @@ keeps the whole matrix for its prefix maxima.
 
 Experiments
 -----------
-The three comparisons return {variant label: ComparisonReport}; each
+``McPlan.variants`` holds dependence specs, DEFAULT_VARIANTS unless set.
+The three comparisons return {spec.label: ComparisonReport}, and the
+copula diagnostics key each beta by ``Clayton(beta).label``, so McPlan
+rejects two variants, or two diagnosed betas, that share a label.  Each
 grid point carries its closed-form value as ``GridPointCheck.analytic``.
 
 run_mse_cdf_experiment : CDF of the rank-S normalized aggregation error
@@ -35,11 +38,11 @@ run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
     check, and a Bessel-correlated cross-comparison
 
 Only the copula diagnostics load ``scipy.stats``: ``kstest`` takes its
-exact Kolmogorov tail and ``kendalltau`` its rank statistic from it, and
-both import it when first called.  The import costs about half a second
-per process, which every other command (and ``import fluidfed.cli``)
-would otherwise pay for nothing; the closed forms need ``scipy.special``
-only.
+exact Kolmogorov tail and ``kendalltau`` its rank statistic from it;
+each imports it when called, and ``run_copula_diagnostics`` before its
+timed statistics.  The import costs about half a second per process,
+which every other command (and ``import fluidfed.cli``) would otherwise
+pay for nothing; the closed forms need ``scipy.special`` only.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .analytics import (
 )
 from .channel import (
     Clayton,
-    DependenceSpec,
     GaussianJakes,
     Independent,
     PerfectDependence,
@@ -77,7 +79,7 @@ __all__ = [
     "ComparisonReport",
     "CopulaDiagnostics",
     "trial_streams",
-    "default_variants",
+    "DEFAULT_VARIANTS",
     "run_mse_cdf_experiment",
     "run_participation_experiment",
     "run_port_sweep",
@@ -89,15 +91,7 @@ __all__ = [
 # gain values drawn per sampler call (trials per block x K x ports)
 BLOCK_VALUES = 1 << 16
 FAMILY_ALPHA = 1e-3
-
-
-def default_variants() -> tuple[tuple[str, DependenceSpec], ...]:
-    return (
-        ("independent", Independent()),
-        ("clayton-1", Clayton(1.0)),
-        ("clayton-2", Clayton(2.0)),
-        ("fpa", PerfectDependence()),
-    )
+DEFAULT_VARIANTS = (Independent(), Clayton(1.0), Clayton(2.0), PerfectDependence())
 
 
 @dataclass
@@ -119,7 +113,7 @@ class McPlan:
     gain_grid: np.ndarray = field(
         default_factory=lambda: np.linspace(0.05, 6.0, 24)
     )
-    variants: tuple = field(default_factory=default_variants)
+    variants: tuple = DEFAULT_VARIANTS
     diag_betas: tuple = (0.5, 1.0, 2.0, 5.0)
     diag_rows: int = 100_000
     jakes_aperture: float = 0.5
@@ -141,6 +135,11 @@ class McPlan:
                 raise ValueError(f"{name} entries must be finite")
         if not all(0 < b < np.inf for b in self.diag_betas):
             raise ValueError("diag_betas must be finite and > 0")
+        for name, labels in (("variants", [dep.label for dep in self.variants]),
+                             ("diag_betas", [Clayton(b).label for b in self.diag_betas])):
+            for i, label in enumerate(labels):
+                if label in labels[:i]:  # one report would silently replace the other
+                    raise ValueError(f"{name} entry `{label}` is listed more than once")
         # the error CDF's largest gain argument must be finite; p_max is named
         # when it alone overflows it
         p_max, low = float(self.p_max), float(np.min(self.tau_grid))
@@ -279,15 +278,15 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
     family-wise false-alarm rate FAMILY_ALPHA.
     Returns {variant label: ComparisonReport}.
     """
-    dists = [GainDistribution(plan.n_ports, dep) for _, dep in plan.variants]
+    dists = [GainDistribution(plan.n_ports, dep) for dep in plan.variants]
     alpha = FAMILY_ALPHA / (len(dists) * (len(xs) + (mean_law is not None)))
     roots = np.random.SeedSequence(plan.seed).spawn(len(dists))
     out = {}
-    for (label, dep), dist, root in zip(plan.variants, dists, roots):
+    for dep, dist, root in zip(plan.variants, dists, roots):
         t0 = time.perf_counter()
         counts, blocks = _simulate(plan, dep, root, n_sampled, draw, statistic)
         analytic = law(dist)
-        report_meta = dict(meta, variant=label, n_users=plan.n_users, trials=plan.trials,
+        report_meta = dict(meta, variant=dep.label, n_users=plan.n_users, trials=plan.trials,
                            seed=plan.seed, family_alpha=FAMILY_ALPHA)
         failing = 0
         if mean_law is not None:
@@ -309,7 +308,7 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
             "trials_per_s": plan.trials / seconds if seconds > 0 else None,
             "failing_points": failing + sum(not p.passed for p in points),
         }
-        out[label] = ComparisonReport(label, points, report_meta, telemetry)
+        out[dep.label] = ComparisonReport(dep.label, points, report_meta, telemetry)
     return out
 
 
@@ -426,8 +425,7 @@ class CopulaDiagnostics:
         empirical max-gain CDF and each closed form (no pass flag; the two
         models are different generative processes).
     telemetry: per beta label, the block's rows and ports, the seconds
-        spent sampling it and on its KS and Kendall statistics (the first
-        beta's include the ``scipy.stats`` import); kept out of
+        spent sampling it and on its KS and Kendall statistics; kept out of
         ``to_json_dict``.
     """
 
@@ -469,6 +467,8 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
         raise ValueError("n_ports must be >= 2: the Kendall check pairs ports 1 and 2")
     if plan.diag_rows < 2:
         raise ValueError("diag_rows must be >= 2: the Kendall check needs two rows")
+    import scipy.stats  # noqa: F401  loaded here, so no beta's stats_s times the import
+
     rows = plan.diag_rows
     root = np.random.SeedSequence(plan.seed)
     beta_streams = root.spawn(len(plan.diag_betas) + 1)
@@ -485,8 +485,7 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
         t1 = time.perf_counter()
         max_d, min_p = kstest(gains)
         tau_emp = kendalltau(gains[:, 0], gains[:, 1])
-        label = f"clayton-{beta:g}"
-        telemetry[label] = {"rows": rows, "ports": plan.n_ports, "sample_s": t1 - t0,
+        telemetry[dep.label] = {"rows": rows, "ports": plan.n_ports, "sample_s": t1 - t0,
                             "stats_s": time.perf_counter() - t1}
         marginal_checks.append(
             {
@@ -512,8 +511,8 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
         analytic = channel_gain_cdf(
             GainDistribution(plan.n_ports, dep), plan.gain_grid
         )
-        cdf_reports[label] = ComparisonReport(
-            label=label,
+        cdf_reports[dep.label] = ComparisonReport(
+            label=dep.label,
             points=_check_points(plan.gain_grid, counts, analytic, rows, alpha),
             meta={
                 "experiment": "copula-max-cdf",
@@ -527,11 +526,9 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
     ).gains
     jakes_cdf = (jakes.max(axis=1)[:, None] < plan.gain_grid).mean(axis=0)
     jakes_gaps = {}
-    references = [("independent", Independent()), ("fpa", PerfectDependence())]
-    references += [(f"clayton-{b:g}", Clayton(b)) for b in plan.diag_betas]
-    for label, dep in references:
+    for dep in (Independent(), PerfectDependence(), *map(Clayton, plan.diag_betas)):
         ref = channel_gain_cdf(GainDistribution(plan.n_ports, dep), plan.gain_grid)
-        jakes_gaps[label] = float(np.abs(jakes_cdf - ref).max())
+        jakes_gaps[dep.label] = float(np.abs(jakes_cdf - ref).max())
     meta = {
         "experiment": "copula-diagnostics",
         "rows": rows,

@@ -36,7 +36,7 @@ from fluidfed.channel import (
     PerfectDependence,
     sample_port_gains,
 )
-from fluidfed.montecarlo import default_variants
+from fluidfed.montecarlo import DEFAULT_VARIANTS
 
 # ------------------------------------------------------------ gain CDF
 
@@ -207,7 +207,7 @@ DEEP_MSE_CDF = {
 
 @pytest.mark.parametrize("label", list(DEEP_MSE_CDF))
 def test_mse_cdf_deep_tail_matches_mpmath_at_200_users(label):
-    dep = dict(default_variants())[label]
+    dep = next(dep for dep in DEFAULT_VARIANTS if dep.label == label)
     head = DEEP_MSE_CDF[label]
     expected = np.array(head + [1.0] * (30 - len(head)))
     got = normalized_mse_cdf(GainDistribution(10, dep), 200, 15, 0.01, np.logspace(1.0, 4.0, 30))

@@ -4,12 +4,14 @@
 callers' lookup names, reads ``.gains.size`` off each sampled gain matrix
 and reads the training results (``fl.benchmark``, each round's
 ``wall_time`` and ``participants``, ``TrainingDivergedError.records``);
-``bench/child.py`` drives ``cli.load_config`` and ``cli.main``.
-Removing or reshaping one of them breaks traced benchmark runs, so the
-names are checked here, in the tier-1 suite.
+``bench/child.py`` drives ``cli.load_config`` and ``cli.main``;
+``bench/checks.py`` expects the default variants' output files under its
+own list of labels.  Removing or reshaping one of them breaks benchmark
+runs, so the names are checked here, in the tier-1 suite.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,17 +21,19 @@ from fluidfed import cli, fedlearn, montecarlo
 from fluidfed.channel import Clayton, Independent
 from fluidfed.ota import OtaConfig
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+def _load(name):
+    """``bench/<name>.py`` as a module, read only."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-TRACER_MODULE = _load_tracer()
+TRACER_MODULE = _load("tracer")
 SPANS = [attr for attr, _ in TRACER_MODULE.SPANS]
 
 
@@ -61,3 +65,15 @@ def test_training_results_expose_what_the_tracer_reads():
     tracer._observe_rounds(fl, fedlearn.TrainingDivergedError("diverged", records).records)
     assert tracer.counters == {"fedlearn.rounds": 2, "ota.skipped_rounds": 2}
     assert len(tracer.round_s) == 2 and all(s >= 0 for s in tracer.round_s)
+
+
+def test_default_variant_labels_are_the_names_the_checks_read(monkeypatch):
+    # a label drift would fail every benchmark run as outputs_incorrect
+    monkeypatch.syspath_prepend(str(BENCH))  # checks imports laws
+    checks = _load("checks")
+    cfg, _ = cli.load_config(None, None)
+    assert tuple(dep.label for dep in cli._plan(cfg).variants) == checks.MC_VARIANTS
+    train = cli._variants(cfg, "fl")
+    assert tuple("ideal" if dep is None else dep.label for dep in train) == checks.TRAIN_VARIANTS
+    diagnosed = tuple(Clayton(beta).label for beta in montecarlo.McPlan().diag_betas)
+    assert diagnosed == tuple(f"clayton-{beta}" for beta in checks.DIAG_BETAS)

@@ -16,7 +16,7 @@ from fluidfed import montecarlo as mc
 from fluidfed.cli import ConfigError, load_config, main, parse_variant
 from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence, SamplingError
 from fluidfed.fedlearn import FlConfig
-from fluidfed.montecarlo import BLOCK_VALUES, McPlan, default_variants
+from fluidfed.montecarlo import BLOCK_VALUES, DEFAULT_VARIANTS, McPlan
 from fluidfed.ota import OtaConfig
 
 FAST_MC = [
@@ -53,9 +53,9 @@ def test_default_tables_agree():
         ours, theirs = getattr(plan, name), getattr(reference, name)
         assert np.array_equal(ours, theirs) and ours.dtype == theirs.dtype, name
     assert "p_max" not in cfg["system"] and plan.p_max == reference.p_max
-    assert plan.variants == default_variants()
-    fl_variants = [parse_variant(spec) for spec in cfg["fl"]["variants"]]
-    assert fl_variants == [("ideal", "ideal"), *default_variants()]
+    assert plan.variants == DEFAULT_VARIANTS
+    fl_variants = [parse_variant(spec, 0.5) for spec in cfg["fl"]["variants"]]
+    assert fl_variants == [None, *DEFAULT_VARIANTS]
 
 
 def test_file_must_state_tau(tmp_path):
@@ -131,21 +131,18 @@ def test_bad_json_is_config_error(tmp_path):
 
 
 def test_parse_variant_forms():
-    assert parse_variant("ideal") == ("ideal", "ideal")
-    label, dep = parse_variant("independent")
-    assert label == "independent" and isinstance(dep, Independent)
-    label, dep = parse_variant("clayton:2.5")
-    assert label == "clayton-2.5" and dep == Clayton(2.5)
-    label, dep = parse_variant("FPA")
-    assert label == "fpa" and isinstance(dep, PerfectDependence)
-    label, dep = parse_variant("jakes", aperture=0.7)
-    assert dep == GaussianJakes(aperture=0.7)
-    with pytest.raises(ConfigError):
-        parse_variant("clayton:x")
-    with pytest.raises(ConfigError):
-        parse_variant("clayton:-1")
-    with pytest.raises(ConfigError):
-        parse_variant("dipole")
+    # the spec names itself; parse_variant only reads the config spellings
+    assert parse_variant(" Ideal ", 0.5) is None
+    assert parse_variant("independent", 0.5) == Independent()
+    assert parse_variant("clayton:2.5", 0.5) == Clayton(2.5)
+    assert parse_variant("FPA", 0.5) == parse_variant("perfect", 0.5) == PerfectDependence()
+    assert parse_variant("jakes", 0.7) == GaussianJakes(aperture=0.7)
+    with pytest.raises(ConfigError, match="could not convert"):
+        parse_variant("clayton:x", 0.5)
+    with pytest.raises(ConfigError, match="clayton beta must be finite and > 0"):
+        parse_variant("clayton:-1", 0.5)
+    with pytest.raises(ConfigError, match="unknown variant"):
+        parse_variant("dipole", 0.5)
 
 
 # ------------------------------------------------------------ commands
@@ -228,6 +225,8 @@ def _flags(n, command, flags, message):
         ("copula-check", "mc.diag_betas=[]", "diag_betas must not be empty"),
         ("copula-check", "mc.diag_betas=[0]", "diag_betas must be finite and > 0"),
         ("copula-check", "mc.diag_betas=[true]", "`mc.diag_betas[0]` must be a finite number"),
+        # both labelled `clayton-2`: one report and CSV would silently replace the other
+        ("copula-check", "mc.diag_betas=[2,2.0000001]", "`clayton-2` is listed more than once"),
         ("copula-check", "mc.gain_grid=[-1.0,6.0,24]", "gain_grid entries must be >= 0"),
         # the Kendall check pairs the first two ports; run_copula_diagnostics rejects both
         pytest.param("copula-check", "system.N=1", "system.N: n_ports must be >= 2",
@@ -628,6 +627,21 @@ def test_train_benchmark_flag_restricts_variants(tmp_path):
     names2 = {p.name for p in out2.iterdir()}
     assert "train_ideal.csv" not in names2
     assert "train_independent.csv" in names2
+
+
+@pytest.mark.parametrize("ideal", ["ideal", "Ideal", " IDEAL "])
+def test_benchmark_ota_drops_ideal_however_it_is_spelled(tmp_path, ideal):
+    # --benchmark decides on the parsed variants, so every spelling parse_variant
+    # reads as `ideal` is dropped, and the manifest lists what was kept
+    out = tmp_path / "t"
+    args = ["train", "--out", str(out), *FAST_FL,
+            "--set", f'fl.variants=["{ideal}","independent"]', "--benchmark", "ota"]
+    assert main(args) == 0
+    assert {p.name for p in out.iterdir()} == {
+        "train_independent.csv", "train_independent.jsonl", "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["fl"]["variants"] == ["independent"]
+    assert manifest["config_sources"]["fl.variants"] == "flag"
 
 
 def test_train_reruns_byte_identical(tmp_path):

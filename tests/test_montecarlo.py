@@ -23,8 +23,8 @@ from fluidfed.montecarlo import (
     BLOCK_VALUES,
     ComparisonReport,
     GridPointCheck,
+    DEFAULT_VARIANTS,
     McPlan,
-    default_variants,
     run_copula_diagnostics,
     run_mse_cdf_experiment,
     run_participation_experiment,
@@ -66,6 +66,18 @@ def test_plan_validation():
             _small_plan(**{name: np.array([1.0, np.inf])})
 
 
+@pytest.mark.parametrize("name, entries, label", [
+    ("variants", (Clayton(2.0), Clayton(2.0)), "clayton-2"),
+    ("variants", (PerfectDependence(), Independent(), PerfectDependence()), "fpa"),
+    ("diag_betas", (2, 2.0000001), "clayton-2"),
+])
+def test_plan_rejects_entries_that_share_a_label(name, entries, label):
+    # reports and output files are keyed by label: the second entry would
+    # replace the first's report while still counting in the Bonferroni split
+    with pytest.raises(ValueError, match=f"^{name} entry `{label}` is listed more than once"):
+        _small_plan(**{name: entries})
+
+
 def test_trial_streams_are_distinct_and_reproducible():
     a = trial_streams(7, 5)
     b = trial_streams(np.random.SeedSequence(7), 5)
@@ -88,7 +100,7 @@ def _direct_trials(plan, v, n_sampled):
     per = max(1, BLOCK_VALUES // (k * n_sampled))
     n_blocks = -(-plan.trials // per)
     root = np.random.SeedSequence(plan.seed).spawn(len(plan.variants))[v]
-    dep = plan.variants[v][1]
+    dep = plan.variants[v]
     blocks = []
     for b, stream in enumerate(root.spawn(n_blocks)):
         rows = min(per, plan.trials - b * per)
@@ -120,7 +132,7 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
     threshold = plan.sigma2 / (plan.p_max * plan.tau)
     n_grid = np.asarray(plan.n_grid)
     expected_calls = []
-    for v, (label, _) in enumerate(plan.variants):
+    for v, label in enumerate(dep.label for dep in plan.variants):
         gains, n_blocks = _direct_trials(plan, v, plan.n_ports)
         assert gains.shape == (5000, 8, 5) and n_blocks == 4
         scores, heard = [], []
@@ -189,7 +201,7 @@ def test_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, r
         return real(Clayton(1.0) if dep == Clayton(2.0) else dep, n_users, n_ports, rng)
 
     monkeypatch.setattr(montecarlo, sampler, clayton_1)
-    out = run(McPlan(variants=(("clayton-2", Clayton(2.0)),)))
+    out = run(McPlan(variants=(Clayton(2.0),)))
     report = out["clayton-2"]
     assert not report.all_pass
     assert report.failing_points()
@@ -241,13 +253,13 @@ def test_port_sweep_is_monotone_and_passes():
 
 
 def test_port_sweep_rejects_jakes_variant():
-    plan = _small_plan(variants=(("jakes", GaussianJakes(0.5)),))
+    plan = _small_plan(variants=(GaussianJakes(0.5),))
     with pytest.raises(TypeError):
         run_port_sweep(plan)
 
 
 def test_mse_cdf_rejects_jakes_variant():
-    plan = _small_plan(variants=(("jakes", GaussianJakes(0.5)),))
+    plan = _small_plan(variants=(GaussianJakes(0.5),))
     with pytest.raises(TypeError):
         run_mse_cdf_experiment(plan)
 
@@ -366,9 +378,6 @@ def test_report_all_pass_logic():
 
 
 def test_default_variants_cover_the_dependence_range():
-    labels = [label for label, _ in default_variants()]
+    labels = [dep.label for dep in DEFAULT_VARIANTS]
     assert labels == ["independent", "clayton-1", "clayton-2", "fpa"]
-    deps = [dep for _, dep in default_variants()]
-    assert isinstance(deps[0], Independent)
-    assert isinstance(deps[1], Clayton) and deps[1].beta == 1.0
-    assert isinstance(deps[3], PerfectDependence)
+    assert DEFAULT_VARIANTS == (Independent(), Clayton(1.0), Clayton(2.0), PerfectDependence())
