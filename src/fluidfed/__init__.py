@@ -16,6 +16,7 @@ from .channel import (  # noqa: F401
     PerfectDependence,
     PortGainMatrix,
     SamplingError,
+    first_qualifying_port,
     jakes_correlation_matrix,
     sample_best_gains,
     sample_port_gains,

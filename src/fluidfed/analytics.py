@@ -8,9 +8,9 @@ which degenerates to m^N as beta -> 0 (independent ports) and to m as
 beta -> inf (fully dependent ports, the fixed-antenna case), with
 m = 1 - e^-x.  One function, ``_log_cdf``, evaluates log F for the three
 dependence models, in the stable form
-log m - log1p((N-1) * (1 - m^beta)) / beta with log m taken from
-log(-expm1(-x)) or log1p(-e^-x), whichever keeps its digits; it is -inf
-at x = 0.  Every law below is read off that one log F:
+log m - log1p((N-1) * (1 - m^beta)) / beta with log m from
+``channel.log1mexp``, which keeps its digits; it is -inf at x = 0.
+Every law below is read off that one log F:
 
 * the best-port CDF F = exp(log F);
 * the per-user qualify probability q = 1 - F(threshold) = -expm1(log F),
@@ -40,7 +40,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.special import betainc, gammaln, xlogy
 
-from .channel import Clayton, Independent, PerfectDependence
+from .channel import Clayton, Independent, PerfectDependence, log1mexp
 
 __all__ = [
     "GainDistribution",
@@ -77,11 +77,7 @@ class GainDistribution:
 
 def _log_cdf(dist: GainDistribution, x) -> np.ndarray:
     """log F(x) of the best-port gain, shaped like x; -inf at x = 0."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):  # log m(0) = -inf
-        log_m = np.where(
-            x < np.log(2.0), np.log(-np.expm1(-x)), np.log1p(-np.exp(-x))
-        )
+    log_m = log1mexp(x)
     dep, n = dist.dependence, dist.n_ports
     if isinstance(dep, PerfectDependence):
         return log_m

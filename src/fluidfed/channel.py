@@ -15,9 +15,9 @@ Key functions
 -------------
 sample_port_gains : the K x N gain matrix under a DependenceSpec
     (Independent, Clayton, PerfectDependence or GaussianJakes)
-sample_best_gains : each user's best-port gain, from the same draws as
-    sample_port_gains without building the K x N matrix where the model
-    allows it
+sample_best_gains, first_qualifying_port : each user's best-port gain, or
+    first port reaching a gain threshold, from the same draws as
+    sample_port_gains without building the K x N matrix where they can
 select_ports : each user's best-port gain from a sampled gain matrix
 jakes_correlation_matrix : the port covariance of the Gaussian model
 
@@ -48,6 +48,7 @@ __all__ = [
     "jakes_correlation_matrix",
     "sample_port_gains",
     "sample_best_gains",
+    "first_qualifying_port",
     "select_ports",
 ]
 
@@ -116,36 +117,29 @@ class PortGainMatrix:
     gains: np.ndarray
 
 
-def _clayton_gains(
-    n_users: int, n_ports: int, beta: float, gen: np.random.Generator, best_only: bool
-) -> np.ndarray:
-    """K x N Exp(1) power gains whose ports follow a Clayton(beta) copula.
+def log1mexp(x):
+    """ln(1 - e^-x) for x >= 0 (-inf at 0) to full precision (Maechler 2012)."""
+    with np.errstate(divide="ignore"):
+        return np.where(x < np.log(2.0), np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
+
+
+def _clayton_gains(exps: np.ndarray, log_v: np.ndarray, beta: float) -> np.ndarray:
+    """Exp(1) power gains whose ports follow a Clayton(beta) copula, from
+    latent unit exponentials ``exps`` (overwritten) and frailties ``log_v``.
 
     Marshall-Olkin construction, one latent frailty per user (row): draw
     V ~ Gamma(1/beta, 1) and N unit exponentials E_i, set
     U_i = (1 + E_i/V)^(-1/beta), then map to exponential marginals via
-    g_i = -ln(1 - U_i).  Rows are mutually independent.
-
-    Evaluated in the log domain so extreme beta stays exact: V is realized as
-    ln V = ln G + beta*ln(u) with G ~ Gamma(1/beta + 1), u ~ U(0,1) (the
-    standard shape-boost identity), which avoids the subnormal underflow a
-    direct Gamma(1/beta) draw hits once 1/beta is tiny.
-
-    Kendall's tau between any two ports is beta/(beta+2).  Each gain is
-    decreasing in its own E_i, so with ``best_only`` the row maximum is the
-    transform of the row minimum of E, evaluated on K values instead of
-    K x N.
+    g_i = -ln(1 - U_i).  Rows are mutually independent, and Kendall's tau
+    between any two ports is beta/(beta+2).  Each gain falls as its E_i
+    rises, so a row's maximum is the map of its minimum E, and a gain
+    reaches t iff E <= e* = V (m^-beta - 1), m = 1 - e^-t.  Every step
+    rounds elementwise: any subset of entries maps to the same bits.
     """
-    boost = gen.standard_gamma(1.0 / beta + 1.0, size=n_users)
-    log_v = np.log(boost) + beta * np.log(gen.uniform(size=n_users))
     # gains = -log(-expm1(-logaddexp(0, log E - log V) / beta)), evaluated
     # in place: one buffer instead of a temporary per step keeps large
     # blocks in cache, and every step rounds exactly as the expression does
-    gains = gen.standard_exponential(size=(n_users, n_ports))
-    if best_only:
-        gains = gains.min(axis=1)
-    else:
-        log_v = log_v[:, None]
+    gains = exps
     with np.errstate(divide="ignore"):
         np.log(gains, out=gains)
     gains -= log_v
@@ -156,6 +150,28 @@ def _clayton_gains(
     np.log(gains, out=gains)
     np.negative(gains, out=gains)
     return gains
+
+
+def _clayton_log_cutoff(log_v, beta: float, threshold: float):
+    """ln e* = ln V + ln(m^-beta - 1), m = 1 - e^-t, without overflow."""
+    z = -beta * log1mexp(threshold)
+    return log_v + (z + log1mexp(z))
+
+
+def _clayton_reaches(exps, log_v, beta: float, threshold: float) -> np.ndarray:
+    """``_clayton_gains(exps, log_v[:, None], beta) >= t`` bit for bit, mostly
+    as E <= e*.  The map's rounding moves a decision by a relative distance
+    in E of order eps (1 + t + beta (1 + 1/t)); E within 1e-9 times that of
+    e*, near a nonfinite e*, or at t outside (0, 700) is left to the map."""
+    r = 1e-9 * (1.0 + threshold + beta / threshold + beta) if 0 < threshold < 700 else np.inf
+    with np.errstate(all="ignore"):  # an infinite r puts every E in the band
+        cut = np.exp(_clayton_log_cutoff(log_v, beta, threshold))[:, None]
+        reaches = exps < cut * (1.0 - r)
+        band = ~(reaches | (exps > cut * (1.0 + r)))
+    if band.any():
+        rows, cols = np.nonzero(band)
+        reaches[rows, cols] = _clayton_gains(exps[rows, cols], log_v[rows], beta) >= threshold
+    return reaches
 
 
 def jakes_correlation_matrix(n_ports: int, aperture: float, power: float = 1.0) -> np.ndarray:
@@ -202,50 +218,67 @@ def _jakes_gains(
     return gains
 
 
-def _draw(
-    dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, best_only: bool
-) -> np.ndarray:
-    """The K x N gains of ``dep``, or with ``best_only`` each row's maximum.
-
-    Both forms consume the same draws, so they agree bit for bit and leave
-    a Generator in the same state.  Clayton transforms only each row's
-    minimum exponential, perfect dependence returns its shared draw, and
-    the independent and Bessel models reduce the full matrix.
-    """
+def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce: str,
+          threshold: float | None = None) -> np.ndarray:
+    """The K x N gains of ``dep``, or per row (``reduce``) their maximum or
+    the first port reaching ``threshold`` (n_ports for none).  All forms
+    take the same draws, agree bit for bit with reducing the matrix and
+    leave a Generator in the same state.  Clayton maps only each row's
+    minimum exponential, enough to find a nonfinite gain."""
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     if n_ports < 1:
         raise ValueError("n_ports must be >= 1")
     gen = np.random.default_rng(rng)
+    reaches = None
     if isinstance(dep, Independent):
         gains = gen.standard_exponential(size=(n_users, n_ports))
     elif isinstance(dep, Clayton):
-        gains = _clayton_gains(n_users, n_ports, dep.beta, gen, best_only)
+        # ln V = ln G + beta ln u, G ~ Gamma(1/beta + 1), u ~ U(0,1): no underflow at tiny beta
+        boost = gen.standard_gamma(1.0 / dep.beta + 1.0, size=n_users)
+        log_v = np.log(boost) + dep.beta * np.log(gen.uniform(size=n_users))
+        exps = gen.standard_exponential(size=(n_users, n_ports))
+        if reduce == "first":
+            reaches = _clayton_reaches(exps, log_v, dep.beta, threshold)
+        if reduce != "gains":
+            exps = exps.min(axis=1, keepdims=True)
+        gains = _clayton_gains(exps, log_v[:, None], dep.beta)
     elif isinstance(dep, PerfectDependence):
-        gains = gen.standard_exponential(size=n_users)
-        if not best_only:
-            gains = np.repeat(gains[:, None], n_ports, axis=1)
+        gains = gen.standard_exponential(size=(n_users, 1))
+        if reduce == "gains":
+            gains = np.repeat(gains, n_ports, axis=1)
     elif isinstance(dep, GaussianJakes):
         gains = _jakes_gains(n_users, n_ports, dep, gen)
     else:
         raise TypeError(f"unknown dependence spec: {dep!r}")
     if not np.all(np.isfinite(gains)):
         raise SamplingError(f"{type(dep).__name__} sampler produced a nonfinite draw")
-    return gains.max(axis=1) if best_only and gains.ndim == 2 else gains
+    if reduce == "first":
+        reaches = gains >= threshold if reaches is None else reaches
+        first = reaches.argmax(axis=1)  # also 0 where no port reaches it
+        return np.where(reaches[np.arange(n_users), first], first, n_ports)
+    return gains.max(axis=1) if reduce == "best" else gains
 
 
 def sample_port_gains(
     dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike
 ) -> PortGainMatrix:
     """Sample a K x N gain matrix under any dependence model."""
-    return PortGainMatrix(_draw(dep, n_users, n_ports, rng, False))
+    return PortGainMatrix(_draw(dep, n_users, n_ports, rng, "gains"))
 
 
 def sample_best_gains(
     dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike
 ) -> np.ndarray:
     """Each user's best-port gain: ``sample_port_gains(...).gains.max(axis=1)``."""
-    return _draw(dep, n_users, n_ports, rng, True)
+    return _draw(dep, n_users, n_ports, rng, "best")
+
+
+def first_qualifying_port(dep: DependenceSpec, n_users: int, n_ports: int, threshold: float,
+                          rng: RngLike) -> np.ndarray:
+    """Each user's first port whose gain reaches ``threshold``, ``n_ports``
+    where none does, on the draws of ``sample_port_gains``."""
+    return _draw(dep, n_users, n_ports, rng, "first", threshold)
 
 
 def select_ports(gains: PortGainMatrix) -> np.ndarray:

@@ -294,6 +294,8 @@ def parse_variant(spec: str, aperture: float):
 
 def _variants(cfg: dict, section: str) -> list:
     """The parsed specs of ``section.variants``, None standing for ``ideal``."""
+    if cfg["system"]["W"] < 0:  # before any variant, or any draw, reads it
+        raise ConfigError("system.W: aperture must be >= 0")
     try:
         return [parse_variant(v, float(cfg["system"]["W"])) for v in cfg[section]["variants"]]
     except ConfigError as exc:

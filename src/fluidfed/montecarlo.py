@@ -15,9 +15,9 @@ sampled per user.  Block b of variant v draws from
 SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b] with one sampler call
 on a (rows * K) x n matrix, reduced to integer counts per grid point.
 The layout depends only on (seed, K, n, trials).  The CDF and PMF
-experiments draw the same streams through ``sample_best_gains``, which
-reduces each block to its (rows * K) best-port gains; the port sweep
-keeps the whole matrix for its prefix maxima.
+experiments reduce each block to its (rows * K) best-port gains through
+``sample_best_gains``, the port sweep to each user's first port that
+reaches the threshold through ``first_qualifying_port``.
 
 Experiments
 -----------
@@ -30,9 +30,9 @@ grid point carries its closed-form value as ``GridPointCheck.analytic``.
 run_mse_cdf_experiment : CDF of the rank-S normalized aggregation error
 run_participation_experiment : PMF of the participant count
 run_port_sweep : full-participation probability vs port count (per trial
-    the ports are sampled once at the largest N and prefixes reused; the
-    latent-frailty construction is margin-consistent, so the first n ports
-    are exactly the n-port law and the empirical sweep is monotone)
+    the ports are sampled once at the largest N and each n reads the first
+    n; the latent-frailty construction is margin-consistent, so they are
+    exactly the n-port law and the empirical sweep is monotone)
 run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
     ports x betas at FAMILY_ALPHA), Kendall-tau identity, max-gain CDF
     check, and a Bessel-correlated cross-comparison
@@ -66,6 +66,7 @@ from .channel import (
     GaussianJakes,
     Independent,
     PerfectDependence,
+    first_qualifying_port,
     sample_best_gains,
     sample_port_gains,
 )
@@ -135,6 +136,8 @@ class McPlan:
                 raise ValueError(f"{name} entries must be finite")
         if not all(0 < b < np.inf for b in self.diag_betas):
             raise ValueError("diag_betas must be finite and > 0")
+        if not self.jakes_aperture >= 0:  # copula-check builds jakes only after every beta
+            raise ValueError("jakes_aperture must be >= 0")
         for name, labels in (("variants", [dep.label for dep in self.variants]),
                              ("diag_betas", [Clayton(b).label for b in self.diag_betas])):
             for i, label in enumerate(labels):
@@ -241,28 +244,22 @@ def trial_streams(seed, blocks: int) -> list:
     return root.spawn(blocks)
 
 
-def _port_gains(dep, n_users: int, n_ports: int, rng) -> np.ndarray:
-    """The full n_users x n_ports gain matrix of ``sample_port_gains``."""
-    return sample_port_gains(dep, n_users, n_ports, rng).gains
-
-
 def _simulate(plan: McPlan, dep, root, n_sampled: int, draw: Callable, statistic: Callable):
     """Sum of ``statistic`` over the trial blocks of one variant, and the
     number of blocks.
 
-    Block b calls ``draw(dep, rows * K, n_sampled, stream b)`` and hands the
-    result to ``statistic`` with its first axis split into (rows, K): a
-    (rows, K, n_sampled) matrix from ``_port_gains``, (rows, K) best-port
-    gains from ``sample_best_gains``.  Statistics are integer counts, so
-    the sum is exact.
+    Block b calls ``draw(dep, rows * K, n_sampled, stream b)`` and hands its
+    one value per user to ``statistic`` as (rows, K): best-port gains from
+    ``sample_best_gains``, or first qualifying ports from
+    ``first_qualifying_port``.  Statistics are integer counts, so the sum
+    is exact.
     """
     k = plan.n_users
     per = max(1, BLOCK_VALUES // (k * n_sampled))
     rows = [min(per, plan.trials - start) for start in range(0, plan.trials, per)]
 
     def block(n, stream):
-        gains = draw(dep, n * k, n_sampled, stream)
-        return statistic(gains.reshape(n, k, *gains.shape[1:]))
+        return statistic(draw(dep, n * k, n_sampled, stream).reshape(n, k))
 
     return sum(map(block, rows, trial_streams(root, len(rows)))), len(rows)
 
@@ -366,18 +363,19 @@ def run_participation_experiment(plan: McPlan) -> dict:
 def run_port_sweep(plan: McPlan) -> dict:
     """Full-participation probability q(N)^K vs port count.
 
-    Returns {variant label: ComparisonReport}.  Per trial,
-    ports are sampled once at max(n_grid) and each grid value n uses the
-    first n columns (exact for the margin-consistent copula variants).
+    Returns {variant label: ComparisonReport}.  Per trial, ports are sampled
+    once at max(n_grid): all users are heard at n ports iff each one's first
+    qualifying port is below n (exact for margin-consistent variants).
     """
     meta = _threshold_meta(plan, "port-sweep")
     threshold = meta["threshold"]
     n_grid = np.asarray(plan.n_grid, dtype=int)
 
-    def all_heard(gains):
-        prefix_best = np.maximum.accumulate(gains, axis=2)
-        full = (prefix_best >= threshold).all(axis=1)
-        return full[:, n_grid - 1].sum(axis=0)
+    def first_ports(dep, n_users, n_ports, rng):
+        return first_qualifying_port(dep, n_users, n_ports, threshold, rng)
+
+    def all_heard(first):
+        return (first.max(axis=1)[:, None] < n_grid).sum(axis=0)
 
     def law(dist):
         return np.array([
@@ -386,7 +384,7 @@ def run_port_sweep(plan: McPlan) -> dict:
             for n in n_grid
         ])
 
-    return _compare(plan, n_grid, int(n_grid.max()), _port_gains, all_heard, law, meta)
+    return _compare(plan, n_grid, int(n_grid.max()), first_ports, all_heard, law, meta)
 
 
 def kstest(gains: np.ndarray) -> tuple[float, float]:

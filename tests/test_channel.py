@@ -1,10 +1,12 @@
 """Port-gain sampler tests: marginals, dependence, correlation structure."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 from scipy.stats import kendalltau, kstest
 
+from fluidfed import channel
 from fluidfed.channel import (
     Clayton,
     GaussianJakes,
@@ -12,6 +14,7 @@ from fluidfed.channel import (
     PerfectDependence,
     PortGainMatrix,
     SamplingError,
+    first_qualifying_port,
     jakes_correlation_matrix,
     sample_best_gains,
     sample_port_gains,
@@ -161,6 +164,7 @@ def _poisoned(method, value):
         (Clayton(2.0), "standard_exponential", 0.0),
         (Clayton(2.0), "standard_gamma", np.inf),
         (GaussianJakes(0.5), "standard_normal", np.nan),
+        (Clayton(2.0), "uniform", np.nan),
     ],
 )
 def test_best_gains_raise_where_the_full_sampler_raises(dep, method, value):
@@ -169,6 +173,89 @@ def test_best_gains_raise_where_the_full_sampler_raises(dep, method, value):
             sample_port_gains(dep, 6, 4, _poisoned(method, value))
         with pytest.raises(SamplingError):
             sample_best_gains(dep, 6, 4, _poisoned(method, value))
+        with pytest.raises(SamplingError):
+            first_qualifying_port(dep, 6, 4, 2.0, _poisoned(method, value))
+
+
+def _first_at_or_above(gains, threshold):
+    """The brute force: each row's first column with gain >= threshold, or
+    the column count where there is none."""
+    hit = gains >= threshold
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), gains.shape[1])
+
+
+FIRST_PORT_DEPS = [Independent(), PerfectDependence(), GaussianJakes(0.5)] + [
+    Clayton(b) for b in (0.05, 1.0, 2.0, 30.0)
+]
+THRESHOLDS = [1e-3, 2.0, 6.0, 40.0]
+
+
+# 0 and 750 lie outside the range where Clayton compares to a cutoff
+@pytest.mark.parametrize("threshold", [*THRESHOLDS, 0.0, 750.0])
+@pytest.mark.parametrize("n_ports", [1, 10, 64])
+@pytest.mark.parametrize("dep", FIRST_PORT_DEPS, ids=repr)
+def test_first_qualifying_port_is_the_first_port_of_the_gain_matrix(dep, n_ports, threshold):
+    # same decisions as the gain matrix, and the same draws consumed
+    n_users = 20_000 // n_ports + 3
+    full_gen, first_gen = np.random.default_rng(31), np.random.default_rng(31)
+    gains = sample_port_gains(dep, n_users, n_ports, full_gen).gains
+    first = first_qualifying_port(dep, n_users, n_ports, threshold, first_gen)
+    assert first.shape == (n_users,)
+    assert np.array_equal(first, _first_at_or_above(gains, threshold))
+    assert first_gen.bit_generator.state == full_gen.bit_generator.state
+
+
+def _cutoff_draws(beta, threshold, n_users, seed):
+    """ln V of the Clayton draws of ``seed``, and latent exponentials set
+    to each row's cutoff e* and 1..4 ulps either side, in shuffled order."""
+    gen = np.random.default_rng(seed)
+    log_v = np.log(gen.standard_gamma(1.0 / beta + 1.0, size=n_users))
+    log_v += beta * np.log(gen.uniform(size=n_users))
+    cut = np.exp(channel._clayton_log_cutoff(log_v, beta, threshold))
+    columns = [cut]
+    for toward in (0.0, np.inf):
+        moved = cut
+        for _ in range(4):
+            moved = np.nextafter(moved, toward)
+            columns.append(moved)
+    return log_v, np.random.default_rng(seed + 1).permuted(np.stack(columns, axis=1), axis=1)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("beta", [0.05, 1.0, 2.0, 30.0])
+def test_first_qualifying_port_decides_the_cutoff_band_by_the_gain_map(beta, threshold):
+    log_v, exps = _cutoff_draws(beta, threshold, 500, 7)
+    by_gain = channel._clayton_gains(exps.copy(), log_v[:, None], beta) >= threshold
+    # a few ulps from e*, a plain comparison with it misjudges some entries
+    cut = np.exp(channel._clayton_log_cutoff(log_v, beta, threshold))
+    assert np.any((exps <= cut[:, None]) != by_gain)
+    assert np.array_equal(channel._clayton_reaches(exps, log_v, beta, threshold), by_gain)
+
+    # end to end: the sampler's own frailties, these exponentials
+    class AtCutoff(np.random.Generator):
+        def standard_exponential(self, size=None):
+            super().standard_exponential(size=size)
+            return exps.copy()
+
+    dep, n_users, n_ports = Clayton(beta), *exps.shape
+    gains = sample_port_gains(dep, n_users, n_ports, AtCutoff(np.random.PCG64(7))).gains
+    assert np.array_equal(gains >= threshold, by_gain)
+    first = first_qualifying_port(dep, n_users, n_ports, threshold, AtCutoff(np.random.PCG64(7)))
+    assert np.array_equal(first, _first_at_or_above(gains, threshold))
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("beta", [0.05, 1.0, 2.0, 30.0])
+def test_clayton_log_cutoff_matches_mpmath(beta, threshold):
+    # ln e* = ln V + ln(m^-beta - 1), m = 1 - e^-t; at t = 40 the naive
+    # log(-expm1(-t)) is 0 and would put e* at 0
+    log_v = np.array([0.0, -1.5, 3.0])
+    got = channel._clayton_log_cutoff(log_v, beta, threshold)
+    with mp.workdps(50):
+        m = -mp.expm1(-mp.mpf(threshold))
+        tail = mp.log(mp.power(m, -mp.mpf(beta)) - 1)
+        expected = [float(mp.mpf(v) + tail) for v in log_v]
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
 
 
 def test_best_gains_validate_like_the_full_sampler():

@@ -287,6 +287,12 @@ def _flags(n, command, flags, message):
         # train checks its link as the Monte-Carlo commands do
         ("train", "system.p_max=1e-320", "system.p_max: p_max makes sigma2/(p_max*tau) overflow"),
         ("train", "system.tau=1e-310", "system.tau: tau makes sigma2/(p_max*tau) overflow"),
+        # a negative aperture is named before any draw, and before jakes is built
+        _flags(57, "train", ["--set", "system.W=-1", "--set", 'fl.variants=["jakes"]'],
+               "system.W: aperture must be >= 0"),
+        _flags(58, "cdf-mse", ["--set", "system.W=-1", "--set", 'mc.variants=["jakes"]'],
+               "system.W: aperture must be >= 0"),
+        ("copula-check", "system.W=-1", "system.W: aperture must be >= 0"),
     ],
 )
 def test_unsupported_values_exit_2(tmp_path, capsys, command, spec, message):

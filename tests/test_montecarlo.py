@@ -64,6 +64,9 @@ def test_plan_validation():
     for name in ("tau_grid", "gain_grid"):
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             _small_plan(**{name: np.array([1.0, np.inf])})
+    # copula-check would build its Bessel reference only after every beta's draws
+    with pytest.raises(ValueError, match="jakes_aperture must be >= 0"):
+        _small_plan(jakes_aperture=-0.5)
 
 
 @pytest.mark.parametrize("name, entries, label", [
@@ -118,14 +121,15 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
     def counted(name):
         real = getattr(montecarlo, name)
 
-        def sampler(dep, n_users, n_ports, rng):
+        def sampler(dep, n_users, n_ports, *rest):
             calls.append((name, n_users, n_ports))
-            return real(dep, n_users, n_ports, rng)
+            return real(dep, n_users, n_ports, *rest)
 
         monkeypatch.setattr(montecarlo, name, sampler)
 
     counted("sample_port_gains")
     counted("sample_best_gains")
+    counted("first_qualifying_port")
     cdf = run_mse_cdf_experiment(plan)
     pmf = run_participation_experiment(plan)
     sweep = run_port_sweep(plan)
@@ -158,13 +162,13 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
         assert [p.empirical for p in sweep[label].points] == list(
             np.mean(full, axis=0)
         )
-    # cdf and pmf draw the same blocks through sample_best_gains; only the
-    # sweep builds full matrices
+    # cdf and pmf draw the same blocks through sample_best_gains, the sweep
+    # through first_qualifying_port; none builds a full matrix
     per = BLOCK_VALUES // 40
     best = "sample_best_gains"
     cdf_calls = [(best, per * 8, 5)] * 3 + [(best, (5000 - 3 * per) * 8, 5)]
-    full = "sample_port_gains"
-    sweep_calls = [(full, 1024 * 8, 8)] * 4 + [(full, (5000 - 4 * 1024) * 8, 8)]
+    first = "first_qualifying_port"
+    sweep_calls = [(first, 1024 * 8, 8)] * 4 + [(first, (5000 - 4 * 1024) * 8, 8)]
     assert calls == cdf_calls * 4 + cdf_calls * 4 + sweep_calls * 4
 
 
@@ -187,7 +191,7 @@ def test_mse_cdf_experiment_passes_and_is_seed_stable():
     [
         (run_mse_cdf_experiment, "sample_best_gains"),
         (run_participation_experiment, "sample_best_gains"),
-        (run_port_sweep, "sample_port_gains"),
+        (run_port_sweep, "first_qualifying_port"),
     ],
     ids=["run_mse_cdf_experiment", "run_participation_experiment", "run_port_sweep"],
 )
@@ -197,8 +201,8 @@ def test_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, r
     # law is Clayton(2)
     real = getattr(montecarlo, sampler)
 
-    def clayton_1(dep, n_users, n_ports, rng):
-        return real(Clayton(1.0) if dep == Clayton(2.0) else dep, n_users, n_ports, rng)
+    def clayton_1(dep, *args):
+        return real(Clayton(1.0) if dep == Clayton(2.0) else dep, *args)
 
     monkeypatch.setattr(montecarlo, sampler, clayton_1)
     out = run(McPlan(variants=(Clayton(2.0),)))
