@@ -28,9 +28,10 @@ of the bytes it wrote for each table.  A command that fails leaves no
 directory.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
 per-variant telemetry (seconds, trial blocks, trials and their rate,
 failing points), ``copula-check`` adds its own per beta (rows, ports,
-sampling seconds, KS-plus-Kendall seconds) and ``train`` its own (rounds,
-skipped rounds, client updates and their rate, per-round wall time and
-norm scale); no hashed output contains any of them.  Exit codes: 0 success,
+sampling, KS and Kendall seconds), ``train`` its own (rounds, skipped
+rounds, client updates and their rate, per-round wall time and norm
+scale) and ``bound`` its rounds, psi, final value and seconds; no hashed
+output contains any of them.  Exit codes: 0 success,
 1 statistical check failure or training divergence, 2 usage/config
 error, 3 I/O error.
 """
@@ -513,20 +514,23 @@ def _cmd_bound(args, cfg: dict):
         origin, schedule = "bound.schedule", [(int(s), float(m)) for s, m in b["schedule"]]
     else:
         schedule = [(int(b["participants"]), float(b["mse"]))] * int(b["rounds"])
+    t0 = time.perf_counter()
     try:
         trajectory = analytics.optimality_gap_trajectory(constants, schedule, float(b["f1_gap"]))
     except ValueError as exc:
         raise _keyed(exc, [_ROW["bound.f1_gap"]] if origin else _ROWS, origin)
+    telemetry = {"rounds": len(schedule), "psi": constants.psi,
+                 "final_value": float(trajectory[-1]), "seconds": time.perf_counter() - t0}
     print(
         f"bound: psi={constants.psi:.4f}, {len(schedule)} rounds, "
         f"final value {trajectory[-1]:.6g}"
     )
     rows = enumerate(map(float, trajectory), start=1)
-    return {"bound.csv": _csv(("round", "bound"), rows)}, "pass", None
+    return {"bound.csv": _csv(("round", "bound"), rows)}, "pass", telemetry
 
 
 # subcommand -> (help, handler); a handler (args, cfg) checks its config,
-# computes, and returns ({file name: text}, status, telemetry or None);
+# computes, and returns ({file name: text}, status, telemetry);
 # it writes nothing, main writes and hashes the files
 _COMMANDS = {
     "cdf-mse": ("aggregation-error CDF vs Monte Carlo",
@@ -605,9 +609,8 @@ def main(argv=None) -> int:
             "config": cfg,
             "config_sources": source,
             "outputs": outputs,
+            "telemetry": telemetry,
         }
-        if telemetry is not None:
-            manifest["telemetry"] = telemetry
         (out_dir / "manifest.json").write_text(_json(manifest))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

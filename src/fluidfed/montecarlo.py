@@ -37,16 +37,16 @@ run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
     ports x betas at FAMILY_ALPHA), Kendall-tau identity, max-gain CDF
     check, and a Bessel-correlated cross-comparison
 
-Only the copula diagnostics load ``scipy.stats``: ``kstest`` takes its
-exact Kolmogorov tail and ``kendalltau`` its rank statistic from it;
-each imports it when called, and ``run_copula_diagnostics`` before its
-timed statistics.  The import costs about half a second per process,
-which every other command (and ``import fluidfed.cli``) would otherwise
-pay for nothing; the closed forms need ``scipy.special`` only.
+No command loads ``scipy.stats``: its import costs over half a second per
+process.  ``kstest`` reports Massart's DKW bound as its p-value, a valid
+p-value at every sample size, and ``kendalltau`` counts discordant pairs
+in numpy, bit for bit scipy's tau-b; the closed forms and the binomial
+gate need ``scipy.special`` only.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -387,30 +387,104 @@ def run_port_sweep(plan: McPlan) -> dict:
     return _compare(plan, n_grid, int(n_grid.max()), first_ports, all_heard, law, meta)
 
 
+def _ks_p_value(d: float, n: int) -> float:
+    """Massart's two-sided DKW bound min(1, 2 exp(-2 n d^2)) on P(D_n >= d).
+
+    It holds at every n for a continuous law (Massart 1990), so a gate
+    that rejects at p <= alpha has a false-alarm rate of at most alpha.
+    """
+    return min(1.0, 2.0 * math.exp(-2.0 * n * d * d))
+
+
 def kstest(gains: np.ndarray) -> tuple[float, float]:
     """Largest two-sided KS statistic of the columns of ``gains`` against
     Exp(1), and the smallest p-value, from one sort of the block.
 
-    Per column this is ``scipy.stats.kstest(column, "expon")``'s
-    arithmetic: its CDF, its D+ and D-, and the exact kstwo tail.  The tail
-    falls as D rises, so the largest D has the smallest p-value and one
-    tail evaluation serves the whole block.
+    Per column D is ``scipy.stats.kstest(column, "expon")``'s statistic:
+    its CDF, its D+ and D-.  The p-value is Massart's bound
+    (``_ks_p_value``), never below the exact Kolmogorov tail; it falls as
+    D rises, so the largest D has the smallest p-value.
     """
-    from scipy.stats import kstwo
-
     n = gains.shape[0]
     cdf = -expm1(-np.sort(gains, axis=0))  # expon's CDF; np.expm1 differs in the last ulp
     d_plus = (np.arange(1, n + 1) / n)[:, None] - cdf
     d_minus = cdf - (np.arange(0, n) / n)[:, None]
     d = max(float(d_plus.max()), float(d_minus.max()))
-    return d, float(np.clip(kstwo.sf(d, n), 0.0, 1.0))
+    return d, _ks_p_value(d, n)
+
+
+def _inversions(perm: np.ndarray) -> int:
+    """Pairs i < j with perm[i] > perm[j], for a permutation of 0..n-1.
+
+    Most significant bit first, on the values padded to 2**L with the
+    largest ones at the end (they add no pair).  Before the pass for bit b
+    the values stand stably sorted by value >> (b + 1), so each aligned row
+    of 2**(b + 1) positions holds one such group in its original order.
+    One int32 sort of (value >> b, index in row) partitions every row by
+    bit b, zeros first; a row's k-th zero at index w was preceded by w - k
+    ones, which are the pairs this bit decides.
+    """
+    levels = max(perm.size - 1, 0).bit_length()
+    r = np.arange(1 << levels, dtype=np.int32)
+    r[: perm.size] = perm
+    pos = np.arange(r.size, dtype=np.int32)
+    total = 0
+    for b in reversed(range(levels)):
+        half, mask = 1 << b, (2 << b) - 1
+        key = r >> b
+        key <<= b + 1
+        key |= pos & mask
+        key.sort()
+        key &= mask  # each position's source index in its row
+        rows = key.reshape(-1, 2 * half)
+        total += int(rows[:, :half].sum(dtype=np.int64)) - rows.shape[0] * half * (half - 1) // 2
+        if b:
+            key |= pos & ~mask
+            r = r.take(key)
+    return total
+
+
+def _order(key: np.ndarray, then: np.ndarray) -> np.ndarray:
+    """``np.lexsort((then, key))``, by one unstable argsort when key has no ties."""
+    order = np.argsort(key)
+    ranked = key[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.lexsort((then, key))
+    return order
+
+
+def _tied_pairs(change: np.ndarray) -> int:
+    """Tied pairs of a sorted sample; ``change`` marks the neighbours that differ."""
+    runs = np.diff(np.flatnonzero(np.r_[True, change, True]))
+    return int((runs * (runs - 1) // 2).sum())
 
 
 def kendalltau(x, y) -> float:
-    """Kendall's tau-b of two samples (``scipy.stats.kendalltau``)."""
-    from scipy import stats
+    """Kendall's tau-b of two finite samples, bit for bit
+    ``scipy.stats.kendalltau(x, y).statistic``; NaN when either is constant.
 
-    return float(stats.kendalltau(x, y).statistic)
+    The rows sorted by (x, y), each row's y-order index (ties by position)
+    forms a permutation whose inversions are the discordant pairs: a tie
+    in x or y is never one.  The tie counts come from the sorted runs, and
+    tau from scipy's expression.
+    """
+    x, y = np.asarray(x).ravel(), np.asarray(y).ravel()
+    n = x.size
+    if y.size != n:
+        raise ValueError("x and y must have the same size")
+    order = _order(x, y)
+    x, y = x[order], y[order]
+    by_y = _order(y, np.arange(n))  # the inverse of the ranks: same inversions
+    ys = y[by_y]
+    new_x = x[1:] != x[:-1]
+    xtie, ytie = _tied_pairs(new_x), _tied_pairs(ys[1:] != ys[:-1])
+    tot = n * (n - 1) // 2
+    if xtie == tot or ytie == tot:
+        return float("nan")
+    both = _tied_pairs(new_x | (y[1:] != y[:-1]))
+    con_minus_dis = tot - xtie - ytie + both - 2 * _inversions(by_y)
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
 
 
 @dataclass
@@ -422,9 +496,9 @@ class CopulaDiagnostics:
     jakes_gaps: report-only sup gaps between the Bessel-correlated
         empirical max-gain CDF and each closed form (no pass flag; the two
         models are different generative processes).
-    telemetry: per beta label, the block's rows and ports, the seconds
-        spent sampling it and on its KS and Kendall statistics; kept out of
-        ``to_json_dict``.
+    telemetry: per beta label, the block's rows and ports, and the seconds
+        spent sampling it (sample_s), on its KS statistics (ks_s) and on
+        its Kendall tau (kendall_s); kept out of ``to_json_dict``.
     """
 
     marginal_checks: list
@@ -465,8 +539,6 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
         raise ValueError("n_ports must be >= 2: the Kendall check pairs ports 1 and 2")
     if plan.diag_rows < 2:
         raise ValueError("diag_rows must be >= 2: the Kendall check needs two rows")
-    import scipy.stats  # noqa: F401  loaded here, so no beta's stats_s times the import
-
     rows = plan.diag_rows
     root = np.random.SeedSequence(plan.seed)
     beta_streams = root.spawn(len(plan.diag_betas) + 1)
@@ -482,9 +554,10 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
         gains = sample_port_gains(dep, rows, plan.n_ports, stream).gains
         t1 = time.perf_counter()
         max_d, min_p = kstest(gains)
+        t2 = time.perf_counter()
         tau_emp = kendalltau(gains[:, 0], gains[:, 1])
         telemetry[dep.label] = {"rows": rows, "ports": plan.n_ports, "sample_s": t1 - t0,
-                            "stats_s": time.perf_counter() - t1}
+                                "ks_s": t2 - t1, "kendall_s": time.perf_counter() - t2}
         marginal_checks.append(
             {
                 "beta": beta,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fluidfed import __version__, cli, fedlearn
+from fluidfed import __version__, analytics, cli, fedlearn
 from fluidfed import montecarlo as mc
 from fluidfed.cli import ConfigError, load_config, main, parse_variant
 from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence, SamplingError
@@ -379,21 +379,21 @@ DOCTORED = mc.ComparisonReport("doctored", [mc.GridPointCheck(1.0, 0.9, 0.1, 0.0
 
 
 @pytest.mark.parametrize(
-    "command, extra, telemetry, doctored",
+    "command, extra, doctored",
     [
-        ("cdf-mse", FAST_MC, True, False),
-        ("pmf-users", FAST_MC, True, False),
-        ("port-sweep", FAST_MC, True, False),
-        ("copula-check", FAST_MC, True, False),
-        ("train", FAST_FL, True, False),
-        ("bound", [], False, False),
-        ("bound", ["--records", "{records}"], False, False),
-        ("cdf-mse", FAST_MC, True, True),
+        ("cdf-mse", FAST_MC, False),
+        ("pmf-users", FAST_MC, False),
+        ("port-sweep", FAST_MC, False),
+        ("copula-check", FAST_MC, False),
+        ("train", FAST_FL, False),
+        ("bound", [], False),
+        ("bound", ["--records", "{records}"], False),
+        ("cdf-mse", FAST_MC, True),
     ],
     ids=["cdf-mse", "pmf-users", "port-sweep", "copula-check", "train", "bound",
          "bound-records", "cdf-mse-failing-gate"],
 )
-def test_manifest_lists_every_output(tmp_path, monkeypatch, command, extra, telemetry, doctored):
+def test_manifest_lists_every_output(tmp_path, monkeypatch, command, extra, doctored):
     records = tmp_path / "records.csv"
     records.write_text("round,participants,mse\n1,3,0.01\n2,0,\n")
     if doctored:
@@ -409,7 +409,7 @@ def test_manifest_lists_every_output(tmp_path, monkeypatch, command, extra, tele
                for p in out.iterdir() if p.name != "manifest.json"}
     assert on_disk and len(manifest["outputs"]) == len(on_disk)
     assert {entry["path"]: entry["sha256"] for entry in manifest["outputs"]} == on_disk
-    assert ("telemetry" in manifest) == telemetry
+    assert manifest["telemetry"]
     # every data file has LF line ends, the Monte-Carlo CSVs included
     assert not [p.name for p in out.iterdir() if b"\r" in p.read_bytes()]
 
@@ -571,7 +571,8 @@ def test_copula_check_run(tmp_path, capsys):
     assert "kendall tau" in stdout
 
 
-# copula-check alone loads scipy.stats; the check runs in a fresh interpreter
+# no command loads scipy.stats, whose import costs over half a second;
+# the check runs in a fresh interpreter
 FOOTPRINT = """
 import sys
 from fluidfed import cli
@@ -583,23 +584,25 @@ print('scipy.stats' in sys.modules)
 
 
 @pytest.mark.parametrize(
-    "argv, loaded",
+    "argv",
     [
-        ([], False),
-        (["cdf-mse", *FAST_MC], False),
-        (["train", *FAST_FL], False),
-        (["bound"], False),
-        (["copula-check", *FAST_MC], True),
+        [],
+        ["cdf-mse", *FAST_MC],
+        ["pmf-users", *FAST_MC],
+        ["port-sweep", *FAST_MC],
+        ["copula-check", *FAST_MC],
+        ["train", *FAST_FL],
+        ["bound"],
     ],
-    ids=["import", "cdf-mse", "train", "bound", "copula-check"],
+    ids=["import", "cdf-mse", "pmf-users", "port-sweep", "copula-check", "train", "bound"],
 )
-def test_only_copula_check_loads_scipy_stats(tmp_path, argv, loaded):
+def test_no_command_loads_scipy_stats(tmp_path, argv):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     args = [*argv[:1], "--out", str(tmp_path / "out"), *argv[1:]] if argv else []
     done = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.splitlines()[-1] == str(loaded)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_train_run_writes_per_variant_records(tmp_path, capsys):
@@ -727,7 +730,9 @@ def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
 # has 33 ports (a partial last block) and Clayton betas near both dependence
 # limits.  The pmf-users and copula-check digests that moved were taken again
 # when every closed form came to be read off one log F: only the analytic,
-# stderr, sup_gap and jakes_gaps values moved, in their last digits
+# stderr, sup_gap and jakes_gaps values moved, in their last digits.  The
+# copula-check report was taken again when its KS p-value became Massart's
+# bound: only min_p_value moved
 MC_WIDE_BETAS = ["--set", "system.K=40", "--set", "system.N=33",
                  "--set", 'mc.variants=["independent","clayton:0.05","clayton:30","fpa"]']
 MC_GOLDEN = [
@@ -787,7 +792,7 @@ MC_GOLDEN = [
         "copula-check", [],
         {
             "copula_check_clayton-1.csv": "3e5e9816179246f7f13f5ab507d18ad0fae537bd202f1f628362d74fb2782940",
-            "copula_check_report.json": "8524b515aadf75180869ca36ffb350ad4b64c166b882e1587c18b09e556015a9",
+            "copula_check_report.json": "329072d518ad1d345eb9fa4afbce093b6cdfc15b4cb82284441a2e940f493e23",
         },
     ),
 ]
@@ -834,6 +839,19 @@ def test_mc_manifest_records_telemetry(tmp_path, command, blocks):
     for name in {p.name for p in tmp_path.iterdir()} - {"manifest.json"}:
         text = (tmp_path / name).read_text()
         assert "seconds" not in text and "trials_per_s" not in text, name
+
+
+def test_bound_manifest_records_telemetry(tmp_path):
+    assert main(["bound", "--out", str(tmp_path), "--set", "bound.rounds=7"]) == 0
+    telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]
+    assert set(telemetry) == {"rounds", "psi", "final_value", "seconds"}
+    cfg, _ = load_config(None, ["bound.rounds=7"])
+    assert telemetry["psi"] == cli._build(analytics.ConvergenceConstants, cfg, ("bound",)).psi
+    rows = (tmp_path / "bound.csv").read_text().splitlines()
+    assert telemetry["rounds"] == len(rows) - 1 == 7
+    assert telemetry["final_value"] == float(rows[-1].split(",")[1])
+    assert telemetry["seconds"] >= 0
+    assert "seconds" not in (tmp_path / "bound.csv").read_text()
 
 
 def test_bound_constant_schedule(tmp_path, capsys):

@@ -5,6 +5,7 @@ the acceptance suite.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -313,17 +314,24 @@ def test_copula_marginal_gate_rejects_scaled_exponential_marginals(monkeypatch):
 
 def _scipy_ks(gains):
     """Per column scipy.stats.kstest against Exp(1): the D values, and
-    (max D, min p) as montecarlo.kstest reports them."""
+    the smallest exact p-value."""
     per_column = [stats.kstest(gains[:, j], "expon") for j in range(gains.shape[1])]
-    d = [float(r.statistic) for r in per_column]
-    return d, (max(d), min(float(r.pvalue) for r in per_column))
+    return [float(r.statistic) for r in per_column], min(float(r.pvalue) for r in per_column)
+
+
+def _massart(d, n):
+    return min(1.0, 2.0 * math.exp(-2.0 * n * d * d))
 
 
 @pytest.mark.parametrize("rows, ports", [(20, 2), (500, 3), (20_000, 10)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_one_sort_kstest_matches_scipy_column_by_column(rows, ports, seed):
     gains = sample_port_gains(Clayton(1.0 + seed), rows, ports, seed).gains
-    assert montecarlo.kstest(gains) == _scipy_ks(gains)[1]
+    d, exact = _scipy_ks(gains)
+    max_d, min_p = montecarlo.kstest(gains)
+    assert max_d == max(d)
+    assert min_p == _massart(max_d, rows)
+    assert min_p >= exact
 
 
 def test_one_sort_kstest_finds_a_stretched_last_column():
@@ -332,17 +340,66 @@ def test_one_sort_kstest_finds_a_stretched_last_column():
     plan = McPlan()
     gains = sample_port_gains(Clayton(2.0), plan.diag_rows, plan.n_ports, 3).gains
     gains[:, -1] *= 1.05
-    d, expected = _scipy_ks(gains)
+    d, exact = _scipy_ks(gains)
     assert int(np.argmax(d)) == plan.n_ports - 1
     max_d, min_p = montecarlo.kstest(gains)
-    assert (max_d, min_p) == expected
+    assert max_d == max(d)
+    assert min_p == _massart(max_d, plan.diag_rows) >= exact
     assert min_p < montecarlo.FAMILY_ALPHA / (len(plan.diag_betas) * plan.n_ports)
 
 
-def test_kendalltau_matches_scipy():
-    gains = sample_port_gains(Clayton(2.0), 2000, 2, 0).gains
-    expected = stats.kendalltau(gains[:, 0], gains[:, 1]).statistic
-    assert montecarlo.kendalltau(gains[:, 0], gains[:, 1]) == expected
+@pytest.mark.parametrize("n", [2, 10, 140, 141, 2000, 100_000])
+def test_ks_p_value_never_falls_below_the_exact_tail(n):
+    # Massart's bound is a valid p-value at every n, so the marginal gate
+    # keeps its false-alarm rate; kstwo switches method at n = 140/141.  The
+    # grid spans [0, 1] and the D where the bound is 1e-12 .. 1, around the
+    # gate's levels
+    at_p = np.sqrt(np.log(2.0 / np.logspace(-12.0, 0.0, 13)) / (2 * n))
+    grid = np.concatenate([np.linspace(0.0, 1.0, 101), at_p[at_p <= 1.0]])
+    p = [montecarlo._ks_p_value(float(d), n) for d in grid]
+    assert p == [_massart(float(d), n) for d in grid]
+    assert np.all(p >= stats.kstwo.sf(grid, n))
+
+
+def test_inversion_count_matches_brute_force():
+    rng = np.random.default_rng(7)
+    for n in range(1, 401):
+        perm = rng.permutation(n)
+        brute = int(np.count_nonzero(np.triu(perm[:, None] > perm[None, :])))
+        assert montecarlo._inversions(perm) == brute, n
+
+
+def test_kendalltau_matches_scipy_on_tied_samples():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 300))
+        x = rng.integers(0, rng.integers(2, 12), n)
+        y = rng.integers(0, rng.integers(2, 12), n)
+        assert montecarlo.kendalltau(x, y) == stats.kendalltau(x, y).statistic
+    for x, y in (([0.0, 1.0], [2.0, 3.0]), ([0.0, 1.0], [3.0, 2.0]), ([1, 1], [2, 3])):
+        expected = stats.kendalltau(x, y).statistic
+        got = montecarlo.kendalltau(x, y)
+        assert got == expected or (np.isnan(got) and np.isnan(expected))
+    with pytest.raises(ValueError, match="same size"):  # as scipy's
+        montecarlo.kendalltau([1, 2, 3], [1, 2])
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 5.0])
+def test_kendalltau_matches_scipy_on_the_default_blocks(beta):
+    # the block copula-check draws for beta at the default plan and seed 0
+    plan = McPlan()
+    stream = np.random.SeedSequence(plan.seed).spawn(len(plan.diag_betas) + 1)[
+        plan.diag_betas.index(beta)]
+    gains = sample_port_gains(Clayton(beta), plan.diag_rows, plan.n_ports, stream).gains
+    x, y = gains[:, 0], gains[:, 1]
+    assert montecarlo.kendalltau(x, y) == stats.kendalltau(x, y).statistic
+
+
+def test_kendalltau_of_a_constant_column_is_nan():
+    # as scipy's, and without a RuntimeWarning (warnings are errors here)
+    assert np.isnan(montecarlo.kendalltau(np.ones(50), np.arange(50.0)))
+    assert np.isnan(montecarlo.kendalltau(np.arange(50), np.full(50, 3)))
+    assert np.isnan(stats.kendalltau(np.ones(50), np.arange(50.0)).statistic)
 
 
 @pytest.mark.parametrize("field, value", [("n_ports", 1), ("diag_rows", 1)])
@@ -361,8 +418,9 @@ def test_copula_diagnostics_telemetry_stays_out_of_the_report():
     diag = run_copula_diagnostics(_small_plan(diag_rows=500))
     assert set(diag.telemetry) == {"clayton-1", "clayton-2"}
     for entry in diag.telemetry.values():
+        assert set(entry) == {"rows", "ports", "sample_s", "ks_s", "kendall_s"}
         assert (entry["rows"], entry["ports"]) == (500, 5)
-        assert entry["sample_s"] >= 0 and entry["stats_s"] >= 0
+        assert min(entry["sample_s"], entry["ks_s"], entry["kendall_s"]) >= 0
     assert "telemetry" not in diag.to_json_dict()
 
 
