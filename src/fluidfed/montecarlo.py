@@ -444,15 +444,6 @@ def _inversions(perm: np.ndarray) -> int:
     return total
 
 
-def _order(key: np.ndarray, then: np.ndarray) -> np.ndarray:
-    """``np.lexsort((then, key))``, by one unstable argsort when key has no ties."""
-    order = np.argsort(key)
-    ranked = key[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.lexsort((then, key))
-    return order
-
-
 def _tied_pairs(change: np.ndarray) -> int:
     """Tied pairs of a sorted sample; ``change`` marks the neighbours that differ."""
     runs = np.diff(np.flatnonzero(np.r_[True, change, True]))
@@ -472,9 +463,9 @@ def kendalltau(x, y) -> float:
     n = x.size
     if y.size != n:
         raise ValueError("x and y must have the same size")
-    order = _order(x, y)
+    order = np.lexsort((y, x))
     x, y = x[order], y[order]
-    by_y = _order(y, np.arange(n))  # the inverse of the ranks: same inversions
+    by_y = np.argsort(y, kind="stable")  # the inverse of the ranks: same inversions
     ys = y[by_y]
     new_x = x[1:] != x[:-1]
     xtie, ytie = _tied_pairs(new_x), _tied_pairs(ys[1:] != ys[:-1])
