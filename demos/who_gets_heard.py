@@ -17,7 +17,7 @@ from fluidfed.analytics import (
     participation_pmf_vector,
     qualify_probability,
 )
-from fluidfed.channel import Clayton, Independent, sample_port_gains, select_ports
+from fluidfed.channel import Clayton, Independent, sample_best_gains
 from fluidfed.ota import OtaConfig, gain_threshold
 
 K = 16          # users
@@ -27,11 +27,8 @@ TRIALS = 30000
 
 
 def empirical_pmf(dep, thr, rng):
-    counts = np.zeros(K + 1)
-    for _ in range(TRIALS):
-        best = select_ports(sample_port_gains(dep, K, N, rng))
-        counts[int((best >= thr).sum())] += 1
-    return counts / TRIALS
+    best = sample_best_gains(dep, TRIALS * K, N, rng).reshape(TRIALS, K)
+    return np.bincount((best >= thr).sum(axis=1), minlength=K + 1) / TRIALS
 
 
 def main():

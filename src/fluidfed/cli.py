@@ -33,7 +33,9 @@ rounds, client updates and their rate, per-round wall time and norm
 scale) and ``bound`` its rounds, psi, final value and seconds; no hashed
 output contains any of them.  Exit codes: 0 success,
 1 statistical check failure or training divergence, 2 usage/config
-error, 3 I/O error.
+error, 3 I/O error.  A statistical failure prints one ``FAIL`` line to
+stderr per failing grid point, mean, KS or Kendall check, each worded by
+its report's ``failures()``.
 """
 
 from __future__ import annotations
@@ -368,27 +370,11 @@ def _schedule_from_records(path) -> list[tuple[int, float]]:
     return [(int(cells[i_part]), float(cells[i_mse] or 0.0)) for cells in rows]
 
 
-def _report_failures(reports) -> bool:
-    """Print failing grid points; return True when everything passed."""
-    ok = True
-    for report in reports:
-        for p in report.failing_points():
-            ok = False
-            print(
-                f"FAIL {report.label}: x={p.x:g} empirical={p.empirical:.6g} "
-                f"analytic={p.analytic:.6g} stderr={p.stderr:.3g}",
-                file=sys.stderr,
-            )
-        mean_check = report.meta.get("mean_check")
-        if mean_check is not None and not mean_check["passed"]:
-            ok = False
-            print(
-                f"FAIL {report.label}: mean participation "
-                f"{mean_check['empirical_mean']:.4g} vs analytic "
-                f"{mean_check['analytic_mean']:.4g}",
-                file=sys.stderr,
-            )
-    return ok
+def _verdict(failures: list) -> str:
+    """Print the reports' ``FAIL`` lines to stderr; the command's status from them."""
+    for line in failures:
+        print(line, file=sys.stderr)
+    return "statistical-failure" if failures else "pass"
 
 
 def _cmd_compare(experiment: str, args, cfg: dict):
@@ -410,9 +396,8 @@ def _cmd_compare(experiment: str, args, cfg: dict):
             summary = (f"mean participants {mean['empirical_mean']:.3f} "
                        f"(analytic {mean['analytic_mean']:.3f})")
         print(f"{label}: {summary} ({'pass' if report.all_pass else 'FAIL'})")
-    ok = _report_failures(reports.values())
-    telemetry = {label: report.telemetry for label, report in reports.items()}
-    return files, "pass" if ok else "statistical-failure", telemetry
+    status = _verdict([line for report in reports.values() for line in report.failures()])
+    return files, status, {label: report.telemetry for label, report in reports.items()}
 
 
 def _cmd_copula_check(args, cfg: dict):
@@ -437,12 +422,7 @@ def _cmd_copula_check(args, cfg: dict):
     print("bessel-model sup gaps (report only):")
     for label, gap in sorted(diag.jakes_gaps.items()):
         print(f"  vs {label}: {gap:.4f}")
-    if not diag.all_pass:
-        _report_failures(diag.cdf_reports.values())
-        for check in diag.marginal_checks + diag.tau_checks:
-            if not check["passed"]:
-                print(f"FAIL diagnostics: {check}", file=sys.stderr)
-    return files, "pass" if diag.all_pass else "statistical-failure", diag.telemetry
+    return files, _verdict(diag.failures()), diag.telemetry
 
 
 def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:

@@ -26,6 +26,9 @@ The three comparisons return {spec.label: ComparisonReport}, and the
 copula diagnostics key each beta by ``Clayton(beta).label``, so McPlan
 rejects two variants, or two diagnosed betas, that share a label.  Each
 grid point carries its closed-form value as ``GridPointCheck.analytic``.
+Both report types give their verdict as ``failures()``, one ``FAIL`` line
+per failing check, worded as the CLI prints it; ``all_pass`` holds when it
+is empty, and the comparisons' ``failing_points`` telemetry counts it.
 
 run_mse_cdf_experiment : CDF of the rank-S normalized aggregation error
 run_participation_experiment : PMF of the participant count
@@ -179,20 +182,24 @@ class ComparisonReport:
     meta: dict = field(default_factory=dict)
     telemetry: dict = field(default_factory=dict)
 
+    def failures(self) -> list:
+        """The ``FAIL`` line of each failing grid point, then of a failing mean check."""
+        lines = [f"FAIL {self.label}: x={p.x:g} empirical={p.empirical:.6g} "
+                 f"analytic={p.analytic:.6g} stderr={p.stderr:.3g}"
+                 for p in self.points if not p.passed]
+        mean = self.meta.get("mean_check")
+        if mean is not None and not mean["passed"]:
+            lines.append(f"FAIL {self.label}: mean participation {mean['empirical_mean']:.4g} "
+                         f"vs analytic {mean['analytic_mean']:.4g}")
+        return lines
+
     @property
     def all_pass(self) -> bool:
-        base = all(p.passed for p in self.points)
-        extra = self.meta.get("mean_check")
-        if extra is not None:
-            return base and bool(extra["passed"])
-        return base
+        return not self.failures()
 
     @property
     def sup_gap(self) -> float:
         return max(abs(p.empirical - p.analytic) for p in self.points)
-
-    def failing_points(self) -> list:
-        return [p for p in self.points if not p.passed]
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,7 +292,6 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
         analytic = law(dist)
         report_meta = dict(meta, variant=dep.label, n_users=plan.n_users, trials=plan.trials,
                            seed=plan.seed, family_alpha=FAMILY_ALPHA)
-        failing = 0
         if mean_law is not None:
             q, heard = mean_law(dist), int(counts @ xs)
             (total,) = _check_points([0], [heard], [q], plan.n_users * plan.trials, alpha)
@@ -295,17 +301,16 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
                 "stderr": float(np.sqrt(plan.n_users * q * (1.0 - q) / plan.trials)),
                 "passed": total.passed,
             }
-            failing += not total.passed  # the mean check is one more point
         points = _check_points(xs, counts, analytic, plan.trials, alpha)
         seconds = time.perf_counter() - t0
-        telemetry = {
+        report = out[dep.label] = ComparisonReport(dep.label, points, report_meta)
+        report.telemetry = {
             "seconds": seconds,
             "blocks": blocks,
             "trials": plan.trials,
             "trials_per_s": plan.trials / seconds if seconds > 0 else None,
-            "failing_points": failing + sum(not p.passed for p in points),
+            "failing_points": len(report.failures()),  # the mean check is one more point
         }
-        out[dep.label] = ComparisonReport(dep.label, points, report_meta, telemetry)
     return out
 
 
@@ -406,10 +411,13 @@ def kstest(gains: np.ndarray) -> tuple[float, float]:
     D rises, so the largest D has the smallest p-value.
     """
     n = gains.shape[0]
-    cdf = -expm1(-np.sort(gains, axis=0))  # expon's CDF; np.expm1 differs in the last ulp
-    d_plus = (np.arange(1, n + 1) / n)[:, None] - cdf
-    d_minus = cdf - (np.arange(0, n) / n)[:, None]
-    d = max(float(d_plus.max()), float(d_minus.max()))
+    cdf = np.sort(gains, axis=0)
+    np.negative(cdf, out=cdf)  # expon's CDF -expm1(-x) in place; np.expm1 differs in the last ulp
+    expm1(cdf, out=cdf)
+    np.negative(cdf, out=cdf)
+    buf = np.empty_like(cdf)  # D+, then D-
+    d_plus = float(np.subtract((np.arange(1, n + 1) / n)[:, None], cdf, out=buf).max())
+    d = max(d_plus, float(np.subtract(cdf, (np.arange(0, n) / n)[:, None], out=buf).max()))
     return d, _ks_p_value(d, n)
 
 
@@ -499,13 +507,16 @@ class CopulaDiagnostics:
     meta: dict
     telemetry: dict = field(default_factory=dict)
 
+    def failures(self) -> list:
+        """Each max-gain CDF report's ``FAIL`` lines, then one per failing KS
+        or Kendall check."""
+        lines = [line for report in self.cdf_reports.values() for line in report.failures()]
+        return lines + [f"FAIL diagnostics: {check}"
+                        for check in self.marginal_checks + self.tau_checks if not check["passed"]]
+
     @property
     def all_pass(self) -> bool:
-        return (
-            all(c["passed"] for c in self.marginal_checks)
-            and all(c["passed"] for c in self.tau_checks)
-            and all(r.all_pass for r in self.cdf_reports.values())
-        )
+        return not self.failures()
 
     def to_json_dict(self) -> dict:
         return {

@@ -93,7 +93,7 @@ def test_accept_02_error_cdf_reproduction():
     )
     results = montecarlo.run_mse_cdf_experiment(plan)
     for label, report in results.items():
-        assert report.all_pass, (label, report.failing_points())
+        assert report.all_pass, report.failures()
     # the analytic curves themselves are pointwise ordered:
     # independent >= beta=1 >= beta=2 >= fpa at every grid point
     order = ["independent", "clayton-1", "clayton-2", "fpa"]
@@ -123,7 +123,7 @@ def test_accept_03_participation_histogram():
     )
     results = montecarlo.run_participation_experiment(plan)
     for label, report in results.items():
-        assert report.all_pass, (label, report.failing_points())
+        assert report.all_pass, report.failures()
         mean = report.meta["mean_check"]
         assert mean["passed"], (label, mean)
     _ok(3, "participation PMF per bin + mean = K*q, calibrated gate at 1e4 trials")
@@ -152,7 +152,7 @@ def test_accept_04_port_sweep():
     for label in order:
         # nondecreasing in the port count, for every dependence model
         assert np.all(np.diff(analytic[label]) >= -1e-15), label
-        assert results[label].all_pass, (label, results[label].failing_points())
+        assert results[label].all_pass, results[label].failures()
     # the independent curve dominates every other variant pointwise
     for label in order[1:]:
         assert np.all(analytic["independent"] >= analytic[label] - 1e-12), label

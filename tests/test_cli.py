@@ -909,13 +909,35 @@ def test_bound_inline_schedule(tmp_path):
     assert rc == 2
 
 
-def test_failure_reporting_prints_grid_points(capsys):
+def test_failing_gate_prints_its_failures_lines(tmp_path, monkeypatch, capsys):
     # honest runs pass their own bands, so exercise the failure path with
-    # a doctored report: it must print the offending point to stderr and
-    # report not-ok, which main() turns into exit code 1
-    assert cli._report_failures([DOCTORED]) is False
-    err = capsys.readouterr().err
-    assert "FAIL doctored" in err and "x=1" in err
+    # a doctored report: main prints its FAIL lines to stderr and exits 1
+    line = "FAIL doctored: x=1 empirical=0.9 analytic=0.1 stderr=0.01"
+    assert DOCTORED.failures() == [line]
+    monkeypatch.setattr(mc, "run_mse_cdf_experiment", lambda plan: {"doctored": DOCTORED})
+    assert main(["cdf-mse", "--out", str(tmp_path), *FAST_MC]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_copula_check_fails_on_scaled_exponential_marginals(tmp_path, monkeypatch, capsys):
+    # every port Exp(scale 1.05) instead of Exp(1): the KS check and the
+    # max-gain CDF reject it at 100k rows
+    real = mc.sample_port_gains
+
+    def stretched(dep, n_users, n_ports, rng):
+        out = real(dep, n_users, n_ports, rng)
+        return type(out)(gains=1.05 * out.gains)
+
+    monkeypatch.setattr(mc, "sample_port_gains", stretched)
+    assert main(["copula-check", "--out", str(tmp_path), *FAST_MC,
+                 "--set", "mc.diag_rows=100000"]) == 1
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "statistical-failure"
+    report = json.loads((tmp_path / "copula_check_report.json").read_text())
+    assert report["all_pass"] is False and report["marginal_checks"][0]["passed"] is False
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("FAIL ") for line in err)
+    (ks,) = [line for line in err if line.startswith("FAIL diagnostics: ")]
+    assert "'max_ks_statistic'" in ks and "'passed': False" in ks
 
 
 def test_training_divergence_exits_1(tmp_path, capsys):

@@ -23,6 +23,7 @@ from fluidfed.channel import (
 from fluidfed.montecarlo import (
     BLOCK_VALUES,
     ComparisonReport,
+    CopulaDiagnostics,
     GridPointCheck,
     DEFAULT_VARIANTS,
     McPlan,
@@ -179,7 +180,7 @@ def test_mse_cdf_experiment_passes_and_is_seed_stable():
     out2 = run_mse_cdf_experiment(_small_plan())
     assert set(out1) == {"independent", "clayton-1", "clayton-2", "fpa"}
     for label, report in out1.items():
-        assert report.all_pass, (label, [p for p in report.failing_points()])
+        assert report.all_pass, report.failures()
         assert report.meta["family_alpha"] == montecarlo.FAMILY_ALPHA
         assert [p.x for p in report.points] == list(plan.tau_grid)
         # same seed -> identical empirical points
@@ -209,7 +210,7 @@ def test_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, r
     out = run(McPlan(variants=(Clayton(2.0),)))
     report = out["clayton-2"]
     assert not report.all_pass
-    assert report.failing_points()
+    assert any(": x=" in line for line in report.failures())  # a grid point fails
 
 
 @pytest.mark.parametrize("trials", [1, 7, 400, 10_000])
@@ -240,7 +241,7 @@ def test_participation_experiment_bins_and_mean():
     out = run_participation_experiment(_small_plan())
     for label, report in out.items():
         assert len(report.points) == 9  # s = 0..8
-        assert report.all_pass, (label, report.failing_points())
+        assert report.all_pass, report.failures()
         mean = report.meta["mean_check"]
         assert mean["passed"]
         emp_pmf = np.array([p.empirical for p in report.points])
@@ -250,7 +251,7 @@ def test_participation_experiment_bins_and_mean():
 def test_port_sweep_is_monotone_and_passes():
     out = run_port_sweep(_small_plan())
     for label, report in out.items():
-        assert report.all_pass, (label, report.failing_points())
+        assert report.all_pass, report.failures()
         # prefix-nested sampling makes even the empirical sweep monotone
         emp = np.array([p.empirical for p in report.points])
         assert np.all(np.diff(emp) >= 0), label
@@ -271,7 +272,7 @@ def test_mse_cdf_rejects_jakes_variant():
 
 def test_copula_diagnostics_pass_and_serialize():
     diag = run_copula_diagnostics(_small_plan())
-    assert diag.all_pass
+    assert diag.failures() == [] and diag.all_pass
     assert {c["beta"] for c in diag.marginal_checks} == {1.0, 2.0}
     for check in diag.tau_checks:
         assert abs(check["empirical_tau"] - check["analytic_tau"]) <= 0.02
@@ -310,6 +311,7 @@ def test_copula_marginal_gate_rejects_scaled_exponential_marginals(monkeypatch):
     assert not check["passed"]
     assert check["min_p_value"] < montecarlo.FAMILY_ALPHA / 40
     assert not diag.all_pass
+    assert diag.failures()[-1] == f"FAIL diagnostics: {check}"
 
 
 def _scipy_ks(gains):
@@ -424,19 +426,37 @@ def test_copula_diagnostics_telemetry_stays_out_of_the_report():
     assert "telemetry" not in diag.to_json_dict()
 
 
-def test_report_all_pass_logic():
+def test_comparison_report_failures_list_points_then_the_mean_check():
     good = GridPointCheck(1.0, 0.5, 0.5, 0.01, True)
     bad = GridPointCheck(2.0, 0.9, 0.5, 0.01, False)
     r = ComparisonReport(label="x", points=[good, bad])
+    assert r.failures() == ["FAIL x: x=2 empirical=0.9 analytic=0.5 stderr=0.01"]
     assert not r.all_pass
-    assert r.failing_points() == [bad]
     assert r.sup_gap == pytest.approx(0.4)
-    r2 = ComparisonReport(
-        label="y",
-        points=[good],
-        meta={"mean_check": {"passed": False}},
-    )
-    assert not r2.all_pass
+    mean = {"empirical_mean": 3.14159, "analytic_mean": 2.5, "stderr": 0.1, "passed": False}
+    r2 = ComparisonReport(label="y", points=[good, bad], meta={"mean_check": mean})
+    assert r2.failures() == ["FAIL y: x=2 empirical=0.9 analytic=0.5 stderr=0.01",
+                             "FAIL y: mean participation 3.142 vs analytic 2.5"]
+    r3 = ComparisonReport(label="z", points=[good], meta={"mean_check": mean})
+    assert r3.failures() == ["FAIL z: mean participation 3.142 vs analytic 2.5"]
+    assert not r3.all_pass
+    r4 = ComparisonReport(label="w", points=[good], meta={"mean_check": dict(mean, passed=True)})
+    assert r4.failures() == [] and r4.all_pass
+
+
+def test_copula_diagnostics_failures_list_cdf_lines_then_ks_and_kendall():
+    cdf = ComparisonReport("clayton-1", [GridPointCheck(2.0, 0.9, 0.5, 0.01, False)])
+    ks, tau = {"beta": 1.0, "passed": False}, {"beta": 1.0, "passed": True}
+    diag = CopulaDiagnostics([ks], [tau, {"beta": 2.0, "passed": False}],
+                             {"clayton-1": cdf}, jakes_gaps={}, meta={})
+    assert diag.failures() == [
+        "FAIL clayton-1: x=2 empirical=0.9 analytic=0.5 stderr=0.01",
+        "FAIL diagnostics: {'beta': 1.0, 'passed': False}",
+        "FAIL diagnostics: {'beta': 2.0, 'passed': False}",
+    ]
+    assert not diag.all_pass
+    passing = CopulaDiagnostics([dict(ks, passed=True)], [tau], {}, jakes_gaps={}, meta={})
+    assert passing.failures() == [] and passing.all_pass
 
 
 def test_default_variants_cover_the_dependence_range():
