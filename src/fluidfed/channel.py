@@ -92,19 +92,16 @@ class PerfectDependence:
 class GaussianJakes:
     """Complex Gaussian fading with Bessel port correlation.
 
-    ``aperture`` is the span in wavelengths, ``power`` the per-port mean
-    power gain (Exp(power) marginals).
+    ``aperture`` is the span in wavelengths; every port has unit mean
+    power gain (Exp(1) marginals), like the other dependence models.
     """
 
     aperture: float
-    power: float = 1.0
     label = "jakes"  # a class attribute, not a field: every aperture shares it
 
     def __post_init__(self):
         if self.aperture < 0:
             raise ValueError("aperture must be >= 0")
-        if not (self.power > 0):
-            raise ValueError("power must be > 0")
 
 
 DependenceSpec = Union[Independent, Clayton, PerfectDependence, GaussianJakes]
@@ -174,16 +171,14 @@ def _clayton_reaches(exps, log_v, beta: float, threshold: float) -> np.ndarray:
     return reaches
 
 
-def jakes_correlation_matrix(n_ports: int, aperture: float, power: float = 1.0) -> np.ndarray:
-    """Port covariance: entry (i, j) = power * J0(2*pi*|i-j|/(N-1)*W).
+def jakes_correlation_matrix(n_ports: int, aperture: float) -> np.ndarray:
+    """Unit-power port covariance: entry (i, j) = J0(2*pi*|i-j|/(N-1)*W).
 
-    A single port (N = 1) degenerates to [[power]].
+    A single port (N = 1) has no spacing and gives [[1.0]].
     """
-    if n_ports == 1:
-        return np.array([[power]])
     idx = np.arange(n_ports)
-    dist = np.abs(idx[:, None] - idx[None, :]) / (n_ports - 1) * aperture
-    return power * j0(2.0 * np.pi * dist)
+    dist = np.abs(idx[:, None] - idx[None, :]) / max(n_ports - 1, 1) * aperture
+    return j0(2.0 * np.pi * dist)
 
 
 def _jakes_gains(
@@ -193,12 +188,12 @@ def _jakes_gains(
 
     The covariance from :func:`jakes_correlation_matrix` is factorized by
     eigendecomposition; tiny negative eigenvalues (roundoff) are clamped to
-    zero, anything below -1e-10 * power raises :class:`SamplingError`.  Each
-    row is h = A z with z ~ CN(0, I) and A A^T the covariance, so the W = 0
-    rank-1 case yields exactly equal ports and marginals are Exp(power).
+    zero, anything below -1e-10 raises :class:`SamplingError`.  Each row is
+    h = A z with z ~ CN(0, I) and A A^T the covariance, so the W = 0 rank-1
+    case yields exactly equal ports and marginals are Exp(1).
     """
-    eigval, eigvec = np.linalg.eigh(jakes_correlation_matrix(n_ports, dep.aperture, dep.power))
-    if eigval.min() < -1e-10 * dep.power:
+    eigval, eigvec = np.linalg.eigh(jakes_correlation_matrix(n_ports, dep.aperture))
+    if eigval.min() < -1e-10:
         raise SamplingError(
             f"port covariance not positive semidefinite: min eigenvalue "
             f"{eigval.min():.3e} (aperture={dep.aperture}, n_ports={n_ports})"

@@ -115,8 +115,9 @@ def _train_count(n: int, split: float) -> int:
     """Rows of ``n`` that ``_split`` puts in the training split."""
     if not (0 < split <= 1):
         raise ValueError("split must be in (0, 1]")
-    n_train = int(round(split * n))
-    return min(max(n_train, 1), n - 1) if n >= 2 else n_train
+    if n < 2:
+        raise ValueError("samples must be >= 2: one training and one test row")
+    return min(max(int(round(split * n)), 1), n - 1)
 
 
 def _split(x: np.ndarray, y: np.ndarray, split: float, rng: RngLike) -> Dataset:
@@ -133,6 +134,8 @@ def ingest_mnist(images_path, labels_path, split: float = 0.9, rng: RngLike = 0)
     if images.shape[0] != labels.shape[0]:
         raise ValueError(f"image count {images.shape[0]} in {images_path} != "
                          f"label count {labels.shape[0]} in {labels_path}")
+    if images.shape[0] < 2:  # named by its file, before _split's samples check
+        raise ValueError(f"mnist_images {images_path} holds {images.shape[0]} images, fewer than 2")
     return _split(images.astype(np.float64) / 255.0, labels.astype(np.int64), split, rng)
 
 
@@ -150,8 +153,7 @@ def synthesize_dataset(
     dims >= classes); unit isotropic noise.  At the default separation the
     classes are cleanly separable.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _train_count(samples, split)  # before any draw
     if classes < 2:
         raise ValueError("classes must be >= 2")
     if dims < classes:
@@ -235,18 +237,13 @@ class MlpModel:
         return a1, z2
 
     def loss_and_grad(self, w: np.ndarray, x: np.ndarray, y: np.ndarray):
-        """Mean cross-entropy and its gradient wrt the flat parameters.
+        """Mean cross-entropy and its gradient wrt the flat parameters, per client.
 
-        ``x`` (b, in) and ``y`` (b,) give a float loss and a (P,) gradient.
-        With a leading cohort axis, ``x`` (S, b, in) and ``y`` (S, b), the
-        parameters ``w`` are (P,) shared by all S clients or (S, P), and the
-        result is (S,) losses and (S, P) gradients.  Stacked matmul runs one
-        GEMM per slice, so each slice equals its single-client call bit for
-        bit.
+        ``x`` (S, b, in) and ``y`` (S, b) stack the batches of S clients, and
+        the parameters ``w`` are (P,) shared by all S or (S, P).  Returns (S,)
+        losses and (S, P) gradients.  Stacked matmul runs one GEMM per slice,
+        so each slice equals its S = 1 call bit for bit.
         """
-        single = x.ndim == 2
-        if single:
-            x, y = x[None], y[None]
         s, n = y.shape
         _, _, w2, _ = self.unpack(w)
         a1, z2 = self._logits(w, x)
@@ -266,13 +263,9 @@ class MlpModel:
         da1 *= active
         np.matmul(x.transpose(0, 2, 1), da1, out=gw1)
         np.sum(da1, axis=1, out=gb1)
-        if single:
-            return float(loss[0]), grad[0]
         return loss, grad
 
     def accuracy(self, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-        if x.shape[0] == 0:
-            return float("nan")
         _, z2 = self._logits(w, x)
         return float(np.mean(z2.argmax(axis=1) == y))
 
@@ -316,7 +309,7 @@ class FlConfig:
             raise ValueError("benchmark must be 'ota' or 'ideal'")
         if self.data not in ("synthetic", "mnist"):
             raise ValueError("data must be 'synthetic' or 'mnist'")
-        _train_count(self.samples, self.split)  # checks split for either data
+        _train_count(self.samples, self.split)  # checks samples, and split for either data
         if self.data == "mnist":
             for name in ("mnist_images", "mnist_labels"):
                 if not getattr(self, name):

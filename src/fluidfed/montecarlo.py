@@ -276,9 +276,10 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
 
     ``draw`` is the sampler each block calls (see ``_simulate``) and
     ``statistic`` maps its block to counts at ``xs``; ``law(dist)`` is the
-    closed form there.  With ``mean_law`` the counts are a histogram over
-    xs = 0..K, and the total count is also checked against
-    Bin(K * trials, mean_law(dist)).  All checks of one call share the
+    closed form there, evaluated before the variant's first draw, so its
+    argument checks fire before any sampling.  With ``mean_law`` the counts
+    are a histogram over xs = 0..K, and the total count is also checked
+    against Bin(K * trials, mean_law(dist)).  All checks of one call share the
     family-wise false-alarm rate FAMILY_ALPHA.
     Returns {variant label: ComparisonReport}.
     """
@@ -288,8 +289,8 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
     out = {}
     for dep, dist, root in zip(plan.variants, dists, roots):
         t0 = time.perf_counter()
-        counts, blocks = _simulate(plan, dep, root, n_sampled, draw, statistic)
         analytic = law(dist)
+        counts, blocks = _simulate(plan, dep, root, n_sampled, draw, statistic)
         report_meta = dict(meta, variant=dep.label, n_users=plan.n_users, trials=plan.trials,
                            seed=plan.seed, family_alpha=FAMILY_ALPHA)
         if mean_law is not None:
@@ -317,11 +318,9 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
 def run_mse_cdf_experiment(plan: McPlan) -> dict:
     """Empirical vs analytic CDF of the rank-S normalized error.
 
-    Returns {variant label: ComparisonReport}.  ``plan.s_target`` is
-    checked here, before any draw: no other experiment reads it.
+    Returns {variant label: ComparisonReport}.  Only this experiment reads
+    ``plan.s_target``; the closed form checks it before any draw.
     """
-    if not (1 <= plan.s_target <= plan.n_users):
-        raise ValueError("s_target must be in 1..n_users")
     rank, grid = plan.s_target - 1, plan.tau_grid
 
     def below_tau(best):

@@ -11,8 +11,8 @@ dimension in training):
   sigma2 / (tau * p_max), which caps the realized aggregation error at tau;
 * denoising factor: eta = d * p_max * min selected gain, so the weakest
   participant transmits exactly at its power budget;
-* per-user amplitude: |p_k| = sqrt(eta / gain_k), giving power
-  (1/d)|p_k|^2 <= p_max with equality at the weakest user;
+* per-user power: user k scales its vector to per-entry power
+  eta / (d * gain_k) <= p_max, with equality at the weakest user;
 * realized error of the normalized sum estimate:
   mse = (sigma2/p_max) * max_k 1/gain_k = d * sigma2 / eta.
 
@@ -74,15 +74,14 @@ class SelectionOutcome:
     """Participants plus the zero-forcing scaling for one round.
 
     selected: ascending user indices (0-based)
-    eta: shared denoising factor
-    scale: per-selected transmit amplitude sqrt(eta / gain_k)
+    eta: shared denoising factor; selected user k transmits at per-entry
+        power eta / (d * gain_k)
     realized_mse: aggregation error of the round, d * sigma2 / eta
     d: length of the transmitted vectors
     """
 
     selected: np.ndarray
     eta: float
-    scale: np.ndarray
     realized_mse: float
     d: int
 
@@ -116,11 +115,8 @@ def zf_power_control(
         raise ValueError("selected gains must be finite and > 0")
     g_min = float(gains.min())
     eta = d * cfg.p_max * g_min
-    scale = np.sqrt(eta / gains)
     realized = cfg.sigma2 / (cfg.p_max * g_min)
-    return SelectionOutcome(
-        selected=selected, eta=eta, scale=scale, realized_mse=realized, d=d
-    )
+    return SelectionOutcome(selected=selected, eta=eta, realized_mse=realized, d=d)
 
 
 def ota_aggregate(

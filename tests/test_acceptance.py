@@ -216,7 +216,7 @@ def test_accept_06_zf_feasibility():
         if sel.size == 0:
             continue
         out = ota.zf_power_control(best, sel, cfg, d)
-        per_entry = out.scale**2 / d
+        per_entry = out.eta / (d * best[sel])
         # constraint holds everywhere, binds exactly at the weakest user
         assert per_entry.max() <= cfg.p_max * (1.0 + 1e-12)
         weakest = np.argmin(best[sel])
@@ -259,9 +259,9 @@ def test_accept_08_gradient_check():
     rng = np.random.default_rng(17)
     model = fedlearn.MlpModel(n_inputs=6, n_hidden=9, n_classes=4)
     w = model.init_params(rng) + 0.02 * rng.standard_normal(model.n_params)
-    x = rng.standard_normal((16, 6))
-    y = rng.integers(0, 4, size=16)
-    _, grad = model.loss_and_grad(w, x, y)
+    x = rng.standard_normal((16, 6))[None]
+    y = rng.integers(0, 4, size=16)[None]
+    grad = model.loss_and_grad(w, x, y)[1][0]
     eps = 1e-6
     probes = rng.choice(model.n_params, size=64, replace=False)
     worst = 0.0
@@ -269,7 +269,7 @@ def test_accept_08_gradient_check():
         wp, wm = w.copy(), w.copy()
         wp[i] += eps
         wm[i] -= eps
-        fd = (model.loss_and_grad(wp, x, y)[0] - model.loss_and_grad(wm, x, y)[0]) / (
+        fd = (model.loss_and_grad(wp, x, y)[0][0] - model.loss_and_grad(wm, x, y)[0][0]) / (
             2 * eps
         )
         rel = abs(grad[i] - fd) / max(abs(fd), abs(grad[i]), 1e-8)

@@ -286,15 +286,14 @@ def test_sampler_input_validation():
 
 
 def test_jakes_matrix_unit_diagonal_and_symmetry():
-    cov = jakes_correlation_matrix(8, 1.3, power=2.0)
-    assert np.allclose(np.diag(cov), 2.0)
+    cov = jakes_correlation_matrix(8, 1.3)
+    assert np.array_equal(np.diag(cov), np.ones(8))
     assert np.allclose(cov, cov.T)
     assert cov.shape == (8, 8)
 
 
 def test_jakes_single_port_degenerates():
-    cov = jakes_correlation_matrix(1, 0.7, power=3.0)
-    assert cov.shape == (1, 1) and cov[0, 0] == 3.0
+    assert np.array_equal(jakes_correlation_matrix(1, 0.7), [[1.0]])
 
 
 def test_jakes_zero_aperture_is_rank_one():
@@ -321,10 +320,10 @@ def test_jakes_covariance_stays_psd_over_grid():
     assert worst > -1e-10
 
 
-def test_jakes_marginals_exponential_with_power():
-    g = sample_port_gains(GaussianJakes(0.5, power=2.0), 40000, 4, 23).gains
-    assert abs(g.mean() - 2.0) < 0.05
-    ks = kstest(g[:, 0] / 2.0, "expon")
+def test_jakes_marginals_are_unit_exponential():
+    g = sample_port_gains(GaussianJakes(0.5), 40000, 4, 23).gains
+    assert abs(g.mean() - 1.0) < 0.025
+    ks = kstest(g[:, 0], "expon")
     assert ks.statistic < 1.6276 / np.sqrt(40000)
 
 

@@ -262,7 +262,11 @@ def _flags(n, command, flags, message):
         _flags(32, "train", [*MNIST, "--set", "fl.mnist_images={idx}/labels.idx"],
                "labels.idx has magic 2049, expected 2051"),
         ("train", "fl.classes=0", "fl.classes: classes must be >= 2"),
-        ("train", "fl.samples=0", "fl.samples: samples must be >= 1"),
+        ("train", "fl.samples=0", "fl.samples: samples must be >= 2"),
+        ("train", "fl.samples=1", "fl.samples: samples must be >= 2"),
+        # one row fits one client, and would leave every round's test split empty
+        _flags(36, "train", ["--set", "fl.samples=1", "--set", "fl.clients=1"],
+               "fl.samples: samples must be >= 2"),
         ("train", "fl.dims=0", "fl.dims: dims must be >= classes"),
         ("bound", "bound.rounds=0", "at least one round"),
         ("bound", "bound.participants=11", "bound.participants: participants must be in 1..n_users"),

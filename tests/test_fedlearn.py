@@ -98,6 +98,14 @@ def test_idx_label_count_must_match_images(tmp_path):
         ingest_mnist(ip, lp)
 
 
+def test_idx_needs_a_training_and_a_test_image(tmp_path):
+    ip, lp = tmp_path / "i", tmp_path / "l"
+    _write_idx_images(ip, np.zeros((1, 2, 2), dtype=np.uint8))
+    _write_idx_labels(lp, np.zeros(1, dtype=np.uint8))
+    with pytest.raises(ValueError, match="^mnist_images .* holds 1 images, fewer than 2$"):
+        ingest_mnist(ip, lp)
+
+
 # ------------------------------------------------------------- synthetic
 
 
@@ -154,17 +162,17 @@ def test_gradient_matches_central_finite_differences():
     rng = np.random.default_rng(42)
     model = MlpModel(n_inputs=5, n_hidden=7, n_classes=3)
     w = model.init_params(rng) + 0.01 * rng.standard_normal(model.n_params)
-    x = rng.standard_normal((12, 5))
-    y = rng.integers(0, 3, size=12)
-    _, grad = model.loss_and_grad(w, x, y)
+    x = rng.standard_normal((12, 5))[None]
+    y = rng.integers(0, 3, size=12)[None]
+    grad = model.loss_and_grad(w, x, y)[1][0]
     eps = 1e-6
     probes = rng.choice(model.n_params, size=60, replace=False)
     for i in probes:
         wp, wm = w.copy(), w.copy()
         wp[i] += eps
         wm[i] -= eps
-        lp, _ = model.loss_and_grad(wp, x, y)
-        lm, _ = model.loss_and_grad(wm, x, y)
+        lp = model.loss_and_grad(wp, x, y)[0][0]
+        lm = model.loss_and_grad(wm, x, y)[0][0]
         fd = (lp - lm) / (2 * eps)
         denom = max(abs(fd), abs(grad[i]), 1e-8)
         assert abs(grad[i] - fd) / denom < 1e-5, i
@@ -183,14 +191,14 @@ def test_param_vector_layout_roundtrip():
 def test_loss_decreases_under_plain_gradient_steps():
     rng = np.random.default_rng(7)
     model = MlpModel(6, 8, 3)
-    x = rng.standard_normal((64, 6))
-    y = rng.integers(0, 3, size=64)
+    x = rng.standard_normal((64, 6))[None]
+    y = rng.integers(0, 3, size=64)[None]
     w = model.init_params(rng)
     losses = []
     for _ in range(60):
         loss, grad = model.loss_and_grad(w, x, y)
-        losses.append(loss)
-        w = w - 0.5 * grad
+        losses.append(loss[0])
+        w = w - 0.5 * grad[0]
     assert losses[-1] < losses[0] * 0.7
 
 
@@ -207,9 +215,9 @@ def test_sgd_local_update_is_one_explicit_step():
     shard = np.array_split(np.random.default_rng(0).permutation(ds.train_x.shape[0]), 2)[1]
     keys = np.random.default_rng(99).random((2, shards[0].shape[1]))
     batch = shard[np.sort(np.argsort(keys[1, : shard.size])[:8])]
-    ref_loss, g = model.loss_and_grad(w0, ds.train_x[batch], ds.train_y[batch])
-    assert loss[0] == ref_loss
-    assert np.array_equal(w1[0], w0 - 0.2 * g)
+    ref_loss, g = model.loss_and_grad(w0, ds.train_x[batch][None], ds.train_y[batch][None])
+    assert loss[0] == ref_loss[0]
+    assert np.array_equal(w1[0], w0 - 0.2 * g[0])
 
 
 def _reference_loss_and_grad(model, w, x, y):
@@ -270,10 +278,10 @@ def test_cohort_loss_and_grad_slices_equal_single_client_calls():
             ref_loss, ref_grad = _reference_loss_and_grad(model, wj, x[j], y[j])
             assert loss[j] == ref_loss
             assert np.array_equal(grad[j], ref_grad)
-            # the 2-D call keeps its (float, (P,)) form
-            one_loss, one_grad = model.loss_and_grad(wj, x[j], y[j])
-            assert isinstance(one_loss, float) and one_loss == ref_loss
-            assert np.array_equal(one_grad, ref_grad)
+            # an S = 1 stack gives the same slice
+            one_loss, one_grad = model.loss_and_grad(wj, x[j][None], y[j][None])
+            assert one_loss.shape == (1,) and one_loss[0] == ref_loss
+            assert np.array_equal(one_grad[0], ref_grad)
 
 
 def _ragged_clients():
@@ -348,8 +356,8 @@ def test_gradient_vanishes_at_symmetric_origin():
     model = MlpModel(2, 2, 2)
     # identical inputs with both labels: at w = 0 every logit is 0, the
     # softmax residuals cancel in pairs and the gradient is exactly zero
-    x = np.array([[1.0, 0.0], [1.0, 0.0]])
-    y = np.array([0, 1])
+    x = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+    y = np.array([[0, 1]])
     w = np.zeros(model.n_params)
     _, g = model.loss_and_grad(w, x, y)
     assert np.allclose(g, 0.0, atol=1e-15)

@@ -57,14 +57,15 @@ def test_threshold_and_selection_boundary_is_inclusive():
 
 
 def test_zf_worked_example():
-    # d=2, p_max=1, gains (1, 4): eta = 2*1*1 = 2, scales sqrt(2/g),
-    # per-entry power |p|^2/d binds at the weakest user
+    # d=2, p_max=1, gains (1, 4): eta = 2*1*1 = 2, per-entry power
+    # eta/(d*g) = (1, 1/4) binds at the weakest user
     cfg = OtaConfig(p_max=1.0, sigma2=0.1, tau=1.0)
-    out = zf_power_control(_eff([1.0, 4.0]), np.array([0, 1]), cfg, 2)
+    gains = np.array([1.0, 4.0])
+    out = zf_power_control(_eff(gains), np.array([0, 1]), cfg, 2)
     assert out.eta == pytest.approx(2.0)
-    assert out.scale == pytest.approx([np.sqrt(2.0), np.sqrt(0.5)])
     assert out.realized_mse == pytest.approx(0.1)  # sigma2/(p_max*g_min)
-    powers = out.scale**2 / out.d
+    powers = out.eta / (out.d * gains)
+    assert powers == pytest.approx([1.0, 0.25])
     assert powers[0] == pytest.approx(cfg.p_max, abs=1e-15)
     assert powers[1] < cfg.p_max
 
@@ -76,7 +77,7 @@ def test_power_constraint_binds_at_weakest_over_random_rounds():
         k = int(rng.integers(1, 30))
         gains = rng.exponential(size=k) + gain_threshold(cfg)
         out = zf_power_control(_eff(gains), np.arange(k), cfg, d)
-        powers = out.scale**2 / d
+        powers = out.eta / (d * gains)
         assert powers.max() <= cfg.p_max * (1 + 1e-12)
         assert abs(powers[np.argmin(gains)] - cfg.p_max) <= 1e-12 * cfg.p_max
         assert out.realized_mse == pytest.approx(d * cfg.sigma2 / out.eta)
