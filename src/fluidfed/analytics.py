@@ -17,13 +17,20 @@ Every law below is read off that one log F:
   which keeps its relative precision where F rounds to 1;
 * the normalized aggregation-error CDF at target rank S (the S-th order
   statistic of the per-user error scores over K users):
-  Pr(Bin(K, q) >= S) = I_q(S, K - S + 1), the regularized incomplete
-  beta function, with threshold x = 1/(p_max * tau);
-* the participation count PMF, Binomial(K, q) in the log domain:
-  log C(K, s) + s log q + (K - s) log F, so the lower tail keeps its
-  relative precision where q rounds to 1; the threshold is a link's
-  x = ota.gain_threshold(link) = sigma2/(p_max * tau), and
+  Pr(Bin(K, q) >= S), with threshold x = 1/(p_max * tau);
+* the participation count PMF, Binomial(K, q); the threshold is a
+  link's x = ota.gain_threshold(link) = sigma2/(p_max * tau), and
   ota.OtaConfig checks the link, not this module.
+
+Both binomial laws take q and F = 1 - q each from log F, so either keeps
+its relative precision where the other rounds to 1.  The PMF is Loader's
+saddle-point form (Loader 2000, "Fast and accurate computation of
+binomial probabilities"): Stirling-series remainders and the deviance
+term bd0, each good to a few ulp, with no cancellation between large
+log-factorials.  ``binomial_tails`` sums the tail on the far side of the
+mean from one such PMF by term ratios, which fall geometrically once past
+the mode; the near side is its complement, never below about 1/2.  The
+Monte-Carlo gate takes its exact binomial p-values from the same routine.
 
 `optimality_gap_trajectory` evaluates the per-round contraction bound
 psi^T * gap_1 + sum_t psi^(T-t) * residual_t with psi = 1 - lr * pl_constant
@@ -33,12 +40,12 @@ gradient-variance term, and the round's aggregation MSE.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import betainc, gammaln, xlogy
 
 from .channel import Clayton, Independent, PerfectDependence, log1mexp
 
@@ -49,6 +56,7 @@ __all__ = [
     "qualify_probability",
     "normalized_mse_cdf",
     "participation_pmf_vector",
+    "binomial_tails",
     "round_residual",
     "optimality_gap_trajectory",
 ]
@@ -105,6 +113,113 @@ def qualify_probability(dist: GainDistribution, threshold: float) -> float:
     return float(-np.expm1(_log_cdf(dist, threshold)))
 
 
+# ----------------------------------------------------------------------
+# binomial law (Loader 2000)
+# ----------------------------------------------------------------------
+
+_LN_2PI = math.log(2.0 * math.pi)
+# stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 0..15 (0 at n = 0)
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+# the Stirling series 1/12n - 1/360n^3 + 1/1260n^5 - 1/1680n^7 + 1/1188n^9
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """Loader's stirlerr(n) for integer n >= 0: a table to 15, the series above."""
+    with np.errstate(divide="ignore"):
+        nn = n * n
+        series = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / nn) / nn) / nn) / nn) / n
+    return np.where(n <= 15, _STIRLERR[np.minimum(n, 15).astype(int)], series)
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Loader's deviance term x ln(x/m) + m - x for x, m > 0, by its series
+    in v = (x - m)/(x + m) where |v| < 0.1, so it keeps relative precision
+    as x nears m."""
+    with np.errstate(all="ignore"):  # x or m at 0 is the caller's edge case
+        out = x * np.log(x / m) + m - x
+    near = np.abs(x - m) < 0.1 * (x + m)
+    if near.any():
+        x, m = x[near], m[near]
+        v = (x - m) / (x + m)
+        s, term, v2 = (x - m) * v, 2.0 * x * v, v * v
+        for j in range(3, 1000, 2):  # |v| < 0.1: each term 100 times below the last
+            term = term * v2
+            nxt = s + term / j
+            if np.array_equal(nxt, s):
+                break
+            s = nxt
+        out[near] = s
+    return out
+
+
+def _flat(k, p, q):
+    """The shape k, p and q broadcast to, and each as a flat float array."""
+    k, p, q = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (k, p, q)))
+    return k.shape, k.ravel(), p.ravel(), q.ravel()
+
+
+def _binomial_pmf(k, n: int, p, q) -> np.ndarray:
+    """Pr(Bin(n, p) = k) for integer k in 0..n, with q = 1 - p given to its
+    own precision.  Where p or q is 0, bd0 and the log of the edge term are
+    infinite, so the law comes out one-hot."""
+    shape, k, p, q = _flat(k, p, q)
+    n_k = n - k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_c = (_stirlerr(np.float64(n)) - _stirlerr(k) - _stirlerr(n_k)
+                 - _bd0(k, n * p) - _bd0(n_k, n * q))
+        log_f = _LN_2PI + np.log(k) + np.log1p(-k / n)
+        inner = np.exp(log_c - 0.5 * log_f)
+        edge = np.exp(n * np.log(np.where(k == 0, q, p)))  # q^n at k = 0, p^n at k = n
+    return np.where((k > 0) & (n_k > 0), inner, edge).reshape(shape)
+
+
+def _far_tail_ratio(k: np.ndarray, n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_{j >= 1} Pr(X = k + j) / Pr(X = k) for X ~ Bin(n, p), k >= np,
+    from the term ratios (n - i)/(i + 1) * p/q, i = k, k + 1, ...
+
+    The sum stops 40 + 10 sd terms past k.  From k >= np the terms fall at
+    least as fast as in a tail from the mean, where the term that far out
+    is below e^-50 of the first (Bernstein's inequality), so the terms left
+    out are below rounding.
+    """
+    width = 40 + int(10.0 * math.sqrt(n * float(np.max(p * q, initial=0.0))))
+    with np.errstate(divide="ignore", over="ignore"):
+        # finite, so the ratio at i = n is 0: odds overflow only where k = n
+        odds = np.minimum(p / q, np.finfo(float).max)[:, None]
+        i = k[:, None] + np.arange(min(width, n))
+        ratio = (n - i) / (i + 1.0) * odds
+    np.maximum(ratio, 0.0, out=ratio)  # the terms past k = n
+    return np.cumprod(ratio, axis=1, out=ratio).sum(axis=1)
+
+
+def binomial_tails(k, n: int, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """(Pr(X <= k), Pr(X >= k)) for X ~ Bin(n, p), elementwise over integer
+    k in 0..n, with q = 1 - p given to its own precision.
+
+    The tail beyond k away from the mean is summed from the PMF at k
+    (``_far_tail_ratio``); the other is 1 minus the first without its term
+    at k.  Past the mean the far tail is Pr(X >= k) and Pr(X <= k) >= 1/2,
+    since the median is floor(np) or ceil(np), so the subtraction keeps the
+    small tail's relative precision; below the mean the roles swap, through
+    n - X ~ Bin(n, q).  Both tails are exact at p or q = 0.
+    """
+    shape, k, p, q = _flat(k, p, q)
+    upper = k >= n * p
+    k_far, p_far, q_far = np.where(upper, k, n - k), np.where(upper, p, q), np.where(upper, q, p)
+    at_k = _binomial_pmf(k_far, n, p_far, q_far)
+    beyond = at_k * _far_tail_ratio(k_far, n, p_far, q_far)
+    far, near = at_k + beyond, 1.0 - beyond
+    return (np.where(upper, near, far).reshape(shape),
+            np.where(upper, far, near).reshape(shape))
+
+
 def normalized_mse_cdf(
     dist: GainDistribution, n_users: int, s_target: int, p_max: float, tau
 ) -> np.ndarray | float:
@@ -122,8 +237,8 @@ def normalized_mse_cdf(
     taus = np.asarray(tau, dtype=float)
     if np.any(taus <= 0):
         raise ValueError("tau must be > 0")
-    q = -np.expm1(_log_cdf(dist, 1.0 / (p_max * taus)))
-    out = betainc(s_target, n_users - s_target + 1, q)
+    log_f = _log_cdf(dist, 1.0 / (p_max * taus))
+    out = binomial_tails(s_target, n_users, -np.expm1(log_f), np.exp(log_f))[1]
     return float(out) if taus.ndim == 0 else out
 
 
@@ -134,12 +249,8 @@ def participation_pmf_vector(
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     q = qualify_probability(dist, threshold)  # also checks threshold
-    s = np.arange(n_users + 1)
-    log_binom = gammaln(n_users + 1) - gammaln(s + 1) - gammaln(n_users - s + 1)
-    # (K - s) log(1 - q) as (K - s) log F, exactly 0 at s = K even where F = 0
-    rest = np.multiply(n_users - s, float(_log_cdf(dist, threshold)),
-                       out=np.zeros(n_users + 1), where=s < n_users)
-    return np.exp(log_binom + xlogy(s, q) + rest)
+    f = math.exp(float(_log_cdf(dist, threshold)))
+    return _binomial_pmf(np.arange(n_users + 1), n_users, q, f)
 
 
 # ----------------------------------------------------------------------

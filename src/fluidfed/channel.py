@@ -9,7 +9,9 @@ Two generative models are provided:
   single parameter ``beta`` > 0 sweeps the whole dependence range -- beta -> 0
   recovers independent ports, beta -> inf fully dependent ports;
 * a circularly-symmetric Gaussian field whose port covariance follows the
-  classical isotropic-scattering Bessel profile J0(2*pi*dist/lambda).
+  classical isotropic-scattering Bessel profile J0(2*pi*dist/lambda),
+  with J0 from a numpy port of Cephes j0 (Moshier 1989), the routine
+  ``scipy.special.j0`` wraps.
 
 Key functions
 -------------
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import j0
 
 __all__ = [
     "SamplingError",
@@ -100,8 +101,8 @@ class GaussianJakes:
     label = "jakes"  # a class attribute, not a field: every aperture shares it
 
     def __post_init__(self):
-        if self.aperture < 0:
-            raise ValueError("aperture must be >= 0")
+        if not 0 <= self.aperture < np.inf:  # a NaN aperture would pass "< 0"
+            raise ValueError("aperture must be >= 0 and finite")
 
 
 DependenceSpec = Union[Independent, Clayton, PerfectDependence, GaussianJakes]
@@ -171,6 +172,58 @@ def _clayton_reaches(exps, log_v, beta: float, threshold: float) -> np.ndarray:
     return reaches
 
 
+# Cephes j0 (Moshier 1989): (z - r1)(z - r2) P(z)/Q(z) in z = x^2 up to
+# x = 5, past it the Hankel asymptotic form with rational amplitude and phase
+_J0_R1, _J0_R2 = 5.78318596294678452118e0, 3.04712623436620863991e1  # zeros squared
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12,
+          -2.49248344360967716204e14, 9.70862251047306323952e15)
+_J0_RQ = (1.0, 4.99563147152651017219e2, 1.73785401676374683123e5,
+          4.84409658339962045305e7, 1.11855537045356834862e10,
+          2.11277520115489217587e12, 3.10518229857422583814e14,
+          3.18121955943204943306e16, 1.71086294081043136091e18)
+_J0_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2,
+          1.23953371646414299388e0, 5.44725003058768775090e0,
+          8.74716500199817011941e0, 5.30324038235394892183e0,
+          9.99999999999999997821e-1)
+_J0_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2,
+          1.25352743901058953537e0, 5.47097740330417105182e0,
+          8.76190883237069594232e0, 5.30605288235394617618e0,
+          1.00000000000000000218e0)
+_J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0,
+          -1.95539544257735972385e1, -9.32060152123768231369e1,
+          -1.77681167980488050595e2, -1.47077505154951170175e2,
+          -5.14105326766599330220e1, -6.05014350600728481186e0)
+_J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2,
+          3.88240183605401609683e3, 7.24046774195652478189e3,
+          5.93072701187316984827e3, 2.06209331660327847417e3,
+          2.42005740240291393179e2)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule, highest power first, in Cephes' operation order."""
+    out = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _j0(x) -> np.ndarray:
+    """Bessel J0, elementwise; bit for bit ``scipy.special.j0`` on [0, 5]."""
+    x = np.abs(np.asarray(x, dtype=float))
+    with np.errstate(all="ignore"):  # each branch overflows where the other is taken
+        z = x * x
+        near = (z - _J0_R1) * (z - _J0_R2) * _polevl(z, _J0_RP) / _polevl(z, _J0_RQ)
+        near = np.where(x < 1e-5, 1.0 - z / 4.0, near)
+        if not (x > 5.0).any():
+            return near
+        w, q = 5.0 / x, 25.0 / z
+        amplitude = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+        phase = _polevl(q, _J0_QP) / _polevl(q, _J0_QQ)
+        xn = x - np.pi / 4
+        far = (amplitude * np.cos(xn) - w * phase * np.sin(xn)) * np.sqrt(2.0 / np.pi) / np.sqrt(x)
+    return np.where(x <= 5.0, near, far)
+
+
 def jakes_correlation_matrix(n_ports: int, aperture: float) -> np.ndarray:
     """Unit-power port covariance: entry (i, j) = J0(2*pi*|i-j|/(N-1)*W).
 
@@ -178,7 +231,7 @@ def jakes_correlation_matrix(n_ports: int, aperture: float) -> np.ndarray:
     """
     idx = np.arange(n_ports)
     dist = np.abs(idx[:, None] - idx[None, :]) / max(n_ports - 1, 1) * aperture
-    return j0(2.0 * np.pi * dist)
+    return _j0(2.0 * np.pi * dist)
 
 
 def _jakes_gains(

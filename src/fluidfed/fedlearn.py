@@ -393,7 +393,7 @@ def local_update(
     for step in range(cfg.local_steps):
         keys = np.where(padding, np.inf, gen.random(index.shape)[cohort])
         loss, grad = np.empty(cohort.size), np.empty((cohort.size, w_global.size))
-        for n in np.unique(lengths):
+        for n in sorted(set(lengths.tolist())):  # np.unique would import numpy.ma here
             pos = np.flatnonzero(lengths == n)
             picked = np.sort(np.argpartition(keys[pos], n - 1, axis=1)[:, :n], axis=1)
             rows = index[cohort[pos, None], picked]

@@ -40,11 +40,12 @@ run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
     ports x betas at FAMILY_ALPHA), Kendall-tau identity, max-gain CDF
     check, and a Bessel-correlated cross-comparison
 
-No command loads ``scipy.stats``: its import costs over half a second per
-process.  ``kstest`` reports Massart's DKW bound as its p-value, a valid
-p-value at every sample size, and ``kendalltau`` counts discordant pairs
-in numpy, bit for bit scipy's tau-b; the closed forms and the binomial
-gate need ``scipy.special`` only.
+The module runs on numpy alone.  The gate's binomial tails are
+``analytics.binomial_tails`` (Loader 2000).  ``kstest`` evaluates the
+Exp(1) CDF with Cephes expm1 (Moshier 1989), as ``scipy.stats.kstest``
+does, and reports Massart's DKW bound as its p-value, a valid p-value at
+every sample size; ``kendalltau`` counts discordant pairs in numpy, bit
+for bit scipy's tau-b.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, betaincc, expm1
 
 from .analytics import (
     GainDistribution,
+    binomial_tails,
     channel_gain_cdf,
     normalized_mse_cdf,
     participation_pmf_vector,
@@ -139,8 +140,8 @@ class McPlan:
                 raise ValueError(f"{name} entries must be finite")
         if not all(0 < b < np.inf for b in self.diag_betas):
             raise ValueError("diag_betas must be finite and > 0")
-        if not self.jakes_aperture >= 0:  # copula-check builds jakes only after every beta
-            raise ValueError("jakes_aperture must be >= 0")
+        if not 0 <= self.jakes_aperture < np.inf:  # copula-check builds jakes only after every beta
+            raise ValueError("jakes_aperture must be >= 0 and finite")
         for name, labels in (("variants", [dep.label for dep in self.variants]),
                              ("diag_betas", [Clayton(b).label for b in self.diag_betas])):
             for i, label in enumerate(labels):
@@ -222,10 +223,8 @@ class ComparisonReport:
 
 def _p_values(k, trials, p) -> np.ndarray:
     """Two-sided p-values min(1, 2 min(P[X <= k], P[X >= k])) of counts k
-    under Bin(trials, p); each tail is 1 at its edge count, where betainc
-    and betaincc are wrong for p in {0, 1}."""
-    at_most = np.where(k >= trials, 1.0, betaincc(k + 1, trials - k, p))
-    at_least = np.where(k <= 0, 1.0, betainc(k, trials - k + 1, p))
+    under Bin(trials, p), from ``analytics.binomial_tails``."""
+    at_most, at_least = binomial_tails(k, trials, p, 1.0 - p)
     return np.minimum(1.0, 2.0 * np.minimum(at_most, at_least))
 
 
@@ -400,6 +399,28 @@ def _ks_p_value(d: float, n: int) -> float:
     return min(1.0, 2.0 * math.exp(-2.0 * n * d * d))
 
 
+# Cephes expm1 (Moshier 1989): a rational form in x^2 for |x| <= 0.5
+_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2,
+            9.9999999999999999991025e-1)
+_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
+            2.2726554820815502876593e-1, 2.0000000000000000000897e0)
+
+
+def _expm1(x: np.ndarray) -> np.ndarray:
+    """e^x - 1 in place, as Cephes (and so ``scipy.special.expm1``) rounds
+    it: bit for bit where |x| <= 0.5, exp(x) - 1 elsewhere.  ``np.expm1``
+    differs in the last ulp."""
+    small = np.abs(x) <= 0.5
+    xs = x[small]
+    xx = xs * xs
+    r = xs * ((_EXPM1_P[0] * xx + _EXPM1_P[1]) * xx + _EXPM1_P[2])
+    r /= (((_EXPM1_Q[0] * xx + _EXPM1_Q[1]) * xx + _EXPM1_Q[2]) * xx + _EXPM1_Q[3]) - r
+    np.exp(x, out=x)
+    x -= 1.0
+    x[small] = r + r
+    return x
+
+
 def kstest(gains: np.ndarray) -> tuple[float, float]:
     """Largest two-sided KS statistic of the columns of ``gains`` against
     Exp(1), and the smallest p-value, from one sort of the block.
@@ -411,8 +432,8 @@ def kstest(gains: np.ndarray) -> tuple[float, float]:
     """
     n = gains.shape[0]
     cdf = np.sort(gains, axis=0)
-    np.negative(cdf, out=cdf)  # expon's CDF -expm1(-x) in place; np.expm1 differs in the last ulp
-    expm1(cdf, out=cdf)
+    np.negative(cdf, out=cdf)  # expon's CDF -expm1(-x) in place
+    _expm1(cdf)
     np.negative(cdf, out=cdf)
     buf = np.empty_like(cdf)  # D+, then D-
     d_plus = float(np.subtract((np.arange(1, n + 1) / n)[:, None], cdf, out=buf).max())

@@ -4,7 +4,7 @@ The frozen constants below were produced by a 50-digit (400-digit for the
 deep tails) mpmath evaluation of the direct (unstabilized) formulas —
 max-gain CDF (N m^-beta - N + 1)^(-1/beta) and explicit binomial
 enumeration — so they exercise a different code path than the stable
-expm1/log1p and incomplete-beta implementation under test.
+expm1/log1p and Loader binomial implementation under test.
 """
 
 import os
@@ -22,6 +22,7 @@ import fluidfed
 from fluidfed.analytics import (
     ConvergenceConstants,
     GainDistribution,
+    binomial_tails,
     channel_gain_cdf,
     normalized_mse_cdf,
     optimality_gap_trajectory,
@@ -354,12 +355,76 @@ def test_participation_pmf_validation():
             participation_pmf_vector(dist, n_users, threshold)
 
 
-def test_import_pulls_in_no_scipy_stats():
-    # the closed forms use scipy.special; scipy.stats costs a second at import
+def test_import_pulls_in_no_scipy():
+    # the package runs on numpy alone; scipy is a test-only oracle
     src = str(Path(fluidfed.__file__).resolve().parents[1])
-    code = "import sys, fluidfed; assert 'scipy.stats' not in sys.modules"
+    code = ("import sys, fluidfed, fluidfed.montecarlo, fluidfed.fedlearn, fluidfed.cli\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _mp_far_tail(k, n, p):
+    """Pr(Bin(n, p) >= k) for k at or past the mode, and the term at k, at
+    30 digits: the exact term at k, then term ratios until they fall
+    below 1e-35."""
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        at_k = term = total = mp.binomial(n, k) * p**k * (1 - p) ** (n - k)
+        for j in range(k, n):
+            term *= (n - j) * p / ((j + 1) * (1 - p))
+            total += term
+            if term < total * mp.mpf("1e-35"):
+                break
+        return total, at_k
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000, 200_000])
+@pytest.mark.parametrize("p", [0.5, 0.3125, 0.015625])
+def test_binomial_tails_match_mpmath_from_the_mode_out_to_1e_300(n, p):
+    # the gate's sizes: mc-default's trials, copula-check's diag rows and
+    # mc-wide's K * trials mean check.  p and 1 - p are both exact in
+    # double, so the reference is the law the routine is handed.  Each
+    # side of the mode is checked, the lower one through n - X ~ Bin(n, 1 - p);
+    # the far tail to within a few dozen eps per unit of |ln P|, and the
+    # near one, 1 - (far tail without its term at k) >= 1/2, as closely
+    eps, mode, sd = np.finfo(float).eps, int((n + 1) * p), np.sqrt(n * p * (1 - p))
+    for upper in (True, False):
+        step, k = max(1, int(sd / 2)), mode
+        while 0 <= k <= n:
+            kk, pp = (k, p) if upper else (n - k, 1 - p)
+            far, at_k = _mp_far_tail(kk, n, pp)
+            if far < mp.mpf("1e-300"):
+                break
+            at_most, at_least = binomial_tails(k, n, p, 1 - p)
+            got_far, got_near = (at_least, at_most) if upper else (at_most, at_least)
+            bound = 48 * eps * max(1.0, abs(float(mp.log(far))))
+            assert abs(got_far - far) <= bound * far, (k, upper)
+            assert abs(got_near - (1 - far + at_k)) <= 48 * eps, (k, upper)
+            k, step = (k + step if upper else k - step), int(step * 1.6) + 1
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6, 10**8])
+def test_binomial_tail_from_the_median_holds_to_1e8_trials(n):
+    # Bin(n, 1/2) is symmetric, so Pr(X >= n/2) = Pr(X <= n/2) = (1 + Pr(X = n/2))/2;
+    # the far tail from n/2 spans 40 + 10 sd = 50040 terms at n = 1e8
+    want = (1 + mp.binomial(n, n // 2) / mp.mpf(2) ** n) / 2
+    for tail in binomial_tails(n // 2, n, 0.5, 0.5):
+        assert abs(tail - want) <= 48 * np.finfo(float).eps * want
+
+
+def test_binomial_tails_are_exact_at_the_edges():
+    n, k = 50, np.array([0, 1, 49, 50])
+    at_most, at_least = binomial_tails(k, n, 0.0, 1.0)  # X = 0
+    assert at_most.tolist() == [1.0] * 4 and at_least.tolist() == [1.0, 0.0, 0.0, 0.0]
+    at_most, at_least = binomial_tails(k, n, 1.0, 0.0)  # X = n
+    assert at_most.tolist() == [0.0, 0.0, 0.0, 1.0] and at_least.tolist() == [1.0] * 4
+    for p in (1e-9, 0.375, 1 - 2**-20):
+        at_most, at_least = binomial_tails(k, n, p, 1 - p)
+        assert at_least[0] == 1.0 and at_most[-1] == 1.0
+        # Pr(X <= 0) = q^n and Pr(X >= n) = p^n, each to a few ulp
+        assert at_most[0] == pytest.approx(float(mp.mpf(1 - p) ** n), rel=8 * np.finfo(float).eps)
+        assert at_least[-1] == pytest.approx(float(mp.mpf(p) ** n), rel=8 * np.finfo(float).eps)
 
 
 def order_statistic_cdf_oracle(effective_gains, s_target, p_max, tau):

@@ -3,7 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import jn_zeros
+from scipy.special import j0, jn_zeros
 from scipy.stats import kendalltau, kstest
 
 from fluidfed import channel
@@ -282,7 +282,33 @@ def test_sampler_input_validation():
         GaussianJakes(aperture=-0.5)
 
 
+@pytest.mark.parametrize("aperture", [np.nan, np.inf, -np.inf])
+def test_jakes_rejects_a_non_finite_aperture(aperture):
+    # NaN passed an "aperture < 0" check and then failed to converge in eigh
+    with pytest.raises(ValueError, match="aperture must be >= 0 and finite"):
+        GaussianJakes(aperture)
+
+
 # ---------------------------------------------------------------- jakes
+
+
+def test_j0_is_scipy_j0_bit_for_bit_up_to_5():
+    # the default layout's arguments 2*pi*|i-j|/(N-1)*W stay below pi
+    x = np.concatenate([np.linspace(0.0, 5.0, 2_000_001), np.geomspace(1e-12, 1e-4, 1001)])
+    assert np.array_equal(channel._j0(x), j0(x))
+    assert np.array_equal(channel._j0(-x), channel._j0(x))
+
+
+def test_j0_past_5_is_within_a_few_ulp_of_mpmath():
+    # the Hankel form's phase x - pi/4 carries x's own rounding, so the
+    # error is measured as J0 at an argument within an ulp: an ulp of
+    # J0(x) plus |J0'(x)| = |J1(x)| times an ulp of x
+    x = np.concatenate([np.linspace(5.0, 40.0, 701), np.geomspace(40.0, 1e4, 300)])
+    got = channel._j0(x)
+    ref0 = np.array([float(mp.besselj(0, mp.mpf(v))) for v in x])
+    ref1 = np.array([float(mp.besselj(1, mp.mpf(v))) for v in x])
+    ulps = np.abs(got - ref0) / (np.spacing(np.abs(ref0)) + np.abs(ref1) * np.spacing(x))
+    assert ulps.max() <= 4
 
 
 def test_jakes_matrix_unit_diagonal_and_symmetry():

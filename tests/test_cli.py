@@ -575,15 +575,15 @@ def test_copula_check_run(tmp_path, capsys):
     assert "kendall tau" in stdout
 
 
-# no command loads scipy.stats, whose import costs over half a second;
-# the check runs in a fresh interpreter
+# no command loads scipy, whose import costs a third of a second; the
+# package runs on numpy alone.  The check runs in a fresh interpreter
 FOOTPRINT = """
 import sys
 from fluidfed import cli
 argv = sys.argv[1:]
 if argv:
     assert cli.main(argv) == 0
-print('scipy.stats' in sys.modules)
+print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))
 """
 
 
@@ -596,17 +596,19 @@ print('scipy.stats' in sys.modules)
         ["port-sweep", *FAST_MC],
         ["copula-check", *FAST_MC],
         ["train", *FAST_FL],
+        ["train", *FAST_FL, "--set", 'fl.variants=["jakes"]'],
         ["bound"],
     ],
-    ids=["import", "cdf-mse", "pmf-users", "port-sweep", "copula-check", "train", "bound"],
+    ids=["import", "cdf-mse", "pmf-users", "port-sweep", "copula-check", "train",
+         "train-jakes", "bound"],
 )
-def test_no_command_loads_scipy_stats(tmp_path, argv):
+def test_no_command_loads_scipy(tmp_path, argv):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     args = [*argv[:1], "--out", str(tmp_path / "out"), *argv[1:]] if argv else []
     done = subprocess.run([sys.executable, "-c", FOOTPRINT, *args], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_train_run_writes_per_variant_records(tmp_path, capsys):
@@ -736,48 +738,50 @@ def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
 # when every closed form came to be read off one log F: only the analytic,
 # stderr, sup_gap and jakes_gaps values moved, in their last digits.  The
 # copula-check report was taken again when its KS p-value became Massart's
-# bound: only min_p_value moved
+# bound: only min_p_value moved.  The cdf-mse and pmf-users digests were
+# taken again when the binomial laws moved to Loader's form: only the
+# analytic, stderr and sup_gap values moved, in their last digits
 MC_WIDE_BETAS = ["--set", "system.K=40", "--set", "system.N=33",
                  "--set", 'mc.variants=["independent","clayton:0.05","clayton:30","fpa"]']
 MC_GOLDEN = [
     (
         "cdf-mse", [],
         {
-            "cdf_mse_clayton-1.csv": "350f1d7882db8a02309d20dd260f2570ad96ce74e13f3f2bc0d965f58fe9f65a",
-            "cdf_mse_clayton-2.csv": "27f9e9d25e0e076a2a01e83467f4ec5caf4bdfc85e261fe95e97511ca17f61f3",
-            "cdf_mse_fpa.csv": "93483f46c4be23f3a89f1bbe0a9225c858b98d102d16e00adcd97cf9822933ea",
-            "cdf_mse_independent.csv": "36e82479e7a54b39f89e25ac9792b5554a3d13eb552114d3fa6e146b080aa9c2",
-            "cdf_mse_report.json": "ee3d160056734780a01d570e65559a3f9ffd98e8f744835e575854d210d13c42",
+            "cdf_mse_clayton-1.csv": "0e215b1dab71da13e0fade70281c542ea191d5ac4ca768b24c10cc81bce9b193",
+            "cdf_mse_clayton-2.csv": "0eb60a65fd6733627d6d2fed240ab58c97d3e3c015538ffcbf1348a96e939057",
+            "cdf_mse_fpa.csv": "ac88e45b2b2e39bf2e3deb9315edf9622e86775b66b4eec9473e97f3b1202149",
+            "cdf_mse_independent.csv": "d57cf07a02132aa818cbf745fde1e2454a0e0ba25c2312d22858934e86f14b3d",
+            "cdf_mse_report.json": "1d4cf912b3d04e0d808537a1879d5ddbf2cb5a3810a28a2ec1a77bffb20b601f",
         },
     ),
     (
         "cdf-mse", MC_WIDE_BETAS,
         {
-            "cdf_mse_clayton-0.05.csv": "49f6a852ad7aec337a4e2f64f9e2ccefd9239035b167672624066a9d229fe1c6",
-            "cdf_mse_clayton-30.csv": "f2b24d518234d773fe9f09c4678eec99d3d1b6e98439f9037d79c7de17eb6ad6",
-            "cdf_mse_fpa.csv": "aef8430be44578b838706d56823da4c67072ab76cf83ef0733e3e7c3564f2b02",
-            "cdf_mse_independent.csv": "68c714eabb5171c25b3f1545472723e477b3f1da55f93e5e57cd6762946db72e",
-            "cdf_mse_report.json": "f976b264e0dc688ccac1bee8de52676e0bd50b8469e4cea5ac7c33dcc1403c84",
+            "cdf_mse_clayton-0.05.csv": "36865e752d0df6198ed8d125992740c8461ed34838207ceb28e0733a19c606f5",
+            "cdf_mse_clayton-30.csv": "e5a5f21211302cc5952705782c2bc9675d9c28c851707cd093f28e21909963f0",
+            "cdf_mse_fpa.csv": "037367980faabcd320e84819c8e19e9a5a85d2e9888b9bb11fb6a30595991fb2",
+            "cdf_mse_independent.csv": "c29ef0d3d6966209c2acfc67008ba534f51715db91ee5b2b0938872fb15e597b",
+            "cdf_mse_report.json": "12002125f9671dc41f3b571b8d36e4e380294ba5562419cb791a010c30b7b930",
         },
     ),
     (
         "pmf-users", [],
         {
-            "pmf_users_clayton-1.csv": "bd7997580fbff0c7f711e4adbf478873d294a1b670bf24b57ee3f8b8f09ca431",
-            "pmf_users_clayton-2.csv": "fa5f9000ce1143c6b608be50030c723ff58fe6a40e8f85a768fad510dee7da09",
-            "pmf_users_fpa.csv": "871910f0685761d8c54a1933db46739be10eefa4dccc5b67405bed6caade712e",
-            "pmf_users_independent.csv": "87396c38ac951d1f28045451ee279e6377e291e1cab4fac4a5e235fca9e0df52",
-            "pmf_users_report.json": "f2bdbbeeb8374bd2126fa8c73aee5128e9055df0abd585cfa499d372acb4e172",
+            "pmf_users_clayton-1.csv": "bd9eb366a96c82fb1c15cab38094474d083d47129cb96f787904c12914a8c736",
+            "pmf_users_clayton-2.csv": "9765dd6d6502c6092cd5066949c95fb4f8e14aab6fd9fa694260b73a8c784db9",
+            "pmf_users_fpa.csv": "25b9195935d72313ba80faed8b01d430023f46e7ca9e008d7c3abc65d6b0b60f",
+            "pmf_users_independent.csv": "0aa11b9222f40ba34062dec2383ab2060276fd18558ff9366a103bdfe0ef6c99",
+            "pmf_users_report.json": "60180c9eea54303736d96ce30a083b19f50d58be99915550354717717fcf9291",
         },
     ),
     (
         "pmf-users", MC_WIDE_BETAS,
         {
-            "pmf_users_clayton-0.05.csv": "6e9d1d7e11acbcf3d21a8f568240fddbf7052490369219f14e289d667d3a1199",
-            "pmf_users_clayton-30.csv": "281f8b43dcd646e68ecab120cd3ad5d93fdd1c8887133587b432cbf6e68573fa",
-            "pmf_users_fpa.csv": "d989b7141aa1f3467a239b8fa67c7f1c16a62bf422b8afc7bc73adc0520347f2",
-            "pmf_users_independent.csv": "5fdff620f84af71985cce17f3cd385f393925a59328020f9a4883617bde4c5b9",
-            "pmf_users_report.json": "5d458bee51ea8de5807441e34ee3f9ec6c43527aa87602856b39f2e077545a6d",
+            "pmf_users_clayton-0.05.csv": "f8980c5681285e1b17a4071a3113f17eb77251f2e8a739cf225741ef91b0d80c",
+            "pmf_users_clayton-30.csv": "7835462d56bc034dabc03cceb055ea6891d2fd79febe37ca53d9b0523ee26d40",
+            "pmf_users_fpa.csv": "c42507a0b376147617d531816383981796deaa94a01894a7ea42ee8be398db27",
+            "pmf_users_independent.csv": "2c45fa9df47d3721a34a458918b9458118e35eccef25d67764f30901582693a5",
+            "pmf_users_report.json": "0fb9cc4051253209ba1acf01eb9e3cf263b8711f41a15bbe2e78d944d863213c",
         },
     ),
     # port-sweep frozen with the rows above, copula-check before the config

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.stats import binom
 
 from fluidfed import montecarlo
@@ -69,6 +69,9 @@ def test_plan_validation():
     # copula-check would build its Bessel reference only after every beta's draws
     with pytest.raises(ValueError, match="jakes_aperture must be >= 0"):
         _small_plan(jakes_aperture=-0.5)
+    for aperture in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="jakes_aperture must be >= 0 and finite"):
+            _small_plan(jakes_aperture=aperture)
 
 
 @pytest.mark.parametrize("name, entries, label", [
@@ -319,6 +322,16 @@ def _scipy_ks(gains):
     the smallest exact p-value."""
     per_column = [stats.kstest(gains[:, j], "expon") for j in range(gains.shape[1])]
     return [float(r.statistic) for r in per_column], min(float(r.pvalue) for r in per_column)
+
+
+def test_kstest_expm1_is_scipy_expm1_bit_for_bit_within_one_half():
+    # the Cephes rational form; past |x| = 0.5, exp(x) - 1 within 2 ulp of np.expm1
+    x = np.concatenate([np.linspace(-0.5, 0.5, 2_000_001), np.geomspace(1e-300, 0.5, 2001),
+                        -np.geomspace(1e-300, 0.5, 2001)])
+    assert np.array_equal(montecarlo._expm1(x.copy()), special.expm1(x))
+    wide = np.linspace(-40.0, 40.0, 100_001)
+    gap = np.abs(montecarlo._expm1(wide.copy()) - np.expm1(wide))
+    assert np.all(gap <= 2 * np.spacing(np.abs(np.expm1(wide))))  # e^x - 1 rounds twice
 
 
 def _massart(d, n):
