@@ -18,8 +18,8 @@ Key functions
 sample_port_gains : the K x N gain matrix under a DependenceSpec
     (Independent, Clayton, PerfectDependence or GaussianJakes)
 sample_best_gains, first_qualifying_port : each user's best-port gain, or
-    first port reaching a gain threshold, from the same draws as
-    sample_port_gains without building the K x N matrix where they can
+    first port reaching a gain threshold, equal in law to reducing
+    sample_port_gains, from one draw per user where the law allows
 select_ports : each user's best-port gain from a sampled gain matrix
 jakes_correlation_matrix : the port covariance of the Gaussian model
 
@@ -131,8 +131,7 @@ def _clayton_gains(exps: np.ndarray, log_v: np.ndarray, beta: float) -> np.ndarr
     g_i = -ln(1 - U_i).  Rows are mutually independent, and Kendall's tau
     between any two ports is beta/(beta+2).  Each gain falls as its E_i
     rises, so a row's maximum is the map of its minimum E, and a gain
-    reaches t iff E <= e* = V (m^-beta - 1), m = 1 - e^-t.  Every step
-    rounds elementwise: any subset of entries maps to the same bits.
+    reaches t iff E <= e* = V (m^-beta - 1), m = 1 - e^-t.
     """
     # gains = -log(-expm1(-logaddexp(0, log E - log V) / beta)), evaluated
     # in place: one buffer instead of a temporary per step keeps large
@@ -154,22 +153,6 @@ def _clayton_log_cutoff(log_v, beta: float, threshold: float):
     """ln e* = ln V + ln(m^-beta - 1), m = 1 - e^-t, without overflow."""
     z = -beta * log1mexp(threshold)
     return log_v + (z + log1mexp(z))
-
-
-def _clayton_reaches(exps, log_v, beta: float, threshold: float) -> np.ndarray:
-    """``_clayton_gains(exps, log_v[:, None], beta) >= t`` bit for bit, mostly
-    as E <= e*.  The map's rounding moves a decision by a relative distance
-    in E of order eps (1 + t + beta (1 + 1/t)); E within 1e-9 times that of
-    e*, near a nonfinite e*, or at t outside (0, 700) is left to the map."""
-    r = 1e-9 * (1.0 + threshold + beta / threshold + beta) if 0 < threshold < 700 else np.inf
-    with np.errstate(all="ignore"):  # an infinite r puts every E in the band
-        cut = np.exp(_clayton_log_cutoff(log_v, beta, threshold))[:, None]
-        reaches = exps < cut * (1.0 - r)
-        band = ~(reaches | (exps > cut * (1.0 + r)))
-    if band.any():
-        rows, cols = np.nonzero(band)
-        reaches[rows, cols] = _clayton_gains(exps[rows, cols], log_v[rows], beta) >= threshold
-    return reaches
 
 
 # Cephes j0 (Moshier 1989): (z - r1)(z - r2) P(z)/Q(z) in z = x^2 up to
@@ -266,30 +249,48 @@ def _jakes_gains(
     return gains
 
 
+def _first_success(gen: np.random.Generator, p: np.ndarray, n_ports: int) -> np.ndarray:
+    """Per row, the first of ``n_ports`` trials that succeed with probability
+    p, ``n_ports`` for none: Geometric(p) - 1, capped before subtracting, as
+    a huge draw saturates at INT64_MAX."""
+    hit = p > 0  # Geometric(0) raises; such rows never succeed
+    first = np.minimum(gen.geometric(np.where(hit, p, 1.0)), n_ports + 1) - 1
+    return np.where(hit, first, n_ports)
+
+
 def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce: str,
           threshold: float | None = None) -> np.ndarray:
     """The K x N gains of ``dep``, or per row (``reduce``) their maximum or
-    the first port reaching ``threshold`` (n_ports for none).  All forms
-    take the same draws, agree bit for bit with reducing the matrix and
-    leave a Generator in the same state.  Clayton maps only each row's
-    minimum exponential, enough to find a nonfinite gain."""
+    the first port reaching ``threshold`` (n_ports for none), equal in law
+    to reducing the matrix.  Given a Clayton row's frailty V its ports are
+    independent, so its smallest latent exponential is Exp(1)/N and its
+    first port Geometric(p(V)) - 1, p(V) = 1 - exp(-e*); an independent
+    row's is Geometric(e^-t) - 1.  Other reductions reduce the matrix."""
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     if n_ports < 1:
         raise ValueError("n_ports must be >= 1")
     gen = np.random.default_rng(rng)
-    reaches = None
+    if reduce == "first":
+        threshold = max(threshold, 0.0)  # every gain reaches a threshold <= 0
     if isinstance(dep, Independent):
+        if reduce == "first":
+            return _first_success(gen, np.full(n_users, np.exp(-threshold)), n_ports)
+        # the best gain keeps the matrix: its law is the closed form under test
         gains = gen.standard_exponential(size=(n_users, n_ports))
     elif isinstance(dep, Clayton):
         # ln V = ln G + beta ln u, G ~ Gamma(1/beta + 1), u ~ U(0,1): no underflow at tiny beta
         boost = gen.standard_gamma(1.0 / dep.beta + 1.0, size=n_users)
-        log_v = np.log(boost) + dep.beta * np.log(gen.uniform(size=n_users))
-        exps = gen.standard_exponential(size=(n_users, n_ports))
+        with np.errstate(divide="ignore"):  # u = 0 gives V = 0: no port reaches any t > 0
+            log_v = np.log(boost) + dep.beta * np.log(gen.uniform(size=n_users))
         if reduce == "first":
-            reaches = _clayton_reaches(exps, log_v, dep.beta, threshold)
-        if reduce != "gains":
-            exps = exps.min(axis=1, keepdims=True)
+            if not np.all(log_v < np.inf):  # V = inf would give a finite p = 1
+                raise SamplingError("Clayton sampler produced a nonfinite frailty")
+            cutoff = np.exp(_clayton_log_cutoff(log_v, dep.beta, threshold))
+            return _first_success(gen, -np.expm1(-cutoff), n_ports)
+        exps = gen.standard_exponential(size=(n_users, 1 if reduce == "best" else n_ports))
+        if reduce == "best":
+            exps /= n_ports  # the row minimum of N unit exponentials
         gains = _clayton_gains(exps, log_v[:, None], dep.beta)
     elif isinstance(dep, PerfectDependence):
         gains = gen.standard_exponential(size=(n_users, 1))
@@ -302,7 +303,7 @@ def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce:
     if not np.all(np.isfinite(gains)):
         raise SamplingError(f"{type(dep).__name__} sampler produced a nonfinite draw")
     if reduce == "first":
-        reaches = gains >= threshold if reaches is None else reaches
+        reaches = gains >= threshold
         first = reaches.argmax(axis=1)  # also 0 where no port reaches it
         return np.where(reaches[np.arange(n_users), first], first, n_ports)
     return gains.max(axis=1) if reduce == "best" else gains
@@ -318,14 +319,14 @@ def sample_port_gains(
 def sample_best_gains(
     dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike
 ) -> np.ndarray:
-    """Each user's best-port gain: ``sample_port_gains(...).gains.max(axis=1)``."""
+    """Each user's best-port gain, in law ``sample_port_gains(...).gains.max(axis=1)``."""
     return _draw(dep, n_users, n_ports, rng, "best")
 
 
 def first_qualifying_port(dep: DependenceSpec, n_users: int, n_ports: int, threshold: float,
                           rng: RngLike) -> np.ndarray:
     """Each user's first port whose gain reaches ``threshold``, ``n_ports``
-    where none does, on the draws of ``sample_port_gains``."""
+    where none does, equal in law to that port of ``sample_port_gains``."""
     return _draw(dep, n_users, n_ports, rng, "first", threshold)
 
 

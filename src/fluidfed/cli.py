@@ -27,11 +27,11 @@ version, resolved config, master seed, status, timestamps, and the sha256
 of the bytes it wrote for each table.  A command that fails leaves no
 directory.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
 per-variant telemetry (seconds, trial blocks, trials and their rate,
-failing points), ``copula-check`` adds its own per beta (rows, ports,
-sampling, KS and Kendall seconds), ``train`` its own (rounds, skipped
-rounds, client updates and their rate, per-round wall time and norm
-scale) and ``bound`` its rounds, psi, final value and seconds; no hashed
-output contains any of them.  Exit codes: 0 success,
+failing points, sampling and closed-form seconds), ``copula-check`` its
+own per beta (rows, ports, sampling, KS and Kendall seconds), ``train``
+its own (rounds, skipped rounds, client updates and their rate, per-round
+wall time and norm scale) and ``bound`` its rounds, psi, final value and
+seconds; no hashed output contains any of them.  Exit codes: 0 success,
 1 statistical check failure or training divergence, 2 usage/config
 error, 3 I/O error.  A statistical failure prints one ``FAIL`` line to
 stderr per failing grid point, mean, KS or Kendall check, each worded by

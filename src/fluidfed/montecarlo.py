@@ -13,11 +13,12 @@ Determinism: trials run in fixed-size blocks of
 max(1, BLOCK_VALUES // (K * n)) trials, n being the number of ports
 sampled per user.  Block b of variant v draws from
 SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b] with one sampler call
-on a (rows * K) x n matrix, reduced to integer counts per grid point.
-The layout depends only on (seed, K, n, trials).  The CDF and PMF
-experiments reduce each block to its (rows * K) best-port gains through
-``sample_best_gains``, the port sweep to each user's first port that
-reaches the threshold through ``first_qualifying_port``.
+for (rows * K) users of n ports, reduced to integer counts per grid
+point.  The layout depends only on (seed, K, n, trials).  The CDF and PMF
+experiments draw each block's best-port gains through
+``sample_best_gains``, the port sweep each user's first port that reaches
+the threshold through ``first_qualifying_port``: the reduced gain matrix
+in law, not bit for bit.
 
 Experiments
 -----------
@@ -33,9 +34,9 @@ is empty, and the comparisons' ``failing_points`` telemetry counts it.
 run_mse_cdf_experiment : CDF of the rank-S normalized aggregation error
 run_participation_experiment : PMF of the participant count
 run_port_sweep : full-participation probability vs port count (per trial
-    the ports are sampled once at the largest N and each n reads the first
-    n; the latent-frailty construction is margin-consistent, so they are
-    exactly the n-port law and the empirical sweep is monotone)
+    first qualifying ports are drawn once at the largest N and each n asks
+    which are below n; the latent-frailty construction is margin-consistent,
+    so that is exactly the n-port law and the empirical sweep is monotone)
 run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
     ports x betas at FAMILY_ALPHA), Kendall-tau identity, max-gain CDF
     check, and a Bessel-correlated cross-comparison
@@ -53,7 +54,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -174,8 +174,9 @@ class ComparisonReport:
     """Per-grid-point empirical-vs-analytic comparison.
 
     ``telemetry`` says how the simulation ran (seconds, blocks, trials,
-    trials per second, failing points); it is kept out of ``to_json_dict``
-    and the grid points, so the written reports stay byte-identical.
+    trials per second, failing points, sample_s and closed_form_s); it is
+    kept out of ``to_json_dict`` and the grid points, so the written
+    reports stay byte-identical.
     """
 
     label: str
@@ -250,38 +251,22 @@ def trial_streams(seed, blocks: int) -> list:
     return root.spawn(blocks)
 
 
-def _simulate(plan: McPlan, dep, root, n_sampled: int, draw: Callable, statistic: Callable):
-    """Sum of ``statistic`` over the trial blocks of one variant, and the
-    number of blocks.
+def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> dict:
+    """Variant, block streams, per-block counts, empirical law, report.
 
-    Block b calls ``draw(dep, rows * K, n_sampled, stream b)`` and hands its
-    one value per user to ``statistic`` as (rows, K): best-port gains from
-    ``sample_best_gains``, or first qualifying ports from
-    ``first_qualifying_port``.  Statistics are integer counts, so the sum
-    is exact.
+    Block b of a variant calls ``draw(dep, rows * K, n_sampled, stream b)``
+    and hands its one value per user to ``statistic`` as (rows, K), which
+    maps them to integer counts at ``xs``, so their sum is exact.
+    ``law(dist)`` is the closed form there, evaluated before the variant's
+    first draw, so its argument checks fire before any sampling.  With
+    ``mean_law`` the counts are a histogram over xs = 0..K, and the total
+    count is also checked against Bin(K * trials, mean_law(dist)).  All
+    checks of one call share the family-wise false-alarm rate FAMILY_ALPHA.
+    Returns {variant label: ComparisonReport}.
     """
     k = plan.n_users
     per = max(1, BLOCK_VALUES // (k * n_sampled))
     rows = [min(per, plan.trials - start) for start in range(0, plan.trials, per)]
-
-    def block(n, stream):
-        return statistic(draw(dep, n * k, n_sampled, stream).reshape(n, k))
-
-    return sum(map(block, rows, trial_streams(root, len(rows)))), len(rows)
-
-
-def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> dict:
-    """Variant, block streams, per-block counts, empirical law, report.
-
-    ``draw`` is the sampler each block calls (see ``_simulate``) and
-    ``statistic`` maps its block to counts at ``xs``; ``law(dist)`` is the
-    closed form there, evaluated before the variant's first draw, so its
-    argument checks fire before any sampling.  With ``mean_law`` the counts
-    are a histogram over xs = 0..K, and the total count is also checked
-    against Bin(K * trials, mean_law(dist)).  All checks of one call share the
-    family-wise false-alarm rate FAMILY_ALPHA.
-    Returns {variant label: ComparisonReport}.
-    """
     dists = [GainDistribution(plan.n_ports, dep) for dep in plan.variants]
     alpha = FAMILY_ALPHA / (len(dists) * (len(xs) + (mean_law is not None)))
     roots = np.random.SeedSequence(plan.seed).spawn(len(dists))
@@ -289,7 +274,13 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
     for dep, dist, root in zip(plan.variants, dists, roots):
         t0 = time.perf_counter()
         analytic = law(dist)
-        counts, blocks = _simulate(plan, dep, root, n_sampled, draw, statistic)
+        closed_form_s = time.perf_counter() - t0
+        counts, sample_s = 0, 0.0
+        for n, stream in zip(rows, trial_streams(root, len(rows))):
+            t1 = time.perf_counter()
+            values = draw(dep, n * k, n_sampled, stream)
+            sample_s += time.perf_counter() - t1
+            counts = counts + statistic(values.reshape(n, k))
         report_meta = dict(meta, variant=dep.label, n_users=plan.n_users, trials=plan.trials,
                            seed=plan.seed, family_alpha=FAMILY_ALPHA)
         if mean_law is not None:
@@ -306,10 +297,12 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
         report = out[dep.label] = ComparisonReport(dep.label, points, report_meta)
         report.telemetry = {
             "seconds": seconds,
-            "blocks": blocks,
+            "blocks": len(rows),
             "trials": plan.trials,
             "trials_per_s": plan.trials / seconds if seconds > 0 else None,
             "failing_points": len(report.failures()),  # the mean check is one more point
+            "sample_s": sample_s,
+            "closed_form_s": closed_form_s,
         }
     return out
 
@@ -366,9 +359,9 @@ def run_participation_experiment(plan: McPlan) -> dict:
 def run_port_sweep(plan: McPlan) -> dict:
     """Full-participation probability q(N)^K vs port count.
 
-    Returns {variant label: ComparisonReport}.  Per trial, ports are sampled
-    once at max(n_grid): all users are heard at n ports iff each one's first
-    qualifying port is below n (exact for margin-consistent variants).
+    Returns {variant label: ComparisonReport}.  Per trial, first qualifying
+    ports are drawn once at max(n_grid): all users are heard at n ports iff
+    each one's is below n (exact for margin-consistent variants).
     """
     meta = _threshold_meta(plan, "port-sweep")
     threshold = meta["threshold"]

@@ -119,26 +119,68 @@ def test_jakes_in_place_evaluation_matches_the_plain_expression(aperture):
     assert np.array_equal(got, expected)
 
 
-BEST_GAIN_DEPS = [Clayton(b) for b in (1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 30.0, 200.0)] + [
-    Independent(),
-    PerfectDependence(),
-    GaussianJakes(0.5),
-]
+def _ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance, over the pooled values."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    return np.abs(np.searchsorted(a, pooled, side="right") / a.size
+                  - np.searchsorted(b, pooled, side="right") / b.size).max()
+
+
+def _same_law_band(n, alpha=1e-6):
+    """P(distance > band) <= alpha for two samples of n >= 458 from one law:
+    the two-sample DKW bound with Massart's constant 2 (Wei & Dudley 2012),
+    conservative for a discrete law."""
+    assert n >= 458
+    return np.sqrt(np.log(2.0 / alpha) / n)
+
+
+LAW_ROWS = 20_000  # band 0.027 at 1e-6 per case
+POWER_ROWS = 100_000  # band 0.012
+
+
+def _row_max_of_full_matrix(dep, n_users, n_ports, seed):
+    return sample_port_gains(dep, n_users, n_ports, seed).gains.max(axis=1)
 
 
 @pytest.mark.parametrize("n_ports", [1, 3, 10, 64])
-@pytest.mark.parametrize("dep", BEST_GAIN_DEPS, ids=repr)
+@pytest.mark.parametrize("dep", [Independent(), PerfectDependence(), GaussianJakes(0.5)], ids=repr)
 def test_best_gains_are_the_row_max_of_the_full_matrix(dep, n_ports):
-    # same bits as reducing the full matrix, and the same draws consumed
+    # these reduce the full form's draws: same bits, same draws consumed
     n_users = 20_000 // n_ports + 3
     full_gen, best_gen = np.random.default_rng(21), np.random.default_rng(21)
-    full = sample_port_gains(dep, n_users, n_ports, full_gen).gains.max(axis=1)
+    full = _row_max_of_full_matrix(dep, n_users, n_ports, full_gen)
     best = sample_best_gains(dep, n_users, n_ports, best_gen)
     assert best.shape == (n_users,) and best.dtype == full.dtype
     assert best.tobytes() == full.tobytes()
     assert best_gen.bit_generator.state == full_gen.bit_generator.state
     seeded = sample_best_gains(dep, n_users, n_ports, np.random.SeedSequence(21))
     assert seeded.tobytes() == sample_best_gains(dep, n_users, n_ports, 21).tobytes()
+
+
+@pytest.mark.parametrize("n_ports", [1, 3, 10, 64])
+@pytest.mark.parametrize("beta", [1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 30.0, 200.0])
+def test_clayton_best_gains_follow_the_row_max_law(beta, n_ports):
+    # one Exp(1)/N per row through the gain map, against the full matrix's
+    # row maxima from other draws: equal in law at 1e-6 per case
+    dep = Clayton(beta)
+    best = sample_best_gains(dep, LAW_ROWS, n_ports, 21)
+    assert best.shape == (LAW_ROWS,) and best.dtype == np.float64
+    full = _row_max_of_full_matrix(dep, LAW_ROWS, n_ports, 22)
+    assert _ks_distance(best, full) <= _same_law_band(LAW_ROWS)
+    seeded = sample_best_gains(dep, LAW_ROWS, n_ports, np.random.SeedSequence(21))
+    assert seeded.tobytes() == best.tobytes()
+
+
+@pytest.mark.parametrize("n_ports", [3, 10])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_best_gain_law_check_rejects_an_n_minus_1_shortcut(beta, n_ports):
+    # the shortcut Exp(1)/(N - 1) is the N - 1 port sampler; its distance
+    # is 0.021-0.12 here, but under 0.008 at N = 64 or beta = 30
+    dep, band = Clayton(beta), _same_law_band(POWER_ROWS)
+    full = _row_max_of_full_matrix(dep, POWER_ROWS, n_ports, 22)
+    assert _ks_distance(sample_best_gains(dep, POWER_ROWS, n_ports, 21), full) <= band
+    assert _ks_distance(sample_best_gains(dep, POWER_ROWS, n_ports - 1, 21), full) > band
 
 
 def _poisoned(method, value):
@@ -173,8 +215,11 @@ def test_best_gains_raise_where_the_full_sampler_raises(dep, method, value):
             sample_port_gains(dep, 6, 4, _poisoned(method, value))
         with pytest.raises(SamplingError):
             sample_best_gains(dep, 6, 4, _poisoned(method, value))
-        with pytest.raises(SamplingError):
-            first_qualifying_port(dep, 6, 4, 2.0, _poisoned(method, value))
+        # independent and Clayton first ports draw no exponentials; a
+        # Clayton one checks ln V, since V = inf gives a finite p = 1
+        if not (method == "standard_exponential" and isinstance(dep, (Independent, Clayton))):
+            with pytest.raises(SamplingError):
+                first_qualifying_port(dep, 6, 4, 2.0, _poisoned(method, value))
 
 
 def _first_at_or_above(gains, threshold):
@@ -184,18 +229,15 @@ def _first_at_or_above(gains, threshold):
     return np.where(hit.any(axis=1), hit.argmax(axis=1), gains.shape[1])
 
 
-FIRST_PORT_DEPS = [Independent(), PerfectDependence(), GaussianJakes(0.5)] + [
-    Clayton(b) for b in (0.05, 1.0, 2.0, 30.0)
-]
 THRESHOLDS = [1e-3, 2.0, 6.0, 40.0]
 
 
-# 0 and 750 lie outside the range where Clayton compares to a cutoff
+# 0 and 750 lie outside the range where Clayton's cutoff is positive and finite
 @pytest.mark.parametrize("threshold", [*THRESHOLDS, 0.0, 750.0])
 @pytest.mark.parametrize("n_ports", [1, 10, 64])
-@pytest.mark.parametrize("dep", FIRST_PORT_DEPS, ids=repr)
+@pytest.mark.parametrize("dep", [PerfectDependence(), GaussianJakes(0.5)], ids=repr)
 def test_first_qualifying_port_is_the_first_port_of_the_gain_matrix(dep, n_ports, threshold):
-    # same decisions as the gain matrix, and the same draws consumed
+    # these reduce the full form's draws: same decisions, same draws consumed
     n_users = 20_000 // n_ports + 3
     full_gen, first_gen = np.random.default_rng(31), np.random.default_rng(31)
     gains = sample_port_gains(dep, n_users, n_ports, full_gen).gains
@@ -205,43 +247,53 @@ def test_first_qualifying_port_is_the_first_port_of_the_gain_matrix(dep, n_ports
     assert first_gen.bit_generator.state == full_gen.bit_generator.state
 
 
-def _cutoff_draws(beta, threshold, n_users, seed):
-    """ln V of the Clayton draws of ``seed``, and latent exponentials set
-    to each row's cutoff e* and 1..4 ulps either side, in shuffled order."""
-    gen = np.random.default_rng(seed)
-    log_v = np.log(gen.standard_gamma(1.0 / beta + 1.0, size=n_users))
-    log_v += beta * np.log(gen.uniform(size=n_users))
-    cut = np.exp(channel._clayton_log_cutoff(log_v, beta, threshold))
-    columns = [cut]
-    for toward in (0.0, np.inf):
-        moved = cut
-        for _ in range(4):
-            moved = np.nextafter(moved, toward)
-            columns.append(moved)
-    return log_v, np.random.default_rng(seed + 1).permuted(np.stack(columns, axis=1), axis=1)
+@pytest.mark.parametrize("threshold", [*THRESHOLDS, 0.0, 750.0])
+@pytest.mark.parametrize("n_ports", [1, 10, 64])
+@pytest.mark.parametrize("dep", [Independent()] + [Clayton(b) for b in (0.05, 1.0, 2.0, 30.0)],
+                         ids=repr)
+def test_first_qualifying_port_follows_the_gain_matrix_law(dep, n_ports, threshold):
+    # one geometric draw per row, against the first ports of a full matrix
+    # from other draws: equal in law at 1e-6 per case
+    first = first_qualifying_port(dep, LAW_ROWS, n_ports, threshold, 31)
+    assert first.shape == (LAW_ROWS,) and first.dtype == np.int64
+    assert first.min() >= 0 and first.max() <= n_ports
+    gains = sample_port_gains(dep, LAW_ROWS, n_ports, 32).gains
+    assert _ks_distance(first, _first_at_or_above(gains, threshold)) <= _same_law_band(LAW_ROWS)
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS)
-@pytest.mark.parametrize("beta", [0.05, 1.0, 2.0, 30.0])
-def test_first_qualifying_port_decides_the_cutoff_band_by_the_gain_map(beta, threshold):
-    log_v, exps = _cutoff_draws(beta, threshold, 500, 7)
-    by_gain = channel._clayton_gains(exps.copy(), log_v[:, None], beta) >= threshold
-    # a few ulps from e*, a plain comparison with it misjudges some entries
-    cut = np.exp(channel._clayton_log_cutoff(log_v, beta, threshold))
-    assert np.any((exps <= cut[:, None]) != by_gain)
-    assert np.array_equal(channel._clayton_reaches(exps, log_v, beta, threshold), by_gain)
+@pytest.mark.parametrize("dep", [Independent(), Clayton(1.0), Clayton(2.0)], ids=repr)
+def test_first_port_law_check_rejects_a_geometric_without_the_minus_1(dep):
+    # Geometric(p) capped at N, not Geometric(p) - 1: each port one later
+    gains = sample_port_gains(dep, LAW_ROWS, 10, 32).gains
+    ref = _first_at_or_above(gains, 2.0)
+    first = first_qualifying_port(dep, LAW_ROWS, 10, 2.0, 31)
+    band = _same_law_band(LAW_ROWS)
+    assert _ks_distance(first, ref) <= band < _ks_distance(np.minimum(first + 1, 10), ref)
 
-    # end to end: the sampler's own frailties, these exponentials
-    class AtCutoff(np.random.Generator):
-        def standard_exponential(self, size=None):
-            super().standard_exponential(size=size)
-            return exps.copy()
 
-    dep, n_users, n_ports = Clayton(beta), *exps.shape
-    gains = sample_port_gains(dep, n_users, n_ports, AtCutoff(np.random.PCG64(7))).gains
-    assert np.array_equal(gains >= threshold, by_gain)
-    first = first_qualifying_port(dep, n_users, n_ports, threshold, AtCutoff(np.random.PCG64(7)))
-    assert np.array_equal(first, _first_at_or_above(gains, threshold))
+@pytest.mark.parametrize("dep", [Independent(), Clayton(0.05), Clayton(2.0), Clayton(30.0)],
+                         ids=repr)
+def test_first_qualifying_port_edges(dep):
+    # every gain reaches t <= 0
+    for threshold in (0.0, -1.0):
+        assert np.array_equal(first_qualifying_port(dep, 50, 7, threshold, 1), np.zeros(50))
+    # p = 0 where e^-t underflows: Geometric(0) would raise; at t = 700 the
+    # draws saturate at INT64_MAX and are capped before subtracting 1
+    for threshold in (700.0, 750.0, 1e6):
+        assert np.array_equal(first_qualifying_port(dep, 50, 7, threshold, 1), np.full(50, 7))
+
+
+def test_clayton_first_port_of_a_zero_frailty_is_none():
+    # u = 0 gives ln V = -inf and p = 0: that row reaches no port
+    first = first_qualifying_port(Clayton(2.0), 6, 4, 1e-3, _poisoned("uniform", 0.0))
+    assert first[1] == 4 and np.all(np.delete(first, 1) < 4)
+
+
+def test_first_success_caps_saturated_draws():
+    gen = np.random.default_rng(3)
+    assert gen.geometric(5e-324) == np.iinfo(np.int64).max  # numpy's saturation
+    first = channel._first_success(gen, np.array([5e-324, 1e-300, 0.0, 1.0]), 9)
+    assert first.tolist() == [9, 9, 9, 0]
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS)

@@ -740,48 +740,54 @@ def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
 # copula-check report was taken again when its KS p-value became Massart's
 # bound: only min_p_value moved.  The cdf-mse and pmf-users digests were
 # taken again when the binomial laws moved to Loader's form: only the
-# analytic, stderr and sup_gap values moved, in their last digits
+# analytic, stderr and sup_gap values moved, in their last digits.  The
+# Clayton CSVs that moved and the cdf-mse and pmf-users reports were taken
+# again when the Clayton best gain came to be drawn from its one-draw law
+# (a new RNG layout; every pass flag held).  sweep-fast's empirical sweep is
+# 0.0 at every point, so it cannot see the sampler; sweep-two-users, taken
+# with the geometric first ports, can: its empirical values all lie
+# strictly between 0 and 1
 MC_WIDE_BETAS = ["--set", "system.K=40", "--set", "system.N=33",
                  "--set", 'mc.variants=["independent","clayton:0.05","clayton:30","fpa"]']
 MC_GOLDEN = [
     (
         "cdf-mse", [],
         {
-            "cdf_mse_clayton-1.csv": "0e215b1dab71da13e0fade70281c542ea191d5ac4ca768b24c10cc81bce9b193",
-            "cdf_mse_clayton-2.csv": "0eb60a65fd6733627d6d2fed240ab58c97d3e3c015538ffcbf1348a96e939057",
+            "cdf_mse_clayton-1.csv": "b8f940a3a46d3063eb338c8bae0c6d331e212bf19cd0640f53734d73df29dfa2",
+            "cdf_mse_clayton-2.csv": "b65facbf6c07cbe02cb4346669ddea177608568d7d6cb2f5752cf24864e07083",
             "cdf_mse_fpa.csv": "ac88e45b2b2e39bf2e3deb9315edf9622e86775b66b4eec9473e97f3b1202149",
             "cdf_mse_independent.csv": "d57cf07a02132aa818cbf745fde1e2454a0e0ba25c2312d22858934e86f14b3d",
-            "cdf_mse_report.json": "1d4cf912b3d04e0d808537a1879d5ddbf2cb5a3810a28a2ec1a77bffb20b601f",
+            "cdf_mse_report.json": "4f135d27f587fec962cef349013fa240d354f004ce6a98bf484b4ade0c940022",
         },
     ),
     (
         "cdf-mse", MC_WIDE_BETAS,
         {
             "cdf_mse_clayton-0.05.csv": "36865e752d0df6198ed8d125992740c8461ed34838207ceb28e0733a19c606f5",
-            "cdf_mse_clayton-30.csv": "e5a5f21211302cc5952705782c2bc9675d9c28c851707cd093f28e21909963f0",
+            "cdf_mse_clayton-30.csv": "0b66c69b2822803da1c68137624cd5dd13a09b54db4c4efa3ec28bb36a1036fb",
             "cdf_mse_fpa.csv": "037367980faabcd320e84819c8e19e9a5a85d2e9888b9bb11fb6a30595991fb2",
             "cdf_mse_independent.csv": "c29ef0d3d6966209c2acfc67008ba534f51715db91ee5b2b0938872fb15e597b",
-            "cdf_mse_report.json": "12002125f9671dc41f3b571b8d36e4e380294ba5562419cb791a010c30b7b930",
+            "cdf_mse_report.json": "7a00765297738ddaebe5bb091112a41cf9cfcc28f6f7ecc5bc27ddfdcc8cf001",
         },
     ),
     (
         "pmf-users", [],
         {
-            "pmf_users_clayton-1.csv": "bd9eb366a96c82fb1c15cab38094474d083d47129cb96f787904c12914a8c736",
-            "pmf_users_clayton-2.csv": "9765dd6d6502c6092cd5066949c95fb4f8e14aab6fd9fa694260b73a8c784db9",
+            "pmf_users_clayton-1.csv": "528b4290bd2019fe90e46671792b29c70507a560fe353d8d169152bbe7acf38e",
+            "pmf_users_clayton-2.csv": "214cfcebd807b83dda34a512c221c58811e80edf94a71c359a723e6f4a032940",
             "pmf_users_fpa.csv": "25b9195935d72313ba80faed8b01d430023f46e7ca9e008d7c3abc65d6b0b60f",
             "pmf_users_independent.csv": "0aa11b9222f40ba34062dec2383ab2060276fd18558ff9366a103bdfe0ef6c99",
-            "pmf_users_report.json": "60180c9eea54303736d96ce30a083b19f50d58be99915550354717717fcf9291",
+            "pmf_users_report.json": "f6cf4c029dec892dc115eab5ed28d3f3ea6486ad6c7ca0863a5388cf292d4922",
         },
     ),
     (
         "pmf-users", MC_WIDE_BETAS,
         {
-            "pmf_users_clayton-0.05.csv": "f8980c5681285e1b17a4071a3113f17eb77251f2e8a739cf225741ef91b0d80c",
-            "pmf_users_clayton-30.csv": "7835462d56bc034dabc03cceb055ea6891d2fd79febe37ca53d9b0523ee26d40",
+            "pmf_users_clayton-0.05.csv": "9ae162f3312ec29d2d4ede0abdb3c81f330b8cc4e277f828804b3c044dc94b52",
+            "pmf_users_clayton-30.csv": "6bc45bf18b8919b99618c67db787dcbb7c88a1e4e90662b0bd512c3bdba9f417",
             "pmf_users_fpa.csv": "c42507a0b376147617d531816383981796deaa94a01894a7ea42ee8be398db27",
             "pmf_users_independent.csv": "2c45fa9df47d3721a34a458918b9458118e35eccef25d67764f30901582693a5",
-            "pmf_users_report.json": "0fb9cc4051253209ba1acf01eb9e3cf263b8711f41a15bbe2e78d944d863213c",
+            "pmf_users_report.json": "c5b100fe18509876040252b7061eaea00a4397a0b27b6b0adb7524261fd1950b",
         },
     ),
     # port-sweep frozen with the rows above, copula-check before the config
@@ -797,6 +803,16 @@ MC_GOLDEN = [
         },
     ),
     (
+        "port-sweep", ["--set", "system.K=2", "--set", "mc.n_grid=[1,20]"],
+        {
+            "port_sweep_clayton-1.csv": "a649e63a16d9c85e958b08886f83a689d1847b0dc90c2d8f5a3714515dc6fc1d",
+            "port_sweep_clayton-2.csv": "e2ca6e38a05ea96c84c5dc1141941002a8619b38745081ee5ae6a893630081d0",
+            "port_sweep_fpa.csv": "0c39c2c6406d26200e996273ab68e53db5d5d4b843cd6fa2cbc8561d26e4ebbf",
+            "port_sweep_independent.csv": "d2eb68e859b76aab6d491b92e4dc4a893cdcb36d2a7da1e888459cda066f98b4",
+            "port_sweep_report.json": "8842f99261ddeb0c9a6e05349ca487f8b0740cae19eaa0f1035c5585daa8c03d",
+        },
+    ),
+    (
         "copula-check", [],
         {
             "copula_check_clayton-1.csv": "3e5e9816179246f7f13f5ab507d18ad0fae537bd202f1f628362d74fb2782940",
@@ -808,7 +824,8 @@ MC_GOLDEN = [
 
 @pytest.mark.parametrize(
     "command, extra, golden", MC_GOLDEN,
-    ids=["cdf-fast", "cdf-wide-betas", "pmf-fast", "pmf-wide-betas", "sweep-fast", "copula-fast"],
+    ids=["cdf-fast", "cdf-wide-betas", "pmf-fast", "pmf-wide-betas", "sweep-fast",
+         "sweep-two-users", "copula-fast"],
 )
 def test_mc_outputs_match_frozen_sha256(tmp_path, command, extra, golden):
     assert main([command, "--out", str(tmp_path), *FAST_MC, *extra, "--seed", "0"]) == 0
@@ -841,6 +858,8 @@ def test_mc_manifest_records_telemetry(tmp_path, command, blocks):
         assert block["blocks"] == blocks
         assert block["seconds"] > 0
         assert block["trials_per_s"] == pytest.approx(400 / block["seconds"])
+        assert 0 < block["sample_s"] <= block["seconds"]
+        assert 0 <= block["closed_form_s"] <= block["seconds"] - block["sample_s"]
         failing = sum(not p["pass"] for p in report[label]["points"])
         assert block["failing_points"] == failing
     # the telemetry stays out of the hashed data files

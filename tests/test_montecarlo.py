@@ -7,6 +7,7 @@ the acceptance suite.
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -18,6 +19,8 @@ from fluidfed.channel import (
     GaussianJakes,
     Independent,
     PerfectDependence,
+    first_qualifying_port,
+    sample_best_gains,
     sample_port_gains,
 )
 from fluidfed.montecarlo import (
@@ -100,10 +103,10 @@ def test_trial_streams_are_distinct_and_reproducible():
     assert len(draws) == 5
 
 
-def _direct_trials(plan, v, n_sampled):
-    """Variant v's (trials, K, n_sampled) gains, drawn straight from the
-    stated layout: blocks of max(1, BLOCK_VALUES // (K n)) trials, block b
-    from SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b]."""
+def _direct_trials(plan, v, n_sampled, draw):
+    """Variant v's (trials, K) per-user values, drawn by ``draw`` straight
+    from the stated layout: blocks of max(1, BLOCK_VALUES // (K n)) trials,
+    block b from SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b]."""
     k = plan.n_users
     per = max(1, BLOCK_VALUES // (k * n_sampled))
     n_blocks = -(-plan.trials // per)
@@ -112,14 +115,14 @@ def _direct_trials(plan, v, n_sampled):
     blocks = []
     for b, stream in enumerate(root.spawn(n_blocks)):
         rows = min(per, plan.trials - b * per)
-        gains = sample_port_gains(dep, rows * k, n_sampled, stream).gains
-        blocks.append(gains.reshape(rows, k, n_sampled))
+        blocks.append(draw(dep, rows * k, n_sampled, stream).reshape(rows, k))
     return np.concatenate(blocks), n_blocks
 
 
 def test_blocks_follow_the_stated_seed_path(monkeypatch):
     # trials=5000 at K=8 spans 4 blocks of N=5 ports and 5 blocks of the
     # sweep's 8 ports; the per-trial loop below is the reference reduction
+    # of each block's draws (the samplers' laws are tested in test_channel)
     plan = _small_plan(trials=5000)
     calls = []
 
@@ -140,15 +143,17 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
     sweep = run_port_sweep(plan)
     threshold = plan.sigma2 / (plan.p_max * plan.tau)
     n_grid = np.asarray(plan.n_grid)
-    expected_calls = []
+
+    def first_ports(dep, n_users, n_ports, stream):
+        return first_qualifying_port(dep, n_users, n_ports, threshold, stream)
+
     for v, label in enumerate(dep.label for dep in plan.variants):
-        gains, n_blocks = _direct_trials(plan, v, plan.n_ports)
-        assert gains.shape == (5000, 8, 5) and n_blocks == 4
+        best, n_blocks = _direct_trials(plan, v, plan.n_ports, sample_best_gains)
+        assert best.shape == (5000, 8) and n_blocks == 4
         scores, heard = [], []
-        for trial in gains:
-            best = trial.max(axis=1)
-            scores.append(np.sort(1.0 / (plan.p_max * best))[plan.s_target - 1])
-            heard.append(int(np.sum(best >= threshold)))
+        for trial in best:
+            scores.append(np.sort(1.0 / (plan.p_max * trial))[plan.s_target - 1])
+            heard.append(int(np.sum(trial >= threshold)))
         scores = np.array(scores)
         assert [p.empirical for p in cdf[label].points] == [
             np.mean(scores < tau) for tau in plan.tau_grid
@@ -158,12 +163,9 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
         )
         assert pmf[label].meta["mean_check"]["empirical_mean"] == sum(heard) / plan.trials
 
-        wide, sweep_blocks = _direct_trials(plan, v, int(n_grid.max()))
+        first, sweep_blocks = _direct_trials(plan, v, int(n_grid.max()), first_ports)
         assert sweep_blocks == 5
-        full = [
-            [all(trial[:, :n].max(axis=1) >= threshold) for n in n_grid]
-            for trial in wide
-        ]
+        full = [[all(trial < n) for n in n_grid] for trial in first]
         assert [p.empirical for p in sweep[label].points] == list(
             np.mean(full, axis=0)
         )
@@ -238,6 +240,18 @@ def test_gate_deep_tail_is_exact():
     # 2 min(P[X <= 2], P[X >= 2]) under Bin(20, 1e-9); mpmath: 1.8999999772e-16
     (pv,) = montecarlo._p_values(np.array([2]), 20, np.array([1e-9]))
     assert pv == pytest.approx(2 * 1.8999999772e-16, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("n, k, p", [(200, 37, 0.9891691831956325), (1000, 963, 0.4849)])
+def test_gate_p_values_match_an_mpmath_sum_where_scipy_binom_is_off(n, k, p):
+    # scipy.stats.binom's two-sided p-value is 5.9e-2 relative off at the
+    # first point and 9e-12 at the second; the exact sum at 60 digits
+    with mp.workdps(60):
+        p_, q_ = mp.mpf(p), 1 - mp.mpf(p)
+        terms = [mp.binomial(n, j) * p_**j * q_ ** (n - j) for j in range(n + 1)]
+        expected = min(mp.mpf(1), 2 * min(mp.fsum(terms[: k + 1]), mp.fsum(terms[k:])))
+    (got,) = montecarlo._p_values(np.array([k]), n, np.array([p]))
+    assert got == pytest.approx(float(expected), rel=1e-12, abs=0)
 
 
 def test_participation_experiment_bins_and_mean():
