@@ -93,16 +93,18 @@ class PerfectDependence:
 class GaussianJakes:
     """Complex Gaussian fading with Bessel port correlation.
 
-    ``aperture`` is the span in wavelengths; every port has unit mean
-    power gain (Exp(1) marginals), like the other dependence models.
+    ``aperture`` is the span in wavelengths, >= 0 with a finite largest
+    Bessel argument 2*pi*aperture (this is the package's one aperture
+    check); every port has unit mean power gain (Exp(1) marginals).
     """
 
     aperture: float
     label = "jakes"  # a class attribute, not a field: every aperture shares it
 
     def __post_init__(self):
-        if not 0 <= self.aperture < np.inf:  # a NaN aperture would pass "< 0"
-            raise ValueError("aperture must be >= 0 and finite")
+        with np.errstate(over="ignore"):  # a NaN aperture would pass "< 0"
+            if not 0 <= 2.0 * np.pi * self.aperture < np.inf:  # 1e308 overflows
+                raise ValueError("aperture must be >= 0 and finite, and so must 2*pi*aperture")
 
 
 DependenceSpec = Union[Independent, Clayton, PerfectDependence, GaussianJakes]

@@ -297,10 +297,12 @@ def parse_variant(spec: str, aperture: float):
 
 def _variants(cfg: dict, section: str) -> list:
     """The parsed specs of ``section.variants``, None standing for ``ideal``."""
-    if cfg["system"]["W"] < 0:  # before any variant, or any draw, reads it
-        raise ConfigError("system.W: aperture must be >= 0")
+    try:  # GaussianJakes checks the aperture before any variant, or any draw, reads it
+        aperture = GaussianJakes(float(cfg["system"]["W"])).aperture
+    except ValueError as exc:
+        raise ConfigError(f"system.W: {exc}")
     try:
-        return [parse_variant(v, float(cfg["system"]["W"])) for v in cfg[section]["variants"]]
+        return [parse_variant(v, aperture) for v in cfg[section]["variants"]]
     except ConfigError as exc:
         raise ConfigError(f"{section}.variants: {exc}")
 
@@ -445,15 +447,16 @@ def _cmd_train(args, cfg: dict):
     if not cfg["fl"]["variants"]:  # also when --benchmark kept none of them
         raise ConfigError("fl.variants must not be empty")
     link = _build(ota.OtaConfig, cfg, ("system",))
+    variants = _variants(cfg, "fl")
+    fl = _build(fedlearn.FlConfig, cfg, ("system", "fl"), benchmark="ota")
     runs = {}  # label -> (dep, FlConfig), in config order
-    for dep in _variants(cfg, "fl"):
+    for dep in variants:
         label = "ideal" if dep is None else dep.label
         if label in runs:  # the second run would overwrite the first's files
             raise ConfigError(f"fl.variants: `{label}` is listed more than once")
-        runs[label] = dep, _build(fedlearn.FlConfig, cfg, ("system", "fl"),
-                                  benchmark="ideal" if dep is None else "ota")
+        runs[label] = dep, dataclasses.replace(fl, benchmark="ideal") if dep is None else fl
     try:  # the variants differ in benchmark only: they share one dataset and partition
-        data = fedlearn.training_data(runs[label][1], seed)
+        data = fedlearn.training_data(fl, seed)
     except ValueError as exc:
         raise _keyed(exc, _ROWS)
     files = {}

@@ -140,8 +140,6 @@ class McPlan:
                 raise ValueError(f"{name} entries must be finite")
         if not all(0 < b < np.inf for b in self.diag_betas):
             raise ValueError("diag_betas must be finite and > 0")
-        if not 0 <= self.jakes_aperture < np.inf:  # copula-check builds jakes only after every beta
-            raise ValueError("jakes_aperture must be >= 0 and finite")
         for name, labels in (("variants", [dep.label for dep in self.variants]),
                              ("diag_betas", [Clayton(b).label for b in self.diag_betas])):
             for i, label in enumerate(labels):
@@ -257,11 +255,11 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
     Block b of a variant calls ``draw(dep, rows * K, n_sampled, stream b)``
     and hands its one value per user to ``statistic`` as (rows, K), which
     maps them to integer counts at ``xs``, so their sum is exact.
-    ``law(dist)`` is the closed form there, evaluated before the variant's
-    first draw, so its argument checks fire before any sampling.  With
-    ``mean_law`` the counts are a histogram over xs = 0..K, and the total
-    count is also checked against Bin(K * trials, mean_law(dist)).  All
-    checks of one call share the family-wise false-alarm rate FAMILY_ALPHA.
+    ``law(dist)`` is the closed form there.  With ``mean_law`` the counts
+    are a histogram over xs = 0..K, and their total is also checked against
+    Bin(K * trials, mean_law(dist)).  Both closed forms, timed together as
+    closed_form_s, run before the variant's first draw, so their argument
+    checks fire before any sampling.  All checks share FAMILY_ALPHA.
     Returns {variant label: ComparisonReport}.
     """
     k = plan.n_users
@@ -274,6 +272,7 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
     for dep, dist, root in zip(plan.variants, dists, roots):
         t0 = time.perf_counter()
         analytic = law(dist)
+        q = None if mean_law is None else mean_law(dist)
         closed_form_s = time.perf_counter() - t0
         counts, sample_s = 0, 0.0
         for n, stream in zip(rows, trial_streams(root, len(rows))):
@@ -284,7 +283,7 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
         report_meta = dict(meta, variant=dep.label, n_users=plan.n_users, trials=plan.trials,
                            seed=plan.seed, family_alpha=FAMILY_ALPHA)
         if mean_law is not None:
-            q, heard = mean_law(dist), int(counts @ xs)
+            heard = int(counts @ xs)
             (total,) = _check_points([0], [heard], [q], plan.n_users * plan.trials, alpha)
             report_meta["mean_check"] = {
                 "empirical_mean": heard / plan.trials,
@@ -548,15 +547,19 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
     """Check the copula sampler's marginals, rank correlation, and max law.
 
     The Kendall check pairs ports 1 and 2 and needs two rows; plans with
-    fewer are rejected before any draw.
+    fewer, or an aperture ``GaussianJakes`` rejects, fail before any draw.
+    One table of max-gain closed forms (each diagnosed beta, independent,
+    fpa), built before the first draw, serves the CDF reports and the gaps.
     """
     if plan.n_ports < 2:
         raise ValueError("n_ports must be >= 2: the Kendall check pairs ports 1 and 2")
     if plan.diag_rows < 2:
         raise ValueError("diag_rows must be >= 2: the Kendall check needs two rows")
+    jakes = GaussianJakes(plan.jakes_aperture)
+    closed_forms = {dep.label: channel_gain_cdf(GainDistribution(plan.n_ports, dep), plan.gain_grid)
+                    for dep in (Independent(), PerfectDependence(), *map(Clayton, plan.diag_betas))}
     rows = plan.diag_rows
-    root = np.random.SeedSequence(plan.seed)
-    beta_streams = root.spawn(len(plan.diag_betas) + 1)
+    beta_streams = np.random.SeedSequence(plan.seed).spawn(len(plan.diag_betas) + 1)
     alpha = FAMILY_ALPHA / (len(plan.diag_betas) * len(plan.gain_grid))
     ks_alpha = FAMILY_ALPHA / (len(plan.diag_betas) * plan.n_ports)
     marginal_checks = []
@@ -592,14 +595,10 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
                 "passed": bool(abs(tau_emp - tau_ref) <= 0.02),
             }
         )
-        best = gains.max(axis=1)
-        counts = (best[:, None] < plan.gain_grid).sum(axis=0)
-        analytic = channel_gain_cdf(
-            GainDistribution(plan.n_ports, dep), plan.gain_grid
-        )
+        counts = (gains.max(axis=1)[:, None] < plan.gain_grid).sum(axis=0)
         cdf_reports[dep.label] = ComparisonReport(
             label=dep.label,
-            points=_check_points(plan.gain_grid, counts, analytic, rows, alpha),
+            points=_check_points(plan.gain_grid, counts, closed_forms[dep.label], rows, alpha),
             meta={
                 "experiment": "copula-max-cdf",
                 "beta": beta,
@@ -607,14 +606,9 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
                 "family_alpha": FAMILY_ALPHA,
             },
         )
-    jakes = sample_port_gains(
-        GaussianJakes(plan.jakes_aperture), rows, plan.n_ports, beta_streams[-1]
-    ).gains
-    jakes_cdf = (jakes.max(axis=1)[:, None] < plan.gain_grid).mean(axis=0)
-    jakes_gaps = {}
-    for dep in (Independent(), PerfectDependence(), *map(Clayton, plan.diag_betas)):
-        ref = channel_gain_cdf(GainDistribution(plan.n_ports, dep), plan.gain_grid)
-        jakes_gaps[dep.label] = float(np.abs(jakes_cdf - ref).max())
+    gains = sample_port_gains(jakes, rows, plan.n_ports, beta_streams[-1]).gains
+    jakes_cdf = (gains.max(axis=1)[:, None] < plan.gain_grid).mean(axis=0)
+    jakes_gaps = {label: float(np.abs(jakes_cdf - ref).max()) for label, ref in closed_forms.items()}
     meta = {
         "experiment": "copula-diagnostics",
         "rows": rows,

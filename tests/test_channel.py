@@ -334,11 +334,15 @@ def test_sampler_input_validation():
         GaussianJakes(aperture=-0.5)
 
 
-@pytest.mark.parametrize("aperture", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("aperture", [np.nan, np.inf, -np.inf, 1e308,
+                                      pytest.param(np.float64(1e308), id="float64-1e308")])
 def test_jakes_rejects_a_non_finite_aperture(aperture):
-    # NaN passed an "aperture < 0" check and then failed to converge in eigh
+    # NaN passed an "aperture < 0" check and then failed to converge in eigh,
+    # as did 1e308, whose Bessel argument 2*pi*W overflows (with no warning)
     with pytest.raises(ValueError, match="aperture must be >= 0 and finite"):
         GaussianJakes(aperture)
+    # 2*pi*2.8e307 is still finite
+    assert GaussianJakes(2.8e307).aperture == 2.8e307
 
 
 # ---------------------------------------------------------------- jakes

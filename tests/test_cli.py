@@ -297,6 +297,10 @@ def _flags(n, command, flags, message):
         _flags(58, "cdf-mse", ["--set", "system.W=-1", "--set", 'mc.variants=["jakes"]'],
                "system.W: aperture must be >= 0"),
         ("copula-check", "system.W=-1", "system.W: aperture must be >= 0"),
+        # 1e308 is finite, but the Bessel argument 2*pi*W overflows
+        _flags(62, "train", ["--set", "system.W=1e308", "--set", 'fl.variants=["jakes"]'],
+               "system.W: aperture must be >= 0"),
+        ("copula-check", "system.W=1e308", "system.W: aperture must be >= 0"),
     ],
 )
 def test_unsupported_values_exit_2(tmp_path, capsys, command, spec, message):

@@ -69,12 +69,6 @@ def test_plan_validation():
     for name in ("tau_grid", "gain_grid"):
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             _small_plan(**{name: np.array([1.0, np.inf])})
-    # copula-check would build its Bessel reference only after every beta's draws
-    with pytest.raises(ValueError, match="jakes_aperture must be >= 0"):
-        _small_plan(jakes_aperture=-0.5)
-    for aperture in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="jakes_aperture must be >= 0 and finite"):
-            _small_plan(jakes_aperture=aperture)
 
 
 @pytest.mark.parametrize("name, entries, label", [
@@ -431,16 +425,54 @@ def test_kendalltau_of_a_constant_column_is_nan():
     assert np.isnan(stats.kendalltau(np.ones(50), np.arange(50.0)).statistic)
 
 
-@pytest.mark.parametrize("field, value", [("n_ports", 1), ("diag_rows", 1)])
-def test_copula_diagnostics_reject_plans_they_cannot_diagnose(monkeypatch, field, value):
+@pytest.mark.parametrize("field, value, message", [
+    ("n_ports", 1, "n_ports must be >= 2"),
+    ("diag_rows", 1, "diag_rows must be >= 2"),
+    # GaussianJakes checks the aperture, before the first beta's draw
+    ("jakes_aperture", -0.5, "aperture must be >= 0"),
+    ("jakes_aperture", np.nan, "aperture must be >= 0 and finite"),
+    ("jakes_aperture", np.inf, "aperture must be >= 0 and finite"),
+])
+def test_copula_diagnostics_reject_plans_they_cannot_diagnose(monkeypatch, field, value, message):
     # the Kendall check pairs ports 1 and 2 over at least two rows; the plan
-    # is rejected before any draw, with the field named first
+    # is rejected before any draw, with the field (or GaussianJakes's own
+    # aperture check) named first
     def no_draw(*args):
         raise AssertionError("drew before checking the plan")
 
     monkeypatch.setattr(montecarlo, "sample_port_gains", no_draw)
-    with pytest.raises(ValueError, match=f"^{field} must be >= 2"):
+    with pytest.raises(ValueError, match=f"^{message}"):
         run_copula_diagnostics(_small_plan(**{field: value}))
+
+
+def _spy_calls(monkeypatch, names) -> list:
+    """Wrap each montecarlo function of ``names``; the list of their calls, in order."""
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _fn=getattr(montecarlo, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(montecarlo, name, spy)
+    return calls
+
+
+def test_copula_diagnostics_evaluate_one_closed_form_per_label_before_any_draw(monkeypatch):
+    # each diagnosed beta, independent and fpa: one max-gain law each, which
+    # the CDF reports and the Bessel gaps share
+    calls = _spy_calls(monkeypatch, ["channel_gain_cdf", "sample_port_gains"])
+    betas = (0.5, 1.0, 2.0)
+    diag = run_copula_diagnostics(_small_plan(diag_betas=betas, diag_rows=500))
+    blocks = len(betas) + 1  # one per beta, then the Bessel block
+    assert calls == ["channel_gain_cdf"] * (len(betas) + 2) + ["sample_port_gains"] * blocks
+    assert set(diag.jakes_gaps) == {"independent", "fpa", *diag.cdf_reports}
+
+
+def test_participation_mean_law_is_evaluated_before_the_variant_draws(monkeypatch):
+    # 100 trials are one block: per variant, its mean law and then one draw
+    calls = _spy_calls(monkeypatch, ["qualify_probability", "sample_best_gains"])
+    plan = _small_plan(trials=100)
+    run_participation_experiment(plan)
+    assert calls == ["qualify_probability", "sample_best_gains"] * len(plan.variants)
 
 
 def test_copula_diagnostics_telemetry_stays_out_of_the_report():
