@@ -19,7 +19,8 @@ sample_port_gains : the K x N gain matrix under a DependenceSpec
     (Independent, Clayton, PerfectDependence or GaussianJakes)
 sample_best_gains, first_qualifying_port : each user's best-port gain, or
     first port reaching a gain threshold, equal in law to reducing
-    sample_port_gains, from one draw per user where the law allows
+    sample_port_gains, from one draw per user where the law allows (an
+    independent best gain maps the largest of N uniforms)
 select_ports : each user's best-port gain from a sampled gain matrix
 jakes_correlation_matrix : the port covariance of the Gaussian model
 
@@ -185,10 +186,12 @@ _J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2,
 
 
 def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
-    """Horner's rule, highest power first, in Cephes' operation order."""
+    """Horner's rule, highest power first, in Cephes' operation order, in
+    one buffer."""
     out = np.full_like(x, coef[0])
     for c in coef[1:]:
-        out = out * x + c
+        out *= x
+        out += c
     return out
 
 
@@ -267,7 +270,9 @@ def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce:
     to reducing the matrix.  Given a Clayton row's frailty V its ports are
     independent, so its smallest latent exponential is Exp(1)/N and its
     first port Geometric(p(V)) - 1, p(V) = 1 - exp(-e*); an independent
-    row's is Geometric(e^-t) - 1.  Other reductions reduce the matrix."""
+    row's is Geometric(e^-t) - 1, and its best gain the Exp(1) quantile
+    -ln(1 - u) of the largest of its N uniforms (still N draws per user,
+    drawn port-major).  Other reductions reduce the matrix."""
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     if n_ports < 1:
@@ -278,8 +283,15 @@ def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce:
     if isinstance(dep, Independent):
         if reduce == "first":
             return _first_success(gen, np.full(n_users, np.exp(-threshold)), n_ports)
-        # the best gain keeps the matrix: its law is the closed form under test
-        gains = gen.standard_exponential(size=(n_users, n_ports))
+        if reduce == "best":
+            # N uniforms per user, port-major so the max runs over contiguous
+            # rows; the increasing Exp(1) quantile -ln(1 - u) commutes with it
+            gains = gen.random((n_ports, n_users)).max(axis=0)[:, None]
+            np.negative(gains, out=gains)
+            np.log1p(gains, out=gains)
+            np.negative(gains, out=gains)
+        else:
+            gains = gen.standard_exponential(size=(n_users, n_ports))
     elif isinstance(dep, Clayton):
         # ln V = ln G + beta ln u, G ~ Gamma(1/beta + 1), u ~ U(0,1): no underflow at tiny beta
         boost = gen.standard_gamma(1.0 / dep.beta + 1.0, size=n_users)

@@ -73,9 +73,13 @@ class _Kind(NamedTuple):
     to_field: Callable = lambda value: value
 
 
-def _is_number(value) -> bool:  # math.isfinite cannot take an int beyond the float range
-    return not isinstance(value, bool) and (
-        isinstance(value, int) or isinstance(value, float) and math.isfinite(value))
+def _is_number(value) -> bool:
+    """An int or float whose float() is finite: a JSON integer beyond the
+    float range is not one."""
+    try:  # math.isfinite converts an int first, and raises where it overflows
+        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class _Optional(NamedTuple):
@@ -84,7 +88,9 @@ class _Optional(NamedTuple):
 
 _NUMBER = _Kind("a finite number", _is_number, float)
 # 3.0 is a count and 3.9 is not: int() would truncate it without a word
-_COUNT = _Kind("a whole number >= 0", lambda v: _is_number(v) and v >= 0 and v % 1 == 0, int)
+# (any int counts: a seed may lie beyond the float range)
+_COUNT = _Kind("a whole number >= 0",
+               lambda v: (type(v) is int or _is_number(v)) and v >= 0 and v % 1 == 0, int)
 _STRING = _Kind("a string", lambda v: isinstance(v, str))
 
 _FROM_FIELD = object()  # default: the target dataclass field's own default

@@ -41,12 +41,16 @@ run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
     ports x betas at FAMILY_ALPHA), Kendall-tau identity, max-gain CDF
     check, and a Bessel-correlated cross-comparison
 
-The module runs on numpy alone.  The gate's binomial tails are
-``analytics.binomial_tails`` (Loader 2000).  ``kstest`` evaluates the
-Exp(1) CDF with Cephes expm1 (Moshier 1989), as ``scipy.stats.kstest``
-does, and reports Massart's DKW bound as its p-value, a valid p-value at
-every sample size; ``kendalltau`` counts discordant pairs in numpy, bit
-for bit scipy's tau-b.
+The module runs on numpy alone, and the diagnostics are sort-bound on
+contiguous rows.  The gate's binomial tails are
+``analytics.binomial_tails`` (Loader 2000).  ``kstest`` sorts each
+column as a row of the transposed block and evaluates the Exp(1) CDF with
+Cephes expm1 (Moshier 1989), as ``scipy.stats.kstest`` does, its rational
+form on each row's one |x| <= 0.5 slice; it reports Massart's DKW bound as
+its p-value, a valid p-value at every sample size.  ``kendalltau`` sorts
+and counts (Knight 1966) on dense ranks, bit for bit scipy's tau-b.  The
+max-gain CDF counts are the grid's insertion points in the sorted row
+maxima.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .channel import (
     GaussianJakes,
     Independent,
     PerfectDependence,
+    _polevl,
     first_qualifying_port,
     sample_best_gains,
     sample_port_gains,
@@ -398,38 +403,65 @@ _EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
             2.2726554820815502876593e-1, 2.0000000000000000000897e0)
 
 
+def _expm1_near_zero(x: np.ndarray) -> np.ndarray:
+    """e^x - 1 for |x| <= 0.5 by Cephes's rational form, bit for bit
+    ``scipy.special.expm1``: r = x P(x^2), then 2 r / (Q(x^2) - r)."""
+    xx = x * x
+    num = _polevl(xx, _EXPM1_P)
+    num *= x
+    den = _polevl(xx, _EXPM1_Q)
+    den -= num
+    num /= den
+    num += num
+    return num
+
+
 def _expm1(x: np.ndarray) -> np.ndarray:
     """e^x - 1 in place, as Cephes (and so ``scipy.special.expm1``) rounds
     it: bit for bit where |x| <= 0.5, exp(x) - 1 elsewhere.  ``np.expm1``
-    differs in the last ulp."""
+    differs in the last ulp.  For any array, through a mask; ``kstest``
+    takes the sorted-row form below, which the tests hold to this one."""
     small = np.abs(x) <= 0.5
-    xs = x[small]
-    xx = xs * xs
-    r = xs * ((_EXPM1_P[0] * xx + _EXPM1_P[1]) * xx + _EXPM1_P[2])
-    r /= (((_EXPM1_Q[0] * xx + _EXPM1_Q[1]) * xx + _EXPM1_Q[2]) * xx + _EXPM1_Q[3]) - r
+    near = _expm1_near_zero(x[small])
     np.exp(x, out=x)
     x -= 1.0
-    x[small] = r + r
+    x[small] = near
     return x
+
+
+def _expon_cdf_of_sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """Exp(1)'s CDF -expm1(-g) in place on rows sorted ascending, rounded
+    as ``_expm1`` rounds it.  A row's |g| <= 0.5 entries are one run, so
+    the rational form reads a slice and the rest is 1 - e^-g, which is
+    -(e^-g - 1) exactly."""
+    for row in rows:
+        lo, hi = np.searchsorted(row, -0.5), np.searchsorted(row, 0.5, side="right")
+        near = _expm1_near_zero(-row[lo:hi])
+        for part in (row[:lo], row[hi:]):
+            np.negative(part, out=part)
+            np.exp(part, out=part)
+            np.subtract(1.0, part, out=part)
+        np.negative(near, out=row[lo:hi])
+    return rows
 
 
 def kstest(gains: np.ndarray) -> tuple[float, float]:
     """Largest two-sided KS statistic of the columns of ``gains`` against
-    Exp(1), and the smallest p-value, from one sort of the block.
+    Exp(1), and the smallest p-value, from one sort per column.
 
     Per column D is ``scipy.stats.kstest(column, "expon")``'s statistic:
-    its CDF, its D+ and D-.  The p-value is Massart's bound
+    its CDF, its D+ and D-.  The columns are sorted as contiguous rows of
+    the transposed block.  The p-value is Massart's bound
     (``_ks_p_value``), never below the exact Kolmogorov tail; it falls as
     D rises, so the largest D has the smallest p-value.
     """
     n = gains.shape[0]
-    cdf = np.sort(gains, axis=0)
-    np.negative(cdf, out=cdf)  # expon's CDF -expm1(-x) in place
-    _expm1(cdf)
-    np.negative(cdf, out=cdf)
-    buf = np.empty_like(cdf)  # D+, then D-
-    d_plus = float(np.subtract((np.arange(1, n + 1) / n)[:, None], cdf, out=buf).max())
-    d = max(d_plus, float(np.subtract(cdf, (np.arange(0, n) / n)[:, None], out=buf).max()))
+    cdf = gains.T.copy()  # one row per port; a copy even where .T is contiguous
+    cdf.sort(axis=1)
+    above, below = np.arange(1, n + 1) / n, np.arange(0, n) / n
+    buf = np.empty(n)  # one row's D+, then its D-: no block-sized temporary
+    d = float(np.max([(np.subtract(above, row, out=buf).max(), np.subtract(row, below, out=buf).max())
+                      for row in _expon_cdf_of_sorted_rows(cdf)]))
     return d, _ks_p_value(d, n)
 
 
@@ -470,32 +502,59 @@ def _tied_pairs(change: np.ndarray) -> int:
     return int((runs * (runs - 1) // 2).sum())
 
 
+def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's dense rank (0 for the smallest value, equal values
+    equal), as int64, and the sample's tied pairs."""
+    order = np.argsort(v)
+    ordered = v[order]
+    change = ordered[1:] != ordered[:-1]
+    ranks = np.empty(v.size, dtype=np.int64)
+    ranks[order[:1]] = 0
+    ranks[order[1:]] = np.cumsum(change)
+    return ranks, _tied_pairs(change)
+
+
 def kendalltau(x, y) -> float:
     """Kendall's tau-b of two finite samples, bit for bit
     ``scipy.stats.kendalltau(x, y).statistic``; NaN when either is constant.
 
-    The rows sorted by (x, y), each row's y-order index (ties by position)
-    forms a permutation whose inversions are the discordant pairs: a tie
-    in x or y is never one.  The tie counts come from the sorted runs, and
-    tau from scipy's expression.
+    Sort and count (Knight 1966) on dense ranks rx, ry < n: the int64 keys
+    rx n + ry order the rows by (x, y), and the keys ry n + position in
+    that order give each row's y-order, ties by position.  That order is a
+    permutation whose inversions are the discordant pairs: a tie in x or y
+    is never one.  The tie counts come from the sorted runs, and tau from
+    scipy's expression.
     """
     x, y = np.asarray(x).ravel(), np.asarray(y).ravel()
     n = x.size
     if y.size != n:
         raise ValueError("x and y must have the same size")
-    order = np.lexsort((y, x))
-    x, y = x[order], y[order]
-    by_y = np.argsort(y, kind="stable")  # the inverse of the ranks: same inversions
-    ys = y[by_y]
-    new_x = x[1:] != x[:-1]
-    xtie, ytie = _tied_pairs(new_x), _tied_pairs(ys[1:] != ys[:-1])
+    (rx, xtie), (ry, ytie) = _dense_ranks(x), _dense_ranks(y)
     tot = n * (n - 1) // 2
     if xtie == tot or ytie == tot:
         return float("nan")
-    both = _tied_pairs(new_x | (y[1:] != y[:-1]))
-    con_minus_dis = tot - xtie - ytie + both - 2 * _inversions(by_y)
+    key = rx * n
+    key += ry
+    order = np.argsort(key)  # equal keys are equal rows: any order of them serves
+    key = key[order]
+    both = _tied_pairs(key[1:] != key[:-1])
+    key = ry[order]
+    key *= n
+    key += np.arange(n)
+    con_minus_dis = tot - xtie - ytie + both - 2 * _inversions(np.argsort(key))
     tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
     return float(min(1.0, max(-1.0, tau)))
+
+
+def _below_per_point(gains: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per grid point, the rows of ``gains`` whose largest entry is below
+    it: the row maxima by one ``np.maximum`` pass per column, then one
+    sort, whose left insertion points are the strict ``<`` counts."""
+    best = gains[:, 0].copy()
+    for column in gains.T[1:]:
+        np.maximum(best, column, out=best)
+    best.sort()
+    return np.searchsorted(best, grid)
 
 
 @dataclass
@@ -508,8 +567,10 @@ class CopulaDiagnostics:
         empirical max-gain CDF and each closed form (no pass flag; the two
         models are different generative processes).
     telemetry: per beta label, the block's rows and ports, and the seconds
-        spent sampling it (sample_s), on its KS statistics (ks_s) and on
-        its Kendall tau (kendall_s); kept out of ``to_json_dict``.
+        spent sampling it (sample_s), on its KS statistics (ks_s), on its
+        Kendall tau (kendall_s) and on its max-gain counts (cdf_s); the
+        ``jakes`` entry has the Bessel block's rows, ports, sample_s and
+        cdf_s; kept out of ``to_json_dict``.
     """
 
     marginal_checks: list
@@ -574,8 +635,11 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
         max_d, min_p = kstest(gains)
         t2 = time.perf_counter()
         tau_emp = kendalltau(gains[:, 0], gains[:, 1])
+        t3 = time.perf_counter()
+        counts = _below_per_point(gains, plan.gain_grid)
         telemetry[dep.label] = {"rows": rows, "ports": plan.n_ports, "sample_s": t1 - t0,
-                                "ks_s": t2 - t1, "kendall_s": time.perf_counter() - t2}
+                                "ks_s": t2 - t1, "kendall_s": t3 - t2,
+                                "cdf_s": time.perf_counter() - t3}
         marginal_checks.append(
             {
                 "beta": beta,
@@ -595,7 +659,6 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
                 "passed": bool(abs(tau_emp - tau_ref) <= 0.02),
             }
         )
-        counts = (gains.max(axis=1)[:, None] < plan.gain_grid).sum(axis=0)
         cdf_reports[dep.label] = ComparisonReport(
             label=dep.label,
             points=_check_points(plan.gain_grid, counts, closed_forms[dep.label], rows, alpha),
@@ -606,8 +669,13 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
                 "family_alpha": FAMILY_ALPHA,
             },
         )
+    del gains  # the Bessel draw holds the command's peak memory: free the last block first
+    t0 = time.perf_counter()
     gains = sample_port_gains(jakes, rows, plan.n_ports, beta_streams[-1]).gains
-    jakes_cdf = (gains.max(axis=1)[:, None] < plan.gain_grid).mean(axis=0)
+    t1 = time.perf_counter()
+    jakes_cdf = _below_per_point(gains, plan.gain_grid) / rows
+    telemetry[jakes.label] = {"rows": rows, "ports": plan.n_ports, "sample_s": t1 - t0,
+                              "cdf_s": time.perf_counter() - t1}
     jakes_gaps = {label: float(np.abs(jakes_cdf - ref).max()) for label, ref in closed_forms.items()}
     meta = {
         "experiment": "copula-diagnostics",

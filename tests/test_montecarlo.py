@@ -342,6 +342,20 @@ def test_kstest_expm1_is_scipy_expm1_bit_for_bit_within_one_half():
     assert np.all(gap <= 2 * np.spacing(np.abs(np.expm1(wide))))  # e^x - 1 rounds twice
 
 
+def test_sorted_row_cdf_is_the_expm1_cdf_bit_for_bit():
+    # kstest's CDF on sorted rows, each row's |g| <= 0.5 run and its ends
+    # included, is -expm1(-g) as _expm1 rounds it: scipy's within one half
+    half = np.array([-0.5, 0.5])
+    g = np.sort(np.concatenate([np.linspace(-2.0, 40.0, 200_001), half,
+                                np.nextafter(half, 0.0), np.nextafter(half, 2 * half)]))
+    rows = np.stack([g, g / 4])  # a second row whose run is four times as long
+    got = montecarlo._expon_cdf_of_sorted_rows(rows.copy())
+    for row, cdf in zip(rows, got):
+        assert np.array_equal(cdf, -montecarlo._expm1(-row))
+        near = np.abs(row) <= 0.5
+        assert np.array_equal(cdf[near], -special.expm1(-row[near]))
+
+
 def _massart(d, n):
     return min(1.0, 2.0 * math.exp(-2.0 * n * d * d))
 
@@ -418,6 +432,41 @@ def test_kendalltau_matches_scipy_on_the_default_blocks(beta):
     assert montecarlo.kendalltau(x, y) == stats.kendalltau(x, y).statistic
 
 
+@pytest.mark.parametrize("ties", ["x", "y", "pairs", "constant-x", "constant-y"])
+def test_kendalltau_matches_scipy_past_2_to_the_16(ties):
+    # at n = 70_001 the rank keys rx * n + ry pass 2**32 and _inversions
+    # pads to 2**17; rounding to 0.1 ties one column, or both, and then
+    # repeats (x, y) pairs
+    n = 70_001
+    gains = sample_port_gains(Clayton(2.0), n, 2, 5).gains
+    x, y = gains[:, 0], gains[:, 1]
+    if ties in ("x", "pairs"):
+        x = np.round(x, 1)
+    if ties in ("y", "pairs"):
+        y = np.round(y, 1)
+    if ties == "pairs":
+        assert len(set(zip(x.tolist(), y.tolist()))) < n // 10
+    if ties.startswith("constant"):
+        (x if ties == "constant-x" else y)[:] = 0.5
+    expected = stats.kendalltau(x, y).statistic
+    got = montecarlo.kendalltau(x, y)
+    assert got == expected or (np.isnan(got) and np.isnan(expected) and ties.startswith("constant"))
+
+
+def test_max_gain_counts_are_strict_where_maxima_sit_on_grid_points():
+    # copula-check's sorted insertion points are the boolean matrix's
+    # strict < counts, also where a row's maximum equals a grid point
+    grid = np.linspace(0.05, 6.0, 24)
+    rng = np.random.default_rng(3)
+    gains = rng.standard_exponential((5000, 4))
+    on_grid = rng.random(gains.shape) < 0.5
+    gains[on_grid] = rng.choice(grid, on_grid.sum())
+    best = gains.max(axis=1)
+    assert np.isin(best, grid).sum() > 2000
+    expected = (best[:, None] < grid).sum(axis=0)
+    assert np.array_equal(montecarlo._below_per_point(gains, grid), expected)
+
+
 def test_kendalltau_of_a_constant_column_is_nan():
     # as scipy's, and without a RuntimeWarning (warnings are errors here)
     assert np.isnan(montecarlo.kendalltau(np.ones(50), np.arange(50.0)))
@@ -477,11 +526,12 @@ def test_participation_mean_law_is_evaluated_before_the_variant_draws(monkeypatc
 
 def test_copula_diagnostics_telemetry_stays_out_of_the_report():
     diag = run_copula_diagnostics(_small_plan(diag_rows=500))
-    assert set(diag.telemetry) == {"clayton-1", "clayton-2"}
-    for entry in diag.telemetry.values():
-        assert set(entry) == {"rows", "ports", "sample_s", "ks_s", "kendall_s"}
+    assert set(diag.telemetry) == {"clayton-1", "clayton-2", "jakes"}
+    for label, entry in diag.telemetry.items():
+        seconds = {"sample_s", "cdf_s"} | ({"ks_s", "kendall_s"} if label != "jakes" else set())
+        assert set(entry) == {"rows", "ports"} | seconds
         assert (entry["rows"], entry["ports"]) == (500, 5)
-        assert min(entry["sample_s"], entry["ks_s"], entry["kendall_s"]) >= 0
+        assert min(entry[name] for name in seconds) >= 0
     assert "telemetry" not in diag.to_json_dict()
 
 
