@@ -8,6 +8,34 @@ experiments that check the closed forms against simulation.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+
+def _load_numpy_single_threaded() -> None:
+    """Import numpy with its BLAS and OpenMP pools at one thread each.
+
+    Both size their pools once, as numpy loads them.  ``train``'s forked
+    workers would multiply any more, and its small matmuls run faster on
+    one thread than on several.  A caller's own settings, and a numpy loaded
+    before this package, are left as they are; the environment is restored
+    afterwards, so child processes see the caller's.
+    """
+    if "numpy" in _sys.modules:
+        return
+    added = [name for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+             if name not in _os.environ]
+    for name in added:
+        _os.environ[name] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        for name in added:
+            del _os.environ[name]
+
+
+_load_numpy_single_threaded()
+
 from .channel import (  # noqa: F401
     Clayton,
     DependenceSpec,

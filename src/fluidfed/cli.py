@@ -29,13 +29,16 @@ directory.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
 per-variant telemetry (seconds, trial blocks, trials and their rate,
 failing points, sampling and closed-form seconds), ``copula-check`` its
 own per beta (rows, ports, sampling, KS and Kendall seconds), ``train``
-its own (rounds, skipped rounds, client updates and their rate, per-round
-wall time and norm scale) and ``bound`` its rounds, psi, final value and
-seconds; no hashed output contains any of them.  Exit codes: 0 success,
-1 statistical check failure or training divergence, 2 usage/config
-error, 3 I/O error.  A statistical failure prints one ``FAIL`` line to
-stderr per failing grid point, mean, KS or Kendall check, each worded by
-its report's ``failures()``.
+its own (rounds, skipped rounds, client updates and their rate, seconds
+per round stage, worker processes, per-round wall time and norm scale)
+and ``bound`` its rounds, psi, final value and seconds; no hashed output
+contains any of them.  ``train`` runs its variants in forked worker
+processes, up to one per usable CPU, and in-process with one variant, one
+usable CPU or no ``fork``; its outputs are identical either way.  Exit
+codes: 0 success, 1 statistical check failure or training divergence,
+2 usage/config error, 3 I/O error.  A statistical failure prints one
+``FAIL`` line to stderr per failing grid point, mean, KS or Kendall
+check, each worded by its report's ``failures()``.
 """
 
 from __future__ import annotations
@@ -44,8 +47,11 @@ import argparse
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import os
+import pickle
 import sys
 import time
 from datetime import datetime, timezone
@@ -433,7 +439,7 @@ def _cmd_copula_check(args, cfg: dict):
     return files, _verdict(diag.failures()), diag.telemetry
 
 
-def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
+def _train_telemetry(records: list, seconds: float, diverged: bool, workers: int) -> dict:
     """What one variant's training did and where its time went (not hashed)."""
     updates = sum(r.participants for r in records)
     return {
@@ -443,9 +449,119 @@ def _train_telemetry(records: list, seconds: float, diverged: bool) -> dict:
         "diverged": diverged,
         "seconds": seconds,
         "updates_per_s": updates / seconds if seconds > 0 else None,
+        "stage_seconds": {stage: sum(r.stage_s[i] for r in records)
+                          for i, stage in enumerate(fedlearn.STAGES)},
+        "worker_processes": workers,
         "round_wall_time": [r.wall_time for r in records],
         "round_norm_scale": [r.norm_scale for r in records],
     }
+
+
+def _train_variant(runs: list, link, data, seed: int, i: int):
+    """Train run ``i`` of ``runs`` (label, (dep, FlConfig)): its label,
+    records, seconds and divergence message (None when it did not diverge)."""
+    label, (dep, fl) = runs[i]
+    t0 = time.perf_counter()
+    try:
+        records, diverged = fedlearn.run_training(fl, link, dep, *data, seed=seed), None
+    except fedlearn.TrainingDivergedError as exc:
+        records, diverged = exc.records, str(exc)
+    return label, records, time.perf_counter() - t0, diverged
+
+
+def _workers(tasks: int) -> int:
+    """Forked workers for ``tasks`` independent tasks: one per usable CPU,
+    at most one per task, and none (the tasks run in this process) where
+    one would do or this platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(tasks, cpus or 1)
+    return workers if workers > 1 else 0
+
+
+def _fork(task, i: int, siblings) -> tuple[int, int]:
+    """Fork a worker that runs ``task(i)`` and writes its pickled outcome,
+    ``(True, result)`` or ``(False, (exception, traceback text))``, to a
+    pipe; returns the pipe's read end and the worker's pid."""
+    # a worker's own writes (a warning) must not carry this process's buffered output
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return read_end, pid
+    status = 1
+    try:  # the worker leaves only through os._exit: no atexit, no stdio flush
+        os.close(read_end)
+        for fd in siblings:  # with this process's parent gone, a write must fail, not block
+            os.close(fd)
+        try:
+            outcome = True, task(i)
+        except Exception as exc:
+            import traceback
+
+            outcome = False, (exc, traceback.format_exc())
+        with open(write_end, "wb") as fh:
+            pickle.dump(outcome, fh)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_map(task, count: int, workers: int):
+    """Yield ``task(i)`` for i in range(count), in order; each in a forked
+    process, up to ``workers`` at once, or all in this one when ``workers``
+    is 0.
+
+    Fork, not spawn: a worker inherits ``task`` and all it reads (dataset,
+    shards, configs) from this process, and only its pickled outcome comes
+    back.  An exception ``task`` raises in a worker is raised here; a
+    worker that ends without an outcome (killed, say) raises RuntimeError.
+    Workers still running when this generator closes are killed.  A worker
+    whose parent died ends once its write to the pipe fails.
+    """
+    if not workers:
+        yield from map(task, range(count))
+        return
+    import select  # here alone, with signal: the Monte-Carlo commands need neither
+    import signal
+
+    poller = select.poll()
+    running = {}  # pipe read end -> (task index, pid, bytes read so far)
+    outcomes = {}  # task index -> its pickled outcome
+    unstarted = iter(range(count))
+    try:
+        for i in range(count):
+            while i not in outcomes:
+                for j in itertools.islice(unstarted, workers - len(running)):
+                    fd, pid = _fork(task, j, running)
+                    running[fd] = j, pid, []
+                    poller.register(fd, select.POLLIN)
+                for fd, _ in poller.poll():
+                    chunk = os.read(fd, 1 << 16)
+                    if chunk:
+                        running[fd][2].append(chunk)
+                        continue
+                    j, pid, chunks = running.pop(fd)
+                    poller.unregister(fd)
+                    os.close(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if code:
+                        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                        raise RuntimeError(f"worker {pid} of task {j} ended ({how}) with no outcome")
+                    outcomes[j] = b"".join(chunks)
+            done, value = pickle.loads(outcomes.pop(i))
+            if not done:
+                exc, trace = value
+                raise exc from RuntimeError(f"raised in worker process:\n{trace}")
+            yield value
+    finally:
+        for fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
 
 
 def _cmd_train(args, cfg: dict):
@@ -468,16 +584,13 @@ def _cmd_train(args, cfg: dict):
     files = {}
     diverged = []
     telemetry = {}
-    for label, (dep, fl) in runs.items():
-        t0 = time.perf_counter()
-        try:
-            records = fedlearn.run_training(fl, link, dep, *data, seed=seed)
-        except fedlearn.TrainingDivergedError as exc:
-            records = exc.records
+    workers = _workers(len(runs))  # the variants are independent
+    task = partial(_train_variant, list(runs.items()), link, data, seed)
+    for label, records, seconds, error in _forked_map(task, len(runs), workers):
+        if error is not None:
             diverged.append(label)
-            print(f"{label}: DIVERGED ({exc})", file=sys.stderr)
-        seconds = time.perf_counter() - t0
-        telemetry[label] = _train_telemetry(records, seconds, label in diverged)
+            print(f"{label}: DIVERGED ({error})", file=sys.stderr)
+        telemetry[label] = _train_telemetry(records, seconds, error is not None, workers)
         files.update(_record_files(label, records))
         if records:
             last = records[-1]

@@ -45,6 +45,7 @@ __all__ = [
     "MlpModel",
     "FlConfig",
     "RoundRecord",
+    "STAGES",
     "ingest_mnist",
     "synthesize_dataset",
     "partition_iid",
@@ -323,8 +324,9 @@ class RoundRecord:
     ``mse``, ``eta``, ``train_loss`` are None on a skipped round; the ideal
     benchmark's noise-free mean records ``mse`` = 0.0 and ``eta`` None.
     ``norm_scale`` is None unless the round went over the air.
-    ``wall_time`` and ``norm_scale`` stay in memory and are not serialized,
-    so reruns are byte-identical.
+    ``stage_s`` holds the round's seconds in each of ``STAGES``, in that
+    order.  ``wall_time``, ``norm_scale`` and ``stage_s`` stay in memory and
+    are not serialized, so reruns are byte-identical.
     """
 
     round: int
@@ -335,7 +337,12 @@ class RoundRecord:
     test_acc: float
     wall_time: float = 0.0
     norm_scale: Optional[float] = None
+    stage_s: tuple = ()
 
+
+# a round's stages, as RoundRecord.stage_s times them: channel draw and
+# user selection, the cohort's local updates, aggregation, test-set eval
+STAGES = ("channel", "local_update", "aggregate", "eval")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -480,8 +487,10 @@ def run_training(
             best = select_ports(sample_port_gains(dep, fl.n_clients, fl.n_ports, ch_ss))
             cohort = ota.select_users(best, link)
         rec = RoundRecord(t, int(cohort.size), None, None, None, float("nan"))
+        t_update = t_aggregate = time.monotonic()
         if cohort.size:
             stack, losses = local_update(model, dataset, shards, cohort, w, fl, batch_ss, adam)
+            t_aggregate = time.monotonic()
             rec.train_loss = float(np.mean(losses))
             if fl.benchmark == "ideal":
                 w, rec.mse = stack.mean(axis=0), 0.0
@@ -493,7 +502,10 @@ def run_training(
                 w = rec.norm_scale * estimate
             if not np.all(np.isfinite(w)):
                 raise TrainingDivergedError(f"parameters went nonfinite at round {t}", records)
+        t_eval = time.monotonic()
         rec.test_acc = model.accuracy(w, dataset.test_x, dataset.test_y)
-        rec.wall_time = time.monotonic() - t0
+        t_end = time.monotonic()
+        rec.wall_time = t_end - t0
+        rec.stage_s = (t_update - t0, t_aggregate - t_update, t_eval - t_aggregate, t_end - t_eval)
         records.append(rec)
     return records

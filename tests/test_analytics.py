@@ -356,10 +356,12 @@ def test_participation_pmf_validation():
 
 
 def test_import_pulls_in_no_scipy():
-    # the package runs on numpy alone; scipy is a test-only oracle
+    # the package runs on numpy alone; scipy is a test-only oracle.  Nor does
+    # it import multiprocessing, which only train's forked workers need
     src = str(Path(fluidfed.__file__).resolve().parents[1])
     code = ("import sys, fluidfed, fluidfed.montecarlo, fluidfed.fedlearn, fluidfed.cli\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+            "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')]\n"
+            "assert not loaded, sorted(loaded)")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 

@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ FAST_FL = [
     "--set", "fl.clients=3",
     "--set", 'fl.variants=["ideal","independent"]',
 ]
+DEFAULT_FL_VARIANTS = ["--set", f"fl.variants={json.dumps(cli.DEFAULTS['fl']['variants'])}"]
 
 
 # ------------------------------------------------------------- config
@@ -433,18 +436,18 @@ def test_manifest_lists_every_output(tmp_path, monkeypatch, command, extra, doct
 @pytest.mark.parametrize("command, extra", [("cdf-mse", FAST_MC), ("train", FAST_FL)],
                          ids=["cdf-mse", "train"])
 def test_failing_command_leaves_no_directory(tmp_path, monkeypatch, command, extra):
-    # cdf-mse fails in its experiment, train in its second variant
-    run_training, calls = fedlearn.run_training, []
+    # cdf-mse fails in its experiment, train in its OTA variant: keyed on the
+    # variant, as a forked worker counts only its own calls
+    run_training = fedlearn.run_training
 
     def fail(*args, **kwargs):
         raise SamplingError("sampler produced a nonfinite draw")
 
-    def second_run_fails(*args, **kwargs):
-        calls.append(None)
-        return (run_training if len(calls) == 1 else fail)(*args, **kwargs)
+    def ota_run_fails(fl, link, dep, *args, **kwargs):
+        return (run_training if dep is None else fail)(fl, link, dep, *args, **kwargs)
 
     monkeypatch.setattr(mc, "run_mse_cdf_experiment", fail)
-    monkeypatch.setattr(fedlearn, "run_training", second_run_fails)
+    monkeypatch.setattr(fedlearn, "run_training", ota_run_fails)
     with pytest.raises(SamplingError):
         main([command, "--out", str(tmp_path / "a" / "nested"), *extra])
     assert not (tmp_path / "a").exists()
@@ -629,6 +632,33 @@ def test_no_command_loads_scipy(tmp_path, argv):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# train's eval matmul, in a fresh interpreter that imports numpy through the package
+BLAS_FOOTPRINT = """
+import os
+import fluidfed, numpy as np
+np.ones((2000, 16)) @ np.ones((16, 32))
+print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+@pytest.mark.parametrize("given", [None, "2"], ids=["unset", "caller-set"])
+def test_package_loads_blas_single_threaded(given):
+    # the pin holds only while numpy loads: the environment is the caller's again after
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env["PYTHONPATH"] = src
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    done = subprocess.run([sys.executable, "-c", BLAS_FOOTPRINT], env=env, check=True,
+                          capture_output=True, text=True)
+    threads, variable = done.stdout.split()
+    assert variable == str(given)
+    if given is None:
+        assert threads == "1"
+
+
 def test_train_run_writes_per_variant_records(tmp_path, capsys):
     out = tmp_path / "train"
     rc = main(
@@ -702,6 +732,11 @@ def test_train_manifest_records_telemetry(tmp_path):
         assert block["updates_per_s"] == pytest.approx(sum(participants) / block["seconds"])
         assert len(block["round_wall_time"]) == 2
         assert all(t > 0 for t in block["round_wall_time"])
+        # the stages split each round, timed where it ran, in a worker or not
+        assert set(block["stage_seconds"]) == set(fedlearn.STAGES)
+        assert min(block["stage_seconds"].values()) >= 0
+        assert sum(block["stage_seconds"].values()) == pytest.approx(
+            sum(block["round_wall_time"]))
     # only rounds that went over the air have a norm scale
     assert telemetry["ideal"]["round_norm_scale"] == [None, None]
     for scale, n in zip(telemetry["independent"]["round_norm_scale"], participants):
@@ -715,7 +750,9 @@ def test_train_manifest_records_telemetry(tmp_path):
 # sha256 of the seed-0 data files, frozen when each local step's batches
 # became one key draw for every client from the round's batch stream; the
 # second run has 12 rounds of 3 Adam steps (bias corrections past step 8)
-# and ragged shards of 61/60/60 rows in one cohort
+# and ragged shards of 61/60/60 rows in one cohort; the third, frozen while
+# the variants still ran one after another in one process, trains all five
+# default variants, and its ideal and independent files equal the first's
 TRAIN_GOLDEN = [
     (
         [],
@@ -736,10 +773,25 @@ TRAIN_GOLDEN = [
             "train_independent.jsonl": "837757d936e4e02e1fca7d032892b047a2ecbbead06f4a9c4989943be47d985d",
         },
     ),
+    (
+        DEFAULT_FL_VARIANTS,
+        {
+            "train_ideal.csv": "7422b286b5b26a06783f527736cb07cb2921712d0a959240f7c4ff87629adbdd",
+            "train_ideal.jsonl": "b01a007087aba3f26a63b5e91d00d80fecc26c05990ee996c66fd34cc60d74d8",
+            "train_independent.csv": "d8e85ab4aafb000c71e4103cb83664cd6e99ccd031e3bf0853a4fb58a9c83bbd",
+            "train_independent.jsonl": "01ae964132cf2a6c32dffdff4991e1b7363d2c9a0c03a44544d23fe63cbb0c18",
+            "train_clayton-1.csv": "a1519770339ddab6c78024da72f557de80a0b011656927441a94f93d7b81c2e8",
+            "train_clayton-1.jsonl": "4c871e94fd93cfc5f29342b112b7347122a9925c090870dfba163ccc9f82ee5e",
+            "train_clayton-2.csv": "9b30988083593a9b60cb042a28fd7cf267591415b770abdb8bf2f125e77ac4bb",
+            "train_clayton-2.jsonl": "cd3a17f54d1663496262056c9f15b7ab71dcecb32a67576ed7e9fa460bbdc6fb",
+            "train_fpa.csv": "82aebf0b299d5e4adc1aef25e7d0a6ab7617fe213a90c911d2fd2cd1eafecadb",
+            "train_fpa.jsonl": "bdd9959bbf9be10ab979b31d2f29c272defdd12741be34a4758f7c633652c453",
+        },
+    ),
 ]
 
 
-@pytest.mark.parametrize("extra, golden", TRAIN_GOLDEN, ids=["fast", "adam-ragged"])
+@pytest.mark.parametrize("extra, golden", TRAIN_GOLDEN, ids=["fast", "adam-ragged", "five-variants"])
 def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
     assert main(["train", "--out", str(tmp_path), *FAST_FL, *extra, "--seed", "0"]) == 0
     for name, digest in golden.items():
@@ -1024,3 +1076,130 @@ def test_default_out_dir_is_under_runs(tmp_path, monkeypatch):
     assert rc == 0
     assert (tmp_path / "runs" / "bound" / "bound.csv").exists()
     assert (tmp_path / "runs" / "bound" / "manifest.json").exists()
+
+
+# ------------------------------------------------------- train workers
+
+
+def _see_cpus(monkeypatch, n: int) -> None:
+    """Make train see ``n`` usable CPUs: with one it runs its variants in
+    this process, with two in two forked workers where it can fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_train_outputs_do_not_depend_on_the_workers(tmp_path, monkeypatch, capsys):
+    # clayton-1 diverges after its first round; in a worker it still prints
+    # its DIVERGED line, exits 1 and writes its partial records
+    run_training = fedlearn.run_training
+
+    def clayton_1_diverges(fl, link, dep, *args, **kwargs):
+        records = run_training(fl, link, dep, *args, **kwargs)
+        if dep == Clayton(1.0):
+            raise fedlearn.TrainingDivergedError("parameters went nonfinite at round 2",
+                                                 records[:1])
+        return records
+
+    monkeypatch.setattr(fedlearn, "run_training", clayton_1_diverges)
+    runs = []
+    for n_cpus in (1, 2):
+        _see_cpus(monkeypatch, n_cpus)
+        out = tmp_path / str(n_cpus)
+        rc = main(["train", "--out", str(out), *FAST_FL, *DEFAULT_FL_VARIANTS, "--seed", "4"])
+        printed = capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        runs.append((rc, printed.out, printed.err, manifest["outputs"], files))
+        assert manifest["status"] == "diverged"
+        workers = 0 if n_cpus == 1 or not hasattr(os, "fork") else 2
+        assert {b["worker_processes"] for b in manifest["telemetry"].values()} == {workers}
+        assert [label for label, block in manifest["telemetry"].items() if block["diverged"]] == [
+            "clayton-1"]
+    assert runs[0] == runs[1]
+    rc, stdout, stderr, _, files = runs[0]
+    assert rc == 1
+    assert stderr == "clayton-1: DIVERGED (parameters went nonfinite at round 2)\n"
+    assert stdout.splitlines()[2].startswith("clayton-1: 1 rounds,")
+    assert len(files) == 10
+    for name, data in files.items():  # rounds, and a header line in the CSVs
+        rounds = 1 if "clayton-1" in name else 2
+        assert data.count(b"\n") == rounds + name.endswith(".csv"), name
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["in-process", "two-workers"])
+def test_train_worker_errors_reach_main(tmp_path, monkeypatch, n_cpus):
+    _see_cpus(monkeypatch, n_cpus)
+    run_training = fedlearn.run_training
+
+    def fpa_fails(fl, link, dep, *args, **kwargs):
+        if dep == PerfectDependence():
+            raise SamplingError("sampler produced a nonfinite draw")
+        return run_training(fl, link, dep, *args, **kwargs)
+
+    monkeypatch.setattr(fedlearn, "run_training", fpa_fails)
+    with pytest.raises(SamplingError, match="nonfinite draw"):
+        main(["train", "--out", str(tmp_path / "out"), *FAST_FL, *DEFAULT_FL_VARIANTS])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_killed_train_worker_fails_the_command(tmp_path, monkeypatch):
+    _see_cpus(monkeypatch, 2)
+    parent, run_training = os.getpid(), fedlearn.run_training
+
+    def fpa_worker_dies(fl, link, dep, *args, **kwargs):
+        if dep == PerfectDependence() and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_training(fl, link, dep, *args, **kwargs)
+
+    monkeypatch.setattr(fedlearn, "run_training", fpa_worker_dies)
+    with pytest.raises(RuntimeError, match=r"task 4 ended \(killed by signal 9\) with no outcome"):
+        main(["train", "--out", str(tmp_path / "out"), *FAST_FL, *DEFAULT_FL_VARIANTS])
+    assert not (tmp_path / "out").exists()
+
+
+def _live_group(pgid: int) -> set:
+    """Pids of the processes of group ``pgid`` that have not exited (zombies have)."""
+    pids = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # exited meanwhile
+            continue
+        state, _, group = stat[stat.rindex(")") + 2:].split()[:3]
+        if int(group) == pgid and state != "Z":
+            pids.add(int(entry))
+    return pids
+
+
+def _within(seconds: float, condition) -> bool:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads process groups in /proc")
+def test_no_train_worker_outlives_its_command(tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("train forks no workers on one usable CPU")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "fluidfed.cli", "train", "--out", str(tmp_path),
+            "--set", "fl.clients=100", "--set", "fl.rounds=100", "--set", "fl.samples=20000"]
+    proc = subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": src},
+                            start_new_session=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        assert _within(60, lambda: _live_group(proc.pid) - {proc.pid}), "no worker started"
+        time.sleep(0.2)  # into their first variants
+        proc.kill()
+        proc.wait(timeout=10)
+        assert _within(10, lambda: not _live_group(proc.pid)), _live_group(proc.pid)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
