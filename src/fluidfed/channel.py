@@ -300,7 +300,10 @@ def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce:
         if reduce == "first":
             if not np.all(log_v < np.inf):  # V = inf would give a finite p = 1
                 raise SamplingError("Clayton sampler produced a nonfinite frailty")
-            cutoff = np.exp(_clayton_log_cutoff(log_v, dep.beta, threshold))
+            # at large beta ln e* passes ln(DBL_MAX); e* = inf is the right
+            # cutoff, since it gives p = 1
+            with np.errstate(over="ignore"):
+                cutoff = np.exp(_clayton_log_cutoff(log_v, dep.beta, threshold))
             return _first_success(gen, -np.expm1(-cutoff), n_ports)
         exps = gen.standard_exponential(size=(n_users, 1 if reduce == "best" else n_ports))
         if reduce == "best":

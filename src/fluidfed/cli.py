@@ -566,7 +566,7 @@ def _forked_map(task, count: int, workers: int):
 
 def _cmd_train(args, cfg: dict):
     seed = int(cfg["mc"]["seed"])
-    if not cfg["fl"]["variants"]:  # also when --benchmark kept none of them
+    if not cfg["fl"]["variants"]:
         raise ConfigError("fl.variants must not be empty")
     link = _build(ota.OtaConfig, cfg, ("system",))
     variants = _variants(cfg, "fl")
@@ -668,10 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", type=int, default=None, help="MC trials")
     commands = {name: sub.add_parser(name, parents=[common], help=help_text)
                 for name, (help_text, _) in _COMMANDS.items()}
-    commands["train"].add_argument(
-        "--benchmark", choices=["ideal", "ota"],
-        help="restrict to the ideal benchmark or the OTA variants",
-    )
     commands["bound"].add_argument(
         "--records", help="round-record CSV to read the (participants, mse) schedule from"
     )
@@ -684,10 +680,6 @@ def main(argv=None) -> int:
     try:
         cfg, source = load_config(args.config, args.overrides)
         flags = [("--seed", "mc.seed", args.seed), ("--trials", "mc.trials", args.trials)]
-        if getattr(args, "benchmark", None) is not None:  # decided on the parsed variants
-            kept = ["ideal"] if args.benchmark == "ideal" else [
-                v for v, dep in zip(cfg["fl"]["variants"], _variants(cfg, "fl")) if dep is not None]
-            flags.append(("--benchmark", "fl.variants", kept))
         for flag, key, value in flags:
             if value is not None:
                 _set(cfg, source, key, value, "flag", flag)

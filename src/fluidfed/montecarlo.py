@@ -44,10 +44,10 @@ run_copula_diagnostics : marginal KS checks (Bonferroni-corrected over
 The module runs on numpy alone, and the diagnostics are sort-bound on
 contiguous rows.  The gate's binomial tails are
 ``analytics.binomial_tails`` (Loader 2000).  ``kstest`` sorts each
-column as a row of the transposed block and evaluates the Exp(1) CDF with
-Cephes expm1 (Moshier 1989), as ``scipy.stats.kstest`` does, its rational
-form on each row's one |x| <= 0.5 slice; it reports Massart's DKW bound as
-its p-value, a valid p-value at every sample size.  ``kendalltau`` sorts
+column as a row of the transposed block and evaluates the Exp(1) CDF as
+-expm1(-g) over the whole sorted block, as ``scipy.stats.kstest`` does
+(numpy's expm1, within an ulp of scipy's); it reports Massart's DKW bound
+as its p-value, a valid p-value at every sample size.  ``kendalltau`` sorts
 and counts (Knight 1966) on dense ranks, bit for bit scipy's tau-b.  The
 max-gain CDF counts are the grid's insertion points in the sorted row
 maxima.
@@ -74,7 +74,6 @@ from .channel import (
     GaussianJakes,
     Independent,
     PerfectDependence,
-    _polevl,
     first_qualifying_port,
     sample_best_gains,
     sample_port_gains,
@@ -396,72 +395,28 @@ def _ks_p_value(d: float, n: int) -> float:
     return min(1.0, 2.0 * math.exp(-2.0 * n * d * d))
 
 
-# Cephes expm1 (Moshier 1989): a rational form in x^2 for |x| <= 0.5
-_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2,
-            9.9999999999999999991025e-1)
-_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
-            2.2726554820815502876593e-1, 2.0000000000000000000897e0)
-
-
-def _expm1_near_zero(x: np.ndarray) -> np.ndarray:
-    """e^x - 1 for |x| <= 0.5 by Cephes's rational form, bit for bit
-    ``scipy.special.expm1``: r = x P(x^2), then 2 r / (Q(x^2) - r)."""
-    xx = x * x
-    num = _polevl(xx, _EXPM1_P)
-    num *= x
-    den = _polevl(xx, _EXPM1_Q)
-    den -= num
-    num /= den
-    num += num
-    return num
-
-
-def _expm1(x: np.ndarray) -> np.ndarray:
-    """e^x - 1 in place, as Cephes (and so ``scipy.special.expm1``) rounds
-    it: bit for bit where |x| <= 0.5, exp(x) - 1 elsewhere.  ``np.expm1``
-    differs in the last ulp.  For any array, through a mask; ``kstest``
-    takes the sorted-row form below, which the tests hold to this one."""
-    small = np.abs(x) <= 0.5
-    near = _expm1_near_zero(x[small])
-    np.exp(x, out=x)
-    x -= 1.0
-    x[small] = near
-    return x
-
-
-def _expon_cdf_of_sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """Exp(1)'s CDF -expm1(-g) in place on rows sorted ascending, rounded
-    as ``_expm1`` rounds it.  A row's |g| <= 0.5 entries are one run, so
-    the rational form reads a slice and the rest is 1 - e^-g, which is
-    -(e^-g - 1) exactly."""
-    for row in rows:
-        lo, hi = np.searchsorted(row, -0.5), np.searchsorted(row, 0.5, side="right")
-        near = _expm1_near_zero(-row[lo:hi])
-        for part in (row[:lo], row[hi:]):
-            np.negative(part, out=part)
-            np.exp(part, out=part)
-            np.subtract(1.0, part, out=part)
-        np.negative(near, out=row[lo:hi])
-    return rows
-
-
 def kstest(gains: np.ndarray) -> tuple[float, float]:
     """Largest two-sided KS statistic of the columns of ``gains`` against
     Exp(1), and the smallest p-value, from one sort per column.
 
-    Per column D is ``scipy.stats.kstest(column, "expon")``'s statistic:
-    its CDF, its D+ and D-.  The columns are sorted as contiguous rows of
-    the transposed block.  The p-value is Massart's bound
-    (``_ks_p_value``), never below the exact Kolmogorov tail; it falls as
-    D rises, so the largest D has the smallest p-value.
+    Per column D is ``scipy.stats.kstest(column, "expon")``'s statistic,
+    its D+ and D- on the CDF -expm1(-g), within an ulp of scipy's (numpy's
+    expm1 and scipy's Cephes one may round the last bit apart).  The
+    columns are sorted as contiguous rows of the transposed block.  The
+    p-value is Massart's bound (``_ks_p_value``), never below the exact
+    Kolmogorov tail; it falls as D rises, so the largest D has the
+    smallest p-value.
     """
     n = gains.shape[0]
     cdf = gains.T.copy()  # one row per port; a copy even where .T is contiguous
     cdf.sort(axis=1)
+    np.negative(cdf, out=cdf)
+    np.expm1(cdf, out=cdf)
+    np.negative(cdf, out=cdf)
     above, below = np.arange(1, n + 1) / n, np.arange(0, n) / n
     buf = np.empty(n)  # one row's D+, then its D-: no block-sized temporary
     d = float(np.max([(np.subtract(above, row, out=buf).max(), np.subtract(row, below, out=buf).max())
-                      for row in _expon_cdf_of_sorted_rows(cdf)]))
+                      for row in cdf]))
     return d, _ks_p_value(d, n)
 
 

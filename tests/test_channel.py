@@ -1,12 +1,15 @@
 """Port-gain sampler tests: marginals, dependence, correlation structure."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import j0, jn_zeros
-from scipy.stats import kendalltau, kstest
+from scipy.stats import binom, kendalltau, kstest
 
 from fluidfed import channel
+from fluidfed.analytics import GainDistribution, channel_gain_cdf, qualify_probability
 from fluidfed.channel import (
     Clayton,
     GaussianJakes,
@@ -76,8 +79,6 @@ def test_clayton_extreme_betas_stay_finite():
 def test_clayton_extreme_betas_keep_the_max_gain_law(beta):
     # the sampled max-gain distribution must track the closed form even
     # where a naive (non-log-domain) frailty draw would under/overflow
-    from fluidfed.analytics import GainDistribution, channel_gain_cdf
-
     g = sample_port_gains(Clayton(beta), 20000, 6, 9).gains
     best = np.sort(g.max(axis=1))
     grid = np.linspace(0.05, 6.0, 25)
@@ -334,6 +335,19 @@ def test_clayton_first_port_of_a_zero_frailty_is_none():
     # u = 0 gives ln V = -inf and p = 0: that row reaches no port
     first = first_qualifying_port(Clayton(2.0), 6, 4, 1e-3, _poisoned("uniform", 0.0))
     assert first[1] == 4 and np.all(np.delete(first, 1) < 4)
+
+
+def test_clayton_first_port_at_a_huge_beta_takes_an_infinite_cutoff_quietly():
+    # at beta = 1e4 and t = 2, ln e* passes ln(DBL_MAX): e* = inf gives p = 1
+    # with no overflow warning, and nearly every qualifying user stops at
+    # port 0, so its share follows the best-port law at 1e-6
+    dep, n_ports, threshold = Clayton(1e4), 10, 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = first_qualifying_port(dep, LAW_ROWS, n_ports, threshold, 0)
+    q = qualify_probability(GainDistribution(n_ports, dep), threshold)
+    lo, hi = binom.interval(1 - 1e-6, LAW_ROWS, q)
+    assert lo <= np.count_nonzero(first == 0) <= hi
 
 
 def test_first_success_caps_saturated_draws():

@@ -248,8 +248,6 @@ def _flags(n, command, flags, message):
         ("train", "fl.variants=[]", "fl.variants must not be empty"),
         # both labelled `clayton-2`: the second run would overwrite the first's files
         ("train", 'fl.variants=["clayton:2","clayton:2.0"]', "`clayton-2` is listed more than once"),
-        _flags(23, "train", ["--benchmark", "ota", "--set", 'fl.variants=["ideal"]'],
-               "fl.variants must not be empty"),
         ("train", "system.tau=-1", "tau must be finite and > 0"),
         ("train", "fl.split=1.5", "split must be in (0, 1]"),
         ("train", "fl.batch=0", "fl.batch: batch_size must be >= 1"),
@@ -357,6 +355,13 @@ def test_threads_flag_and_key_are_gone(tmp_path, capsys):
     assert exc.value.code == 2
     assert main(["cdf-mse", "--out", str(tmp_path), "--set", "mc.threads=1"]) == 2
     assert "unknown key `mc.threads`" in capsys.readouterr().err
+
+
+def test_train_benchmark_flag_is_gone(tmp_path):
+    # `--set fl.variants=[...]` is the one way to choose the variants
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--out", str(tmp_path), *FAST_FL, "--benchmark", "ota"])
+    assert exc.value.code == 2
 
 
 def test_whole_float_counts_are_accepted(tmp_path):
@@ -677,36 +682,6 @@ def test_train_run_writes_per_variant_records(tmp_path, capsys):
     assert all(r.split(",")[1] == "3" for r in ideal_rows)
 
 
-def test_train_benchmark_flag_restricts_variants(tmp_path):
-    out = tmp_path / "only-ideal"
-    rc = main(["train", "--out", str(out), *FAST_FL, "--benchmark", "ideal"])
-    assert rc == 0
-    names = {p.name for p in out.iterdir()}
-    assert "train_ideal.csv" in names
-    assert "train_independent.csv" not in names
-    out2 = tmp_path / "no-ideal"
-    rc = main(["train", "--out", str(out2), *FAST_FL, "--benchmark", "ota"])
-    assert rc == 0
-    names2 = {p.name for p in out2.iterdir()}
-    assert "train_ideal.csv" not in names2
-    assert "train_independent.csv" in names2
-
-
-@pytest.mark.parametrize("ideal", ["ideal", "Ideal", " IDEAL "])
-def test_benchmark_ota_drops_ideal_however_it_is_spelled(tmp_path, ideal):
-    # --benchmark decides on the parsed variants, so every spelling parse_variant
-    # reads as `ideal` is dropped, and the manifest lists what was kept
-    out = tmp_path / "t"
-    args = ["train", "--out", str(out), *FAST_FL,
-            "--set", f'fl.variants=["{ideal}","independent"]', "--benchmark", "ota"]
-    assert main(args) == 0
-    assert {p.name for p in out.iterdir()} == {
-        "train_independent.csv", "train_independent.jsonl", "manifest.json"}
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["fl"]["variants"] == ["independent"]
-    assert manifest["config_sources"]["fl.variants"] == "flag"
-
-
 def test_train_reruns_byte_identical(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     args = ["train", *FAST_FL, "--seed", "3", "--set", "system.tau=0.5"]
@@ -910,6 +885,65 @@ def test_mc_outputs_match_frozen_sha256(tmp_path, command, extra, golden):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of the seed-0 data files at the CLI defaults, no flag but the
+# seed: the reduced plans above can miss a change that only the default
+# sizes show (copula-check's 100k rows and four betas, train's five
+# variants).  The copula-check report was taken again when kstest's Exp(1)
+# CDF moved from a Cephes expm1 port to numpy's expm1: only
+# max_ks_statistic and min_p_value moved, D by 1.1e-16 (clayton-0.5)
+DEFAULT_GOLDEN = {
+    "cdf-mse": {
+        "cdf_mse_clayton-1.csv": "99efaa80ce19259b96c1261fab4eb16ca2a113d1b043cb5f306b2e659799c5b7",
+        "cdf_mse_clayton-2.csv": "866dd7dc7b078806dd343406dd322f1831f1fe85e9dc9c85d2199db44222b140",
+        "cdf_mse_fpa.csv": "3d129f08db6b5612cdf60ffbef09df9cf40b218d253bcc773faade5222142c3f",
+        "cdf_mse_independent.csv": "35de4ec91cf33c2fdb90e9cbdc95c711a9aac8029a84080a773b548da41e53bf",
+        "cdf_mse_report.json": "7fee3f258047e3bda96d0521bcc7894a28ca122fc7ba5a18b2b6cf67bdb6df69",
+    },
+    "pmf-users": {
+        "pmf_users_clayton-1.csv": "874fe8a4b70da5f1cd2c6732c68908550ec7c38a190a52ebc1f7a65abf05cb83",
+        "pmf_users_clayton-2.csv": "9bf20b39efa1cc697b8f13a2b25f5716931172f0c15fa28c0ed651f9ae30ff69",
+        "pmf_users_fpa.csv": "39890a9cb0ad7e1b7b45854c5ba043e03471311cea786aeae56a15153e678882",
+        "pmf_users_independent.csv": "cc74e6b749dc4f9348fc4bf5fa88001b0f709bd3a80c50e7a17efe7724164c4c",
+        "pmf_users_report.json": "7b52924c5a69b1de385564db6ec3b871793d470a8de6367821925ea2682c86a8",
+    },
+    "port-sweep": {
+        "port_sweep_clayton-1.csv": "ff33800ff9847b73354fb8da2368a0825913cb9f29289df0bf573ccad858016c",
+        "port_sweep_clayton-2.csv": "51c703e2ccf6a849b993fc6dc3c78ff28f3164094cf63ac1077e37422afd9b02",
+        "port_sweep_fpa.csv": "41dcff2dc5b7490526fe004328fa99d83b09411d772652ea8ecff168bb78a1f3",
+        "port_sweep_independent.csv": "c7f4aa977748cadc185e19a78f38f3678b3f13f345b92242e3fb07f0e1017812",
+        "port_sweep_report.json": "dabf0950f4c5cf3d993740326f6a9623bd671f445c85954756f213a664da069c",
+    },
+    "copula-check": {
+        "copula_check_clayton-0.5.csv": "510bb9f8734a73ea8a29272415cea005b784bd881492add6581de234b8ba3993",
+        "copula_check_clayton-1.csv": "ee8a0b97d769f10ec4f65076ebe8e88ee5142035a20ca231eeda2e3f201e2b46",
+        "copula_check_clayton-2.csv": "809451aa7e4ea0085730cfef72f743dbdd82126c5f7ff8dff0a9726230ab7ea2",
+        "copula_check_clayton-5.csv": "f9b7d78e82dc8966f050c00e120bedb38bc536180a7abaffbe8f08bf0bf82192",
+        "copula_check_report.json": "ce1de668f10853d37c1775c59d0e85b687fb4edb6476a3fd8251808fd26accff",
+    },
+    "train": {
+        "train_clayton-1.csv": "68f06f6d8529e878f7e34df0fa4072a77d5e16ca595fa9d248ce828f9d6b3ba5",
+        "train_clayton-1.jsonl": "10c8f91788dd0b3402585080957ee8c211109529a99d7773e874630a7531148f",
+        "train_clayton-2.csv": "15f44476a82eeec76846eb9713e134052c8d3a79b47cf8dd78f2ce6a7c0616ca",
+        "train_clayton-2.jsonl": "51f70fb02a5ff96621dcc79ee27c64aa265e66c329c7b9f03eed6f4ac2621261",
+        "train_fpa.csv": "c2a142fd9cad6f2c598f74f141d5cc329033e131f7e8a9e7ee9f6c25d1cf7e04",
+        "train_fpa.jsonl": "004d85b5feb84fc99c4e86812d7eec91c575dbb0f24bb6adc2a7d575e61c8f48",
+        "train_ideal.csv": "719310e0ab948e8144601e59ff585eb776c755db05e487aa241cb24ed361e17f",
+        "train_ideal.jsonl": "ea9ee472c467b939b32ddfc8a35e82b1de6d244f0c21d5ee1cbdc5538ff9e47f",
+        "train_independent.csv": "83f2dc50ba136f956e19895860402e4a50404cfcec4b31d4ea0c82d436fc3042",
+        "train_independent.jsonl": "bed155d2dd09f2d7a48560de7579403ebb4899eb9e97cbab680de81ea5c80217",
+    },
+}
+
+
+@pytest.mark.parametrize("command, golden", DEFAULT_GOLDEN.items(), ids=list(DEFAULT_GOLDEN))
+def test_default_outputs_match_frozen_sha256(tmp_path, command, golden):
+    assert main([command, "--out", str(tmp_path), "--seed", "0"]) == 0
+    written = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
+    assert written == set(golden)
+    for name, digest in golden.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_bound_output_matches_frozen_sha256(tmp_path):
     # the default bound section, frozen with the port-sweep and copula-check rows
     assert main(["bound", "--out", str(tmp_path), "--seed", "0"]) == 0
@@ -982,7 +1016,7 @@ def test_bound_from_training_records(tmp_path):
     assert (
         main(
             ["train", "--out", str(train_out), *FAST_FL,
-             "--set", "system.tau=0.5", "--benchmark", "ota"]
+             "--set", "system.tau=0.5", "--set", 'fl.variants=["independent"]']
         )
         == 0
     )
