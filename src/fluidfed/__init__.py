@@ -62,7 +62,6 @@ from .ota import (  # noqa: F401
     NoParticipantsError,
     OtaConfig,
     SelectionOutcome,
-    dbm_to_linear,
     gain_threshold,
     ota_aggregate,
     select_users,

@@ -11,12 +11,12 @@ bound        convergence-bound trajectory from constants + a schedule
 
 Configuration is JSON with sections ``system``, ``mc``, ``fl``, ``bound``.
 Precedence: dedicated CLI flags > ``--set section.key=value`` overrides >
-config file > documented defaults.  Power values are accepted linear
-(``p_max``, ``sigma2``) or in dBm (``p_max_dbm``, ``sigma2_dbm``);
-supplying both members of a pair is an error.  A supplied config file must
-state ``system.tau`` explicitly.  One table (``_ROWS``) gives each key's
-kind, default and target field; flags are checked like ``--set``, and every
-configuration error names its key.
+config file > documented defaults.  Each setting has one way in: powers
+are in watts, the two ``fl.mnist_*`` paths together select MNIST, and
+``--trials`` is a flag of the three commands that read ``mc.trials``.  A
+supplied config file must state ``system.tau`` explicitly.  One table
+(``_ROWS``) gives each key's kind, default and target field; flags are
+checked like ``--set``, and every configuration error names its key.
 
 Each command (one row of ``_COMMANDS``) checks its config, computes, and
 returns its result tables as text by file name; it touches no file.
@@ -31,14 +31,15 @@ failing points, sampling and closed-form seconds), ``copula-check`` its
 own per beta (rows, ports, sampling, KS and Kendall seconds), ``train``
 its own (rounds, skipped rounds, client updates and their rate, seconds
 per round stage, worker processes, per-round wall time and norm scale)
-and ``bound`` its rounds, psi, final value and seconds; no hashed output
-contains any of them.  ``train`` runs its variants in forked worker
-processes, up to one per usable CPU, and in-process with one variant, one
-usable CPU or no ``fork``; its outputs are identical either way.  Exit
-codes: 0 success, 1 statistical check failure or training divergence,
-2 usage/config error, 3 I/O error.  A statistical failure prints one
-``FAIL`` line to stderr per failing grid point, mean, KS or Kendall
-check, each worded by its report's ``failures()``.
+and ``bound`` its rounds, psi, final value, seconds, and the path and
+sha256 of its ``--records`` file; no hashed output contains any of them.
+``train`` runs its variants in forked worker processes, up to one per
+usable CPU, and in-process with one variant, one usable CPU or no
+``fork``; its outputs are identical either way.  Exit codes: 0 success,
+1 statistical check failure or training divergence, 2 usage/config error,
+3 I/O or out-of-memory error.  A statistical failure prints one ``FAIL``
+line to stderr per failing grid point, mean, KS or Kendall check, each
+worded by its report's ``failures()``.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ _COUNT = _Kind("a whole number >= 0",
 _STRING = _Kind("a string", lambda v: isinstance(v, str))
 
 _FROM_FIELD = object()  # default: the target dataclass field's own default
-_UNSET = object()  # no default: only a user sets the key
 
 
 class _Row(NamedTuple):
@@ -119,10 +119,8 @@ _ROWS = (
     _Row("system.K", _COUNT, "n_users"),
     _Row("system.N", _COUNT, "n_ports"),
     _Row("system.W", _NUMBER, "jakes_aperture"),
-    _Row("system.p_max", _NUMBER, "p_max", _UNSET),
-    _Row("system.p_max_dbm", _NUMBER, "p_max", 10.0, ota.dbm_to_linear),
+    _Row("system.p_max", _NUMBER, "p_max"),
     _Row("system.sigma2", _NUMBER, "sigma2"),
-    _Row("system.sigma2_dbm", _NUMBER, "sigma2", _UNSET, ota.dbm_to_linear),
     _Row("system.tau", _NUMBER, "tau"),
     _Row("mc.trials", _COUNT, "trials"),
     _Row("mc.seed", _COUNT, "seed"),
@@ -143,7 +141,6 @@ _ROWS = (
     _Row("fl.hidden", _COUNT, "hidden"),
     _Row("fl.local_steps", _COUNT, "local_steps"),
     _Row("fl.optimizer", _STRING, "optimizer"),
-    _Row("fl.data", _STRING, "data"),
     _Row("fl.classes", _COUNT, "classes"),
     _Row("fl.dims", _COUNT, "dims"),
     _Row("fl.samples", _COUNT, "samples"),
@@ -179,8 +176,7 @@ def _defaults() -> dict:
         if default is _FROM_FIELD:
             default = getattr(fields[section], row.field)
             default = list(default) if isinstance(default, tuple) else default
-        if default is not _UNSET:
-            out.setdefault(section, {})[name] = default
+        out.setdefault(section, {})[name] = default
     return out
 
 
@@ -252,13 +248,6 @@ def load_config(
             raise ConfigError(f"{origin}: missing required key `system.tau`")
     for spec in overrides or []:
         _set(merged, source, *_parse_set_override(spec), "set", "--set")
-    # a user-set member of a power pair retires the other's default
-    for linear, dbm in (("p_max", "p_max_dbm"), ("sigma2", "sigma2_dbm")):
-        user = {k for k in (linear, dbm) if source.get(f"system.{k}", "default") != "default"}
-        if len(user) == 2:
-            raise ConfigError(f"`system.{linear}` and `system.{dbm}` are mutually exclusive")
-        if user:
-            merged["system"].pop(dbm if linear in user else linear, None)
     return merged, source
 
 
@@ -280,8 +269,8 @@ def _build(cls, cfg: dict, sections: tuple, **given):
             try:  # a grid that overflows to inf is reported by its class's check
                 with np.errstate(over="ignore"):
                     given[row.field] = row.convert(value) if row.convert else value
-            except OverflowError:
-                raise ConfigError(f"{row.key}: {row.field} overflows")
+            except ValueError as exc:  # a grid longer than numpy can index
+                raise ConfigError(f"{row.key}: {exc}")
     try:
         return cls(**given)
     except ValueError as exc:
@@ -289,8 +278,8 @@ def _build(cls, cfg: dict, sections: tuple, **given):
 
 
 def parse_variant(spec: str, aperture: float):
-    """Variant string (case and blanks folded, ``perfect`` = ``fpa``) -> its
-    dependence spec, or None for the ideal benchmark."""
+    """Variant string (case and blanks folded) -> its dependence spec, or
+    None for the ideal benchmark."""
     name = spec.strip().lower()
     if name.startswith("clayton:"):
         try:
@@ -299,8 +288,7 @@ def parse_variant(spec: str, aperture: float):
             raise ConfigError(f"bad clayton variant `{spec}`: {exc}")
     if name == "jakes":
         return GaussianJakes(aperture=aperture)
-    named = {"ideal": None, "independent": Independent(), "fpa": PerfectDependence(),
-             "perfect": PerfectDependence()}
+    named = {"ideal": None, "independent": Independent(), "fpa": PerfectDependence()}
     if name not in named:
         raise ConfigError(f"unknown variant `{spec}` (expected ideal, independent, "
                           "clayton:<beta>, fpa, or jakes)")
@@ -368,19 +356,19 @@ def _record_files(label: str, records) -> dict:
     }
 
 
-def _schedule_from_records(path) -> list[tuple[int, float]]:
-    """The (participants, mse) schedule of a round-record CSV.
+def _schedule_from_records(text: str) -> list[tuple[int, float]]:
+    """The (participants, mse) schedule of a round-record CSV's text.
 
     Skipped rounds keep participants = 0 and mse = 0; the bound trajectory
     treats them as no-contraction rounds.
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        try:
-            i_part, i_mse = header.index("participants"), header.index("mse")
-        except ValueError as exc:
-            raise ValueError(f"not a round-record CSV: {exc}") from exc
-        rows = [line.rstrip("\n").split(",") for line in fh]
+    header, *lines = text.splitlines() or [""]
+    header = header.strip().split(",")
+    try:
+        i_part, i_mse = header.index("participants"), header.index("mse")
+    except ValueError as exc:
+        raise ValueError(f"not a round-record CSV: {exc}") from exc
+    rows = (line.split(",") for line in lines)
     return [(int(cells[i_part]), float(cells[i_mse] or 0.0)) for cells in rows]
 
 
@@ -606,10 +594,13 @@ def _cmd_bound(args, cfg: dict):
     b = cfg["bound"]
     constants = _build(analytics.ConvergenceConstants, cfg, ("bound",))
     origin = None  # the constant schedule of bound.rounds, bound.participants, bound.mse
+    records = None
     if args.records is not None:
         origin = f"--records {args.records}"
+        data = Path(args.records).read_bytes()
+        records = {"path": args.records, "sha256": hashlib.sha256(data).hexdigest()}
         try:
-            schedule = _schedule_from_records(args.records)
+            schedule = _schedule_from_records(data.decode())
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{origin}: {exc}")
     elif b["schedule"] is not None:
@@ -621,12 +612,9 @@ def _cmd_bound(args, cfg: dict):
         trajectory = analytics.optimality_gap_trajectory(constants, schedule, float(b["f1_gap"]))
     except ValueError as exc:
         raise _keyed(exc, [_ROW["bound.f1_gap"]] if origin else _ROWS, origin)
-    telemetry = {"rounds": len(schedule), "psi": constants.psi,
-                 "final_value": float(trajectory[-1]), "seconds": time.perf_counter() - t0}
-    print(
-        f"bound: psi={constants.psi:.4f}, {len(schedule)} rounds, "
-        f"final value {trajectory[-1]:.6g}"
-    )
+    telemetry = {"rounds": len(schedule), "psi": constants.psi, "final_value": float(trajectory[-1]),
+                 "seconds": time.perf_counter() - t0, "records": records}
+    print(f"bound: psi={constants.psi:.4f}, {len(schedule)} rounds, final value {trajectory[-1]:.6g}")
     rows = enumerate(map(float, trajectory), start=1)
     return {"bound.csv": _csv(("round", "bound"), rows)}, "pass", telemetry
 
@@ -656,18 +644,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument(
-        "--set",
-        action="append",
-        metavar="SECTION.KEY=VALUE",
-        dest="overrides",
-        help="override one config key (repeatable)",
-    )
+    common.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE", dest="overrides",
+                        help="override one config key (repeatable)")
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--trials", type=int, default=None, help="MC trials")
     commands = {name: sub.add_parser(name, parents=[common], help=help_text)
                 for name, (help_text, _) in _COMMANDS.items()}
+    for name in ("cdf-mse", "pmf-users", "port-sweep"):  # the readers of mc.trials
+        commands[name].add_argument("--trials", type=int, default=None, help="MC trials")
     commands["bound"].add_argument(
         "--records", help="round-record CSV to read the (participants, mse) schedule from"
     )
@@ -679,7 +663,8 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         cfg, source = load_config(args.config, args.overrides)
-        flags = [("--seed", "mc.seed", args.seed), ("--trials", "mc.trials", args.trials)]
+        flags = [("--seed", "mc.seed", args.seed),
+                 ("--trials", "mc.trials", getattr(args, "trials", None))]
         for flag, key, value in flags:
             if value is not None:
                 _set(cfg, source, key, value, "flag", flag)
@@ -711,6 +696,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a size no allocation can hold: no traceback, no directory
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     return 0 if status == "pass" else 1
 

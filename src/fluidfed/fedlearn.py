@@ -17,8 +17,8 @@ training split.  A round's local updates are one ``local_update`` call on
 (S, .) stacks: per local step, one key draw for all K clients, one gather
 and one ``loss_and_grad`` call per batch length, with Adam moments kept
 as run-level (K, P) stacks.  Every slice equals a per-client computation
-bit for bit.  Data comes from IDX image/label files or from a synthetic
-Gaussian-blob generator.
+bit for bit.  Data comes from IDX image/label files, when both paths are
+given, or else from a synthetic Gaussian-blob generator.
 """
 
 from __future__ import annotations
@@ -289,7 +289,6 @@ class FlConfig:
     local_steps: int = 1
     optimizer: str = "adam"
     benchmark: str = "ota"  # "ota" or "ideal" (noise-free full participation)
-    data: str = "synthetic"  # "synthetic" or "mnist"
     classes: int = 3
     dims: int = 16
     samples: int = 2000
@@ -308,13 +307,10 @@ class FlConfig:
             raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.benchmark not in ("ota", "ideal"):
             raise ValueError("benchmark must be 'ota' or 'ideal'")
-        if self.data not in ("synthetic", "mnist"):
-            raise ValueError("data must be 'synthetic' or 'mnist'")
         _train_count(self.samples, self.split)  # checks samples, and split for either data
-        if self.data == "mnist":
-            for name in ("mnist_images", "mnist_labels"):
-                if not getattr(self, name):
-                    raise ValueError(f"{name} must name an IDX file when data is 'mnist'")
+        for name, other in (("mnist_images", "mnist_labels"), ("mnist_labels", "mnist_images")):
+            if getattr(self, name) is None and getattr(self, other) is not None:
+                raise ValueError(f"{name} must name an IDX file when {other} does")
 
 
 @dataclass
@@ -445,7 +441,7 @@ def training_data(fl: FlConfig, seed: int = 0) -> tuple[Dataset, tuple[np.ndarra
     """
     gen_ss, part_ss = np.random.SeedSequence(seed).spawn(3)[0].spawn(2)
     gen = np.random.default_rng(gen_ss)
-    if fl.data == "mnist":
+    if fl.mnist_images is not None:  # and so mnist_labels
         dataset = ingest_mnist(fl.mnist_images, fl.mnist_labels, fl.split, gen)
     else:
         dataset = synthesize_dataset(fl.classes, fl.dims, fl.samples, gen, fl.separation, fl.split)

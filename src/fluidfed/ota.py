@@ -32,7 +32,6 @@ __all__ = [
     "NoParticipantsError",
     "OtaConfig",
     "SelectionOutcome",
-    "dbm_to_linear",
     "gain_threshold",
     "select_users",
     "zf_power_control",
@@ -42,11 +41,6 @@ __all__ = [
 
 class NoParticipantsError(Exception):
     """No user passed the participation threshold this round."""
-
-
-def dbm_to_linear(dbm: float) -> float:
-    """dBm -> watts: 10^((dbm - 30)/10)."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ def test_accept_02_error_cdf_reproduction():
     plan = montecarlo.McPlan(
         n_users=20,
         n_ports=10,
-        p_max=ota.dbm_to_linear(10.0),  # 10 dBm
+        p_max=0.01,  # 10 dBm
         s_target=15,
         trials=10_000,
         seed=0,
@@ -114,7 +114,7 @@ def test_accept_03_participation_histogram():
     plan = montecarlo.McPlan(
         n_users=20,
         n_ports=10,
-        p_max=ota.dbm_to_linear(10.0),
+        p_max=0.01,  # 10 dBm
         sigma2=1e-3,
         tau=0.05,
         s_target=15,
@@ -138,7 +138,7 @@ def test_accept_04_port_sweep():
     plan = montecarlo.McPlan(
         n_users=20,
         n_ports=20,
-        p_max=ota.dbm_to_linear(10.0),
+        p_max=0.01,  # 10 dBm
         sigma2=1e-3,
         tau=0.05,
         s_target=15,

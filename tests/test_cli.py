@@ -1,8 +1,10 @@
 """End-to-end CLI tests: config precedence, exit codes, outputs, manifests."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -55,7 +57,7 @@ def test_default_tables_agree():
     for name in ("tau_grid", "n_grid", "gain_grid"):
         ours, theirs = getattr(plan, name), getattr(reference, name)
         assert np.array_equal(ours, theirs) and ours.dtype == theirs.dtype, name
-    assert "p_max" not in cfg["system"] and plan.p_max == reference.p_max
+    assert cfg["system"]["p_max"] == plan.p_max == reference.p_max
     assert plan.variants == DEFAULT_VARIANTS
     fl_variants = [parse_variant(spec, 0.5) for spec in cfg["fl"]["variants"]]
     assert fl_variants == [None, *DEFAULT_VARIANTS]
@@ -112,18 +114,13 @@ def test_set_parses_json_values():
         load_config(None, ["mc.trials"])
 
 
-def test_power_pairs_are_mutually_exclusive(tmp_path):
-    p = tmp_path / "c.json"
-    p.write_text(
-        json.dumps({"system": {"tau": 0.1, "p_max": 0.02, "p_max_dbm": 13.0}})
-    )
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        load_config(str(p), None)
-    # a user-supplied linear value silently retires the default dbm key
-    p.write_text(json.dumps({"system": {"tau": 0.1, "sigma2_dbm": -20.0}}))
-    cfg, _ = load_config(str(p), None)
-    assert "sigma2" not in cfg["system"]
-    assert cfg["system"]["sigma2_dbm"] == -20.0
+def test_each_setting_has_one_key():
+    # powers are in watts, and the two IDX paths select MNIST
+    assert len(cli._ROWS) == 42
+    for key in ("system.p_max_dbm", "system.sigma2_dbm", "fl.data"):
+        with pytest.raises(ConfigError, match=f"unknown key `{key}`"):
+            load_config(None, [f"{key}=1"])
+    assert "data" not in {f.name for f in dataclasses.fields(FlConfig)}
 
 
 def test_bad_json_is_config_error(tmp_path):
@@ -138,14 +135,15 @@ def test_parse_variant_forms():
     assert parse_variant(" Ideal ", 0.5) is None
     assert parse_variant("independent", 0.5) == Independent()
     assert parse_variant("clayton:2.5", 0.5) == Clayton(2.5)
-    assert parse_variant("FPA", 0.5) == parse_variant("perfect", 0.5) == PerfectDependence()
+    assert parse_variant("FPA", 0.5) == PerfectDependence()
     assert parse_variant("jakes", 0.7) == GaussianJakes(aperture=0.7)
     with pytest.raises(ConfigError, match="could not convert"):
         parse_variant("clayton:x", 0.5)
     with pytest.raises(ConfigError, match="clayton beta must be finite and > 0"):
         parse_variant("clayton:-1", 0.5)
-    with pytest.raises(ConfigError, match="unknown variant"):
-        parse_variant("dipole", 0.5)
+    for name in ("dipole", "perfect"):
+        with pytest.raises(ConfigError, match=f"unknown variant `{name}`"):
+            parse_variant(name, 0.5)
 
 
 # ------------------------------------------------------------ commands
@@ -193,7 +191,7 @@ def test_fractional_list_counts_exit_2(tmp_path, capsys, command, spec, key):
     assert not (tmp_path / "a" / "manifest.json").exists()
 
 
-MNIST = ["--set", "fl.data=mnist", "--set", "fl.mnist_labels={idx}/labels.idx"]
+MNIST = ["--set", "fl.mnist_labels={idx}/labels.idx"]
 
 
 def _write_idx_pair(directory, n):
@@ -215,7 +213,6 @@ def _flags(n, command, flags, message):
     [
         ("cdf-mse", "system.N=0", "n_ports must be >= 1"),
         ("pmf-users", "system.tau=-1", "tau must be finite and > 0"),
-        ("cdf-mse", "system.p_max_dbm=4000", "system.p_max_dbm: p_max overflows"),
         ("port-sweep", "mc.n_grid=[0,5]", "n_grid entries must be >= 1"),
         ("port-sweep", "mc.n_grid=[5,3]", "n_grid must not be empty"),
         ("cdf-mse", "mc.tau_grid=[1.0,4.0,0]", "tau_grid must not be empty"),
@@ -242,7 +239,7 @@ def _flags(n, command, flags, message):
         ("port-sweep", 'mc.variants=["fpa","jakes"]', "`jakes` has no closed form"),
         ("pmf-users", 'mc.variants=["clayton:1e999"]', "clayton beta must be finite"),
         # both labelled `fpa`: one report would silently replace the other
-        ("pmf-users", 'mc.variants=["fpa","perfect"]', "`fpa` is listed more than once"),
+        ("pmf-users", 'mc.variants=["fpa"," FPA "]', "`fpa` is listed more than once"),
         ("cdf-mse", "mc.variants=[3]", "must be a string"),
         ("train", 'fl.variants=["clayton:1e999"]', "clayton beta must be finite"),
         ("train", "fl.variants=[]", "fl.variants must not be empty"),
@@ -253,7 +250,8 @@ def _flags(n, command, flags, message):
         ("train", "fl.batch=0", "fl.batch: batch_size must be >= 1"),
         ("train", "fl.separation=NaN", "`fl.separation` must be a finite number"),
         ("train", "fl.lr=1e999", "`fl.lr` must be a finite number"),
-        _flags(29, "train", ["--set", "fl.data=mnist"],
+        # both IDX paths select MNIST, so one alone is an error naming the other
+        _flags(29, "train", ["--set", "fl.mnist_labels=labels.idx"],
                "fl.mnist_images: mnist_images must name an IDX file"),
         ("train", "fl.clients=5000", "fl.clients: n_clients must be <= 1800"),
         # {idx} is a directory holding a 20-image IDX pair, 18 of them for training
@@ -362,6 +360,49 @@ def test_train_benchmark_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--out", str(tmp_path), *FAST_FL, "--benchmark", "ota"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["copula-check", "train", "bound"])
+def test_trials_is_a_flag_only_where_mc_trials_is_read(tmp_path, command):
+    # cdf-mse, pmf-users and port-sweep read mc.trials; the others never did
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "a"), "--trials", "5"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "a").exists()
+    for reader in ("cdf-mse", "pmf-users", "port-sweep"):
+        assert cli.build_parser().parse_args([reader, "--trials", "5"]).trials == 5
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [("cdf-mse", "mc.tau_grid=[1,4,1000000000000000]"),
+     ("copula-check", "mc.diag_rows=1000000000000000")],
+)
+def test_an_allocation_no_machine_can_hold_exits_3(tmp_path, capsys, command, spec):
+    # 10^15 float64 values are 7.1 PiB, beyond any process's address space,
+    # so numpy's request fails at once, before it touches memory
+    rc = main([command, "--out", str(tmp_path / "a"), "--set", spec])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "a").exists()
+
+
+def test_a_grid_numpy_cannot_index_is_a_config_error(tmp_path, capsys):
+    rc = main(["port-sweep", "--out", str(tmp_path / "a"), "--set", "mc.n_grid=[1,1e30]"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: mc.n_grid: ")
+    assert not (tmp_path / "a").exists()
+
+
+def test_readme_config_block_shows_the_defaults():
+    # the README's ```json block may leave keys out, but every key it shows
+    # exists and holds its default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```json\n(.*?)^```", readme, re.M | re.S)
+    for section, body in json.loads(block).items():
+        for key, value in body.items():
+            assert key in cli.DEFAULTS[section] and cli.DEFAULTS[section][key] == value, (section, key)
 
 
 def test_whole_float_counts_are_accepted(tmp_path):
@@ -477,7 +518,7 @@ def _train(fl, link, dep, seed):
     return fedlearn.run_training(fl, link, dep, *fedlearn.training_data(fl, seed), seed=seed)
 
 
-def test_round_records_serialize_and_read_back(tmp_path):
+def test_round_records_serialize_and_read_back():
     fl = FlConfig(n_clients=3, rounds=4, samples=200, classes=2, dims=4)
     link = OtaConfig(p_max=0.01, sigma2=1e-3, tau=0.2)
     records = _train(fl, link, PerfectDependence(), seed=21)
@@ -494,9 +535,7 @@ def test_round_records_serialize_and_read_back(tmp_path):
         assert blob["participants"] == rec.participants
         assert blob["mse"] == rec.mse  # None -> null round-trips
 
-    csv_path = tmp_path / "run.csv"
-    csv_path.write_text(files["train_run.csv"])
-    sched = cli._schedule_from_records(csv_path)
+    sched = cli._schedule_from_records(files["train_run.csv"])
     assert sched == [
         (r.participants, r.mse if r.mse is not None else 0.0) for r in records
     ]
@@ -511,11 +550,10 @@ def test_skipped_rounds_serialize_empty_fields():
     assert row[2] == "" and row[3] == "" and row[4] == ""  # mse, eta, loss
 
 
-def test_schedule_reader_rejects_wrong_csv(tmp_path):
-    p = tmp_path / "other.csv"
-    p.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="round-record"):
-        cli._schedule_from_records(p)
+def test_schedule_reader_rejects_wrong_csv():
+    for text in ("a,b\n1,2\n", ""):
+        with pytest.raises(ValueError, match="round-record"):
+            cli._schedule_from_records(text)
 
 
 def test_report_csv_format():
@@ -980,7 +1018,8 @@ def test_mc_manifest_records_telemetry(tmp_path, command, blocks):
 def test_bound_manifest_records_telemetry(tmp_path):
     assert main(["bound", "--out", str(tmp_path), "--set", "bound.rounds=7"]) == 0
     telemetry = json.loads((tmp_path / "manifest.json").read_text())["telemetry"]
-    assert set(telemetry) == {"rounds", "psi", "final_value", "seconds"}
+    assert set(telemetry) == {"rounds", "psi", "final_value", "seconds", "records"}
+    assert telemetry["records"] is None  # the schedule came from the config
     cfg, _ = load_config(None, ["bound.rounds=7"])
     assert telemetry["psi"] == cli._build(analytics.ConvergenceConstants, cfg, ("bound",)).psi
     rows = (tmp_path / "bound.csv").read_text().splitlines()
@@ -1029,6 +1068,11 @@ def test_bound_from_training_records(tmp_path):
     assert rc == 0
     rows = (out / "bound.csv").read_text().splitlines()
     assert len(rows) == 3  # header + the 2 recorded rounds
+    # the manifest names its input by path and by the digest train listed for it
+    listed = json.loads((train_out / "manifest.json").read_text())["outputs"]
+    digest = {o["path"]: o["sha256"] for o in listed}["train_independent.csv"]
+    records = json.loads((out / "manifest.json").read_text())["telemetry"]["records"]
+    assert records == {"path": str(records_csv), "sha256": digest}
 
 
 def test_bound_inline_schedule(tmp_path):

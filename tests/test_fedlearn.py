@@ -474,8 +474,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FlConfig(benchmark="oracle")
     with pytest.raises(ValueError):
-        FlConfig(data="cifar")
-    with pytest.raises(ValueError):
         FlConfig(rounds=0)
-    with pytest.raises(ValueError):
-        FlConfig(data="mnist")
+    # both IDX paths select MNIST; one alone names the other
+    with pytest.raises(ValueError, match="mnist_labels must name an IDX file when mnist_images does"):
+        FlConfig(mnist_images="images.idx")
+    with pytest.raises(ValueError, match="mnist_images must name an IDX file when mnist_labels does"):
+        FlConfig(mnist_labels="labels.idx")

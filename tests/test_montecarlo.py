@@ -325,6 +325,33 @@ def test_copula_marginal_gate_rejects_scaled_exponential_marginals(monkeypatch):
     assert diag.failures()[-1] == f"FAIL diagnostics: {check}"
 
 
+@pytest.mark.parametrize("seed", [4, 8, 25, 30])
+def test_kendall_gate_holds_its_level_at_2000_rows(seed):
+    # at these seeds a fixed 0.02 band failed a correct sampler (betas 0.5,
+    # 1, 2, and 1 and 2 together); Hoeffding's band at FAMILY_ALPHA / 4 is
+    # sqrt(2 ln 8000 / 1000) = 0.134 at 2000 rows
+    diag = run_copula_diagnostics(McPlan(diag_rows=2000, seed=seed))
+    gaps = [abs(c["empirical_tau"] - c["analytic_tau"]) for c in diag.tau_checks]
+    assert max(gaps) > 0.02
+    assert all(c["passed"] for c in diag.tau_checks)
+    band = math.sqrt(2.0 * math.log(2.0 * 4 / montecarlo.FAMILY_ALPHA) / 1000)
+    assert max(gaps) <= band == pytest.approx(0.134, abs=5e-4)
+
+
+@pytest.mark.parametrize("rows", [2000, 20_000, 100_000])
+def test_kendall_gate_rejects_clayton_1_samples_against_the_clayton_2_law(monkeypatch, rows):
+    # tau 1/3 judged as 1/2, at the default four betas
+    real = montecarlo.sample_port_gains
+
+    def clayton_1(dep, *args):
+        return real(Clayton(1.0) if dep == Clayton(2.0) else dep, *args)
+
+    monkeypatch.setattr(montecarlo, "sample_port_gains", clayton_1)
+    diag = run_copula_diagnostics(McPlan(diag_rows=rows))
+    assert [c["beta"] for c in diag.tau_checks if not c["passed"]] == [2.0]
+    assert f"FAIL diagnostics: {diag.tau_checks[2]}" in diag.failures()
+
+
 def _scipy_ks(gains):
     """Per column scipy.stats.kstest against Exp(1): the D values, and
     the smallest exact p-value."""

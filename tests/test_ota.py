@@ -6,7 +6,6 @@ import pytest
 from fluidfed.ota import (
     NoParticipantsError,
     OtaConfig,
-    dbm_to_linear,
     gain_threshold,
     ota_aggregate,
     select_users,
@@ -16,13 +15,6 @@ from fluidfed.ota import (
 
 def _eff(gains):
     return np.asarray(gains, dtype=float)
-
-
-def test_dbm_conversions():
-    assert dbm_to_linear(10.0) == pytest.approx(0.01, rel=1e-12)
-    assert dbm_to_linear(0.0) == pytest.approx(1e-3, rel=1e-12)
-    assert dbm_to_linear(-90.0) == pytest.approx(1e-12, rel=1e-12)
-    assert dbm_to_linear(-30.0) == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_config_validation():
