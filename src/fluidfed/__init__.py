@@ -15,11 +15,12 @@ import sys as _sys
 def _load_numpy_single_threaded() -> None:
     """Import numpy with its BLAS and OpenMP pools at one thread each.
 
-    Both size their pools once, as numpy loads them.  ``train``'s forked
-    workers would multiply any more, and its small matmuls run faster on
-    one thread than on several.  A caller's own settings, and a numpy loaded
-    before this package, are left as they are; the environment is restored
-    afterwards, so child processes see the caller's.
+    Both size their pools once, as numpy loads them.  The forked workers
+    of ``train`` and ``copula-check`` would multiply any more, and
+    ``train``'s small matmuls run faster on one thread than on several.
+    A caller's own settings, and a numpy loaded before this package, are
+    left as they are; the environment is restored afterwards, so child
+    processes see the caller's.
     """
     if "numpy" in _sys.modules:
         return

@@ -28,14 +28,17 @@ of the bytes it wrote for each table.  A command that fails leaves no
 directory.  ``cdf-mse``, ``pmf-users`` and ``port-sweep`` add
 per-variant telemetry (seconds, trial blocks, trials and their rate,
 failing points, sampling and closed-form seconds), ``copula-check`` its
-own per beta (rows, ports, sampling, KS and Kendall seconds), ``train``
-its own (rounds, skipped rounds, client updates and their rate, seconds
-per round stage, worker processes, per-round wall time and norm scale)
-and ``bound`` its rounds, psi, final value, seconds, and the path and
-sha256 of its ``--records`` file; no hashed output contains any of them.
-``train`` runs its variants in forked worker processes, up to one per
-usable CPU, and in-process with one variant, one usable CPU or no
-``fork``; its outputs are identical either way.  Exit codes: 0 success,
+own per block (rows, ports, sampling, KS, Kendall and max-gain seconds,
+worker processes), ``train`` its own (rounds, skipped rounds, client
+updates and their rate, seconds per round stage, worker processes,
+per-round wall time and norm scale) and ``bound`` its rounds, psi, final
+value, seconds, and the path and sha256 of its ``--records`` file; no
+hashed output contains any of them.  ``train`` runs its variants, and
+``copula-check`` its per-beta and Bessel blocks, in forked worker
+processes (``forked``), up to one per usable CPU, and in-process with one
+usable CPU or no ``fork``; their outputs are identical either way.  The
+three comparison commands run in-process: their per-variant work is too
+short to pay for a fork.  Exit codes: 0 success,
 1 statistical check failure or training divergence, 2 usage/config error,
 3 I/O or out-of-memory error.  A statistical failure prints one ``FAIL``
 line to stderr per failing grid point, mean, KS or Kendall check, each
@@ -47,12 +50,10 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import gc
 import hashlib
-import itertools
 import json
 import math
-import os
-import pickle
 import sys
 import time
 from datetime import datetime, timezone
@@ -62,7 +63,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, analytics, fedlearn, montecarlo, ota
+from . import __version__, analytics, fedlearn, forked, montecarlo, ota
 from .channel import Clayton, GaussianJakes, Independent, PerfectDependence
 
 __all__ = ["main", "ConfigError", "load_config", "parse_variant"]
@@ -103,6 +104,16 @@ _STRING = _Kind("a string", lambda v: isinstance(v, str))
 _FROM_FIELD = object()  # default: the target dataclass field's own default
 
 
+def _port_counts(first: int, last: int) -> np.ndarray:
+    """The port counts first..last, as int64.  Not np.arange: past the int64
+    range it raises OverflowError or warns and wraps, and where the length
+    nears 2**63 it returns an empty range.  The samplers also need last + 1
+    (no port reached) as an int64."""
+    if max(first, last) >= np.iinfo(np.int64).max:
+        raise ValueError("n_grid entries must be < 2**63 - 1")
+    return np.fromiter(range(first, last + 1), np.int64, max(last - first + 1, 0))
+
+
 class _Row(NamedTuple):
     """One config key: its kind, the field it sets, and its default."""
 
@@ -128,7 +139,7 @@ _ROWS = (
     # grids: log10 start, log10 stop, points; first, last port count; start, stop, points
     _Row("mc.tau_grid", (_NUMBER, _NUMBER, _COUNT), "tau_grid", [1.0, 4.0, 30],
          lambda g: np.logspace(*g)),
-    _Row("mc.n_grid", (_COUNT, _COUNT), "n_grid", [1, 20], lambda g: np.arange(g[0], g[1] + 1)),
+    _Row("mc.n_grid", (_COUNT, _COUNT), "n_grid", [1, 20], lambda g: _port_counts(*g)),
     _Row("mc.gain_grid", (_NUMBER, _NUMBER, _COUNT), "gain_grid", [0.05, 6.0, 24],
          lambda g: np.linspace(*g)),
     _Row("mc.diag_rows", _COUNT, "diag_rows"),
@@ -457,101 +468,6 @@ def _train_variant(runs: list, link, data, seed: int, i: int):
     return label, records, time.perf_counter() - t0, diverged
 
 
-def _workers(tasks: int) -> int:
-    """Forked workers for ``tasks`` independent tasks: one per usable CPU,
-    at most one per task, and none (the tasks run in this process) where
-    one would do or this platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 0
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(tasks, cpus or 1)
-    return workers if workers > 1 else 0
-
-
-def _fork(task, i: int, siblings) -> tuple[int, int]:
-    """Fork a worker that runs ``task(i)`` and writes its pickled outcome,
-    ``(True, result)`` or ``(False, (exception, traceback text))``, to a
-    pipe; returns the pipe's read end and the worker's pid."""
-    # a worker's own writes (a warning) must not carry this process's buffered output
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_end)
-        return read_end, pid
-    status = 1
-    try:  # the worker leaves only through os._exit: no atexit, no stdio flush
-        os.close(read_end)
-        for fd in siblings:  # with this process's parent gone, a write must fail, not block
-            os.close(fd)
-        try:
-            outcome = True, task(i)
-        except Exception as exc:
-            import traceback
-
-            outcome = False, (exc, traceback.format_exc())
-        with open(write_end, "wb") as fh:
-            pickle.dump(outcome, fh)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _forked_map(task, count: int, workers: int):
-    """Yield ``task(i)`` for i in range(count), in order; each in a forked
-    process, up to ``workers`` at once, or all in this one when ``workers``
-    is 0.
-
-    Fork, not spawn: a worker inherits ``task`` and all it reads (dataset,
-    shards, configs) from this process, and only its pickled outcome comes
-    back.  An exception ``task`` raises in a worker is raised here; a
-    worker that ends without an outcome (killed, say) raises RuntimeError.
-    Workers still running when this generator closes are killed.  A worker
-    whose parent died ends once its write to the pipe fails.
-    """
-    if not workers:
-        yield from map(task, range(count))
-        return
-    import select  # here alone, with signal: the Monte-Carlo commands need neither
-    import signal
-
-    poller = select.poll()
-    running = {}  # pipe read end -> (task index, pid, bytes read so far)
-    outcomes = {}  # task index -> its pickled outcome
-    unstarted = iter(range(count))
-    try:
-        for i in range(count):
-            while i not in outcomes:
-                for j in itertools.islice(unstarted, workers - len(running)):
-                    fd, pid = _fork(task, j, running)
-                    running[fd] = j, pid, []
-                    poller.register(fd, select.POLLIN)
-                for fd, _ in poller.poll():
-                    chunk = os.read(fd, 1 << 16)
-                    if chunk:
-                        running[fd][2].append(chunk)
-                        continue
-                    j, pid, chunks = running.pop(fd)
-                    poller.unregister(fd)
-                    os.close(fd)
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    if code:
-                        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                        raise RuntimeError(f"worker {pid} of task {j} ended ({how}) with no outcome")
-                    outcomes[j] = b"".join(chunks)
-            done, value = pickle.loads(outcomes.pop(i))
-            if not done:
-                exc, trace = value
-                raise exc from RuntimeError(f"raised in worker process:\n{trace}")
-            yield value
-    finally:
-        for fd, (_, pid, _) in running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
-
-
 def _cmd_train(args, cfg: dict):
     seed = int(cfg["mc"]["seed"])
     if not cfg["fl"]["variants"]:
@@ -572,9 +488,9 @@ def _cmd_train(args, cfg: dict):
     files = {}
     diverged = []
     telemetry = {}
-    workers = _workers(len(runs))  # the variants are independent
+    workers = forked.workers(len(runs))  # the variants are independent
     task = partial(_train_variant, list(runs.items()), link, data, seed)
-    for label, records, seconds, error in _forked_map(task, len(runs), workers):
+    for label, records, seconds, error in forked.forked_map(task, len(runs), workers):
         if error is not None:
             diverged.append(label)
             print(f"{label}: DIVERGED ({error})", file=sys.stderr)
@@ -668,6 +584,12 @@ def main(argv=None) -> int:
         for flag, key, value in flags:
             if value is not None:
                 _set(cfg, source, key, value, "flag", flag)
+        # the import-time heap is never garbage: frozen, no later collection
+        # walks it (in the command, in its forked workers, or at shutdown).
+        # Once per process: each later freeze would keep a repeated in-process
+        # caller's uncollected cyclic garbage for good
+        if not gc.get_freeze_count():
+            gc.freeze()
         files, status, telemetry = _COMMANDS[args.command][1](args, cfg)
         # made only now, so a command that fails leaves no directory
         out_dir = Path(args.out) if args.out else Path("runs") / args.command.replace("-", "_")

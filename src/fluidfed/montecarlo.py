@@ -58,9 +58,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import forked
 from .analytics import (
     GainDistribution,
     binomial_tails,
@@ -521,11 +523,13 @@ class CopulaDiagnostics:
     jakes_gaps: report-only sup gaps between the Bessel-correlated
         empirical max-gain CDF and each closed form (no pass flag; the two
         models are different generative processes).
-    telemetry: per beta label, the block's rows and ports, and the seconds
-        spent sampling it (sample_s), on its KS statistics (ks_s), on its
-        Kendall tau (kendall_s) and on its max-gain counts (cdf_s); the
-        ``jakes`` entry has the Bessel block's rows, ports, sample_s and
-        cdf_s; kept out of ``to_json_dict``.
+    telemetry: per beta label, the block's rows and ports, the forked
+        worker processes the blocks ran in (worker_processes, 0 when they
+        ran in-process), and the seconds, timed where the block ran, spent
+        sampling it (sample_s), on its KS statistics (ks_s), on its Kendall
+        tau (kendall_s) and on its max-gain counts (cdf_s); the ``jakes``
+        entry has the Bessel block's rows, ports, worker_processes,
+        sample_s and cdf_s; kept out of ``to_json_dict``.
     """
 
     marginal_checks: list
@@ -559,6 +563,29 @@ class CopulaDiagnostics:
         }
 
 
+def _diag_block(plan: McPlan, deps: list, streams: list, i: int) -> tuple:
+    """Block ``i`` of the diagnostics: ``deps[i]``'s diag_rows x n_ports
+    draw from ``streams[i]``, reduced to its max-gain counts at the gain
+    grid, its (KS statistic, p-value) and Kendall tau (None for the Bessel
+    block), and the seconds of each step.  The gains never leave it."""
+    dep = deps[i]
+    t0 = time.perf_counter()
+    gains = sample_port_gains(dep, plan.diag_rows, plan.n_ports, streams[i]).gains
+    t1 = time.perf_counter()
+    seconds = {"sample_s": t1 - t0}
+    ks = tau = None
+    if isinstance(dep, Clayton):
+        ks = kstest(gains)
+        t2 = time.perf_counter()
+        tau = kendalltau(gains[:, 0], gains[:, 1])
+        t3 = time.perf_counter()
+        seconds.update(ks_s=t2 - t1, kendall_s=t3 - t2)
+        t1 = t3
+    counts = _below_per_point(gains, plan.gain_grid)
+    seconds["cdf_s"] = time.perf_counter() - t1
+    return counts, ks, tau, seconds
+
+
 def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
     """Check the copula sampler's marginals, rank correlation, and max law.
 
@@ -569,6 +596,11 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
     U-statistic with kernel in [-1, 1], so correct samples fail at most FAMILY_ALPHA.
     One table of max-gain closed forms (each diagnosed beta, independent,
     fpa), built before the first draw, serves the CDF reports and the gaps.
+    Each beta's block and the Bessel block (``_diag_block``) draw from
+    their own seed streams, so they run in forked workers
+    (``forked.forked_map``), up to one per usable CPU; only their small
+    statistics come back, and the reports are built here in config order,
+    the same bytes as in-process.
     """
     if plan.n_ports < 2:
         raise ValueError("n_ports must be >= 2: the Kendall check pairs ports 1 and 2")
@@ -578,27 +610,19 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
     closed_forms = {dep.label: channel_gain_cdf(GainDistribution(plan.n_ports, dep), plan.gain_grid)
                     for dep in (Independent(), PerfectDependence(), *map(Clayton, plan.diag_betas))}
     rows = plan.diag_rows
-    beta_streams = np.random.SeedSequence(plan.seed).spawn(len(plan.diag_betas) + 1)
+    deps = [*map(Clayton, plan.diag_betas), jakes]
+    streams = np.random.SeedSequence(plan.seed).spawn(len(deps))
     alpha = FAMILY_ALPHA / (len(plan.diag_betas) * len(plan.gain_grid))
     ks_alpha = FAMILY_ALPHA / (len(plan.diag_betas) * plan.n_ports)
     tau_band = math.sqrt(2.0 * math.log(2.0 * len(plan.diag_betas) / FAMILY_ALPHA) / (rows // 2))
+    workers = forked.workers(len(deps))
+    blocks = list(forked.forked_map(partial(_diag_block, plan, deps, streams), len(deps), workers))
+    telemetry = {dep.label: {"rows": rows, "ports": plan.n_ports, **seconds, "worker_processes": workers}
+                 for dep, (_, _, _, seconds) in zip(deps, blocks)}
     marginal_checks = []
     tau_checks = []
     cdf_reports = {}
-    telemetry = {}
-    for beta, stream in zip(plan.diag_betas, beta_streams[:-1]):
-        dep = Clayton(beta)
-        t0 = time.perf_counter()
-        gains = sample_port_gains(dep, rows, plan.n_ports, stream).gains
-        t1 = time.perf_counter()
-        max_d, min_p = kstest(gains)
-        t2 = time.perf_counter()
-        tau_emp = kendalltau(gains[:, 0], gains[:, 1])
-        t3 = time.perf_counter()
-        counts = _below_per_point(gains, plan.gain_grid)
-        telemetry[dep.label] = {"rows": rows, "ports": plan.n_ports, "sample_s": t1 - t0,
-                                "ks_s": t2 - t1, "kendall_s": t3 - t2,
-                                "cdf_s": time.perf_counter() - t3}
+    for beta, dep, (counts, (max_d, min_p), tau_emp, _) in zip(plan.diag_betas, deps, blocks):
         marginal_checks.append(
             {
                 "beta": beta,
@@ -628,13 +652,7 @@ def run_copula_diagnostics(plan: McPlan) -> CopulaDiagnostics:
                 "family_alpha": FAMILY_ALPHA,
             },
         )
-    del gains  # the Bessel draw holds the command's peak memory: free the last block first
-    t0 = time.perf_counter()
-    gains = sample_port_gains(jakes, rows, plan.n_ports, beta_streams[-1]).gains
-    t1 = time.perf_counter()
-    jakes_cdf = _below_per_point(gains, plan.gain_grid) / rows
-    telemetry[jakes.label] = {"rows": rows, "ports": plan.n_ports, "sample_s": t1 - t0,
-                              "cdf_s": time.perf_counter() - t1}
+    jakes_cdf = blocks[-1][0] / rows
     jakes_gaps = {label: float(np.abs(jakes_cdf - ref).max()) for label, ref in closed_forms.items()}
     meta = {
         "experiment": "copula-diagnostics",

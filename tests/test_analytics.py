@@ -357,7 +357,7 @@ def test_participation_pmf_validation():
 
 def test_import_pulls_in_no_scipy():
     # the package runs on numpy alone; scipy is a test-only oracle.  Nor does
-    # it import multiprocessing, which only train's forked workers need
+    # it import multiprocessing: its forked workers are plain os.fork
     src = str(Path(fluidfed.__file__).resolve().parents[1])
     code = ("import sys, fluidfed, fluidfed.montecarlo, fluidfed.fedlearn, fluidfed.cli\n"
             "loaded = [m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')]\n"

@@ -215,6 +215,10 @@ def _flags(n, command, flags, message):
         ("pmf-users", "system.tau=-1", "tau must be finite and > 0"),
         ("port-sweep", "mc.n_grid=[0,5]", "n_grid entries must be >= 1"),
         ("port-sweep", "mc.n_grid=[5,3]", "n_grid must not be empty"),
+        # np.arange would raise OverflowError, or warn and wrap; a sampler needs N + 1 as an int64
+        ("port-sweep", "mc.n_grid=[1e30,1e30]", "mc.n_grid: n_grid entries must be < 2**63 - 1"),
+        ("port-sweep", "mc.n_grid=[9223372036854775807,9223372036854775807]",
+         "mc.n_grid: n_grid entries must be < 2**63 - 1"),
         ("cdf-mse", "mc.tau_grid=[1.0,4.0,0]", "tau_grid must not be empty"),
         ("cdf-mse", "mc.tau_grid=[1.0,4.0,-1]", "`mc.tau_grid[2]` must be a whole number >= 0"),
         ("cdf-mse", "mc.tau_grid=[1.0,Infinity,5]", "`mc.tau_grid[1]` must be a finite number"),
@@ -1156,12 +1160,28 @@ def test_default_out_dir_is_under_runs(tmp_path, monkeypatch):
     assert (tmp_path / "runs" / "bound" / "manifest.json").exists()
 
 
-# ------------------------------------------------------- train workers
+def test_main_freezes_the_heap_once_per_process(tmp_path):
+    # a fresh interpreter: the first command freezes its heap, a second one
+    # adds nothing, so a caller's later garbage stays collectable
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import gc, sys\n"
+            "from fluidfed.cli import main\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "assert main(['bound', '--out', sys.argv[1]]) == 0\n"
+            "frozen = gc.get_freeze_count()\n"
+            "assert main(['bound', '--out', sys.argv[1]]) == 0\n"
+            "assert 0 < gc.get_freeze_count() <= frozen, (frozen, gc.get_freeze_count())\n")
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+                   check=True, stdout=subprocess.DEVNULL)
+
+
+# ------------------------------------------------------ forked workers
 
 
 def _see_cpus(monkeypatch, n: int) -> None:
-    """Make train see ``n`` usable CPUs: with one it runs its variants in
-    this process, with two in two forked workers where it can fork."""
+    """Make train and copula-check see ``n`` usable CPUs: with one they run
+    their variants or blocks in this process, with two in two forked
+    workers where they can fork."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -1233,6 +1253,77 @@ def test_a_killed_train_worker_fails_the_command(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match=r"task 4 ended \(killed by signal 9\) with no outcome"):
         main(["train", "--out", str(tmp_path / "out"), *FAST_FL, *DEFAULT_FL_VARIANTS])
     assert not (tmp_path / "out").exists()
+
+
+def test_copula_check_outputs_do_not_depend_on_the_workers(tmp_path, monkeypatch, capsys):
+    # beta 2's block draws Clayton(1) samples, so its checks fail; through a
+    # worker it still prints the same FAIL lines and exits 1
+    sample = mc.sample_port_gains
+
+    def clayton_1_for_2(dep, *args):
+        return sample(Clayton(1.0) if dep == Clayton(2.0) else dep, *args)
+
+    monkeypatch.setattr(mc, "sample_port_gains", clayton_1_for_2)
+    runs = []
+    for n_cpus in (1, 2):
+        _see_cpus(monkeypatch, n_cpus)
+        out = tmp_path / str(n_cpus)
+        rc = main(["copula-check", "--out", str(out), "--set", "mc.diag_rows=20000", "--seed", "4"])
+        printed = capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        runs.append((rc, printed.out, printed.err, manifest["outputs"], files))
+        workers = 0 if n_cpus == 1 or not hasattr(os, "fork") else 2
+        assert {b["worker_processes"] for b in manifest["telemetry"].values()} == {workers}
+        assert list(manifest["telemetry"]) == ["clayton-0.5", "clayton-1", "clayton-2", "clayton-5",
+                                               "jakes"]
+    assert runs[0] == runs[1]
+    rc, stdout, stderr, _, files = runs[0]
+    assert rc == 1
+    assert stderr and all(line.startswith("FAIL ") for line in stderr.splitlines())
+    assert "beta=2: kendall tau 0.33" in stdout and stdout.count("(FAIL)") == 1
+    assert len(files) == 5
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["in-process", "two-workers"])
+def test_copula_check_block_out_of_memory_exits_3(tmp_path, monkeypatch, capsys, n_cpus):
+    # 10^13 rows of 10 ports are 728 TiB: each block's first request fails at once
+    _see_cpus(monkeypatch, n_cpus)
+    rc = main(["copula-check", "--out", str(tmp_path / "a"), "--set", "mc.diag_rows=10000000000000"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_killed_copula_check_worker_fails_the_command(tmp_path, monkeypatch):
+    # beta 0.5's worker dies once beta 1's has started; beta 1's would then
+    # sleep a minute, unless the command kills it on its way out
+    _see_cpus(monkeypatch, 2)
+    parent, sample, pids = os.getpid(), mc.sample_port_gains, tmp_path / "pids"
+
+    def first_dies_second_hangs(dep, *args):
+        if os.getpid() != parent:
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if dep == Clayton(0.5):
+                _within(30, lambda: len(pids.read_text().split()) == 2)
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)
+        return sample(dep, *args)
+
+    monkeypatch.setattr(mc, "sample_port_gains", first_dies_second_hangs)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"task 0 ended \(killed by signal 9\) with no outcome"):
+        main(["copula-check", "--out", str(tmp_path / "out"), "--set", "mc.diag_rows=2000"])
+    assert time.monotonic() - t0 < 30
+    assert not (tmp_path / "out").exists()
+    workers = [int(pid) for pid in pids.read_text().split()]
+    assert len(workers) == 2
+    for pid in workers:  # killed and reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def _live_group(pgid: int) -> set:

@@ -6,6 +6,7 @@ the acceptance suite.
 
 import json
 import math
+import os
 
 import mpmath as mp
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from scipy import stats
 from scipy.stats import binom
 
-from fluidfed import montecarlo
+from fluidfed import forked, montecarlo
 from fluidfed.channel import (
     Clayton,
     GaussianJakes,
@@ -528,13 +529,33 @@ def _spy_calls(monkeypatch, names) -> list:
 
 def test_copula_diagnostics_evaluate_one_closed_form_per_label_before_any_draw(monkeypatch):
     # each diagnosed beta, independent and fpa: one max-gain law each, which
-    # the CDF reports and the Bessel gaps share
+    # the CDF reports and the Bessel gaps share; the blocks run in this
+    # process, as a forked block's draw would be counted in its worker only
+    monkeypatch.setattr(forked, "workers", lambda tasks: 0)
     calls = _spy_calls(monkeypatch, ["channel_gain_cdf", "sample_port_gains"])
     betas = (0.5, 1.0, 2.0)
     diag = run_copula_diagnostics(_small_plan(diag_betas=betas, diag_rows=500))
     blocks = len(betas) + 1  # one per beta, then the Bessel block
     assert calls == ["channel_gain_cdf"] * (len(betas) + 2) + ["sample_port_gains"] * blocks
     assert set(diag.jakes_gaps) == {"independent", "fpa", *diag.cdf_reports}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_copula_diagnostics_build_the_closed_form_table_before_the_first_fork(monkeypatch):
+    # two usable CPUs: the four blocks run in two forked workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls = _spy_calls(monkeypatch, ["channel_gain_cdf"])
+    fork = forked._fork
+
+    def spy_fork(*args):
+        calls.append("fork")
+        return fork(*args)
+
+    monkeypatch.setattr(forked, "_fork", spy_fork)
+    betas = (0.5, 1.0, 2.0)
+    diag = run_copula_diagnostics(_small_plan(diag_betas=betas, diag_rows=500))
+    assert calls == ["channel_gain_cdf"] * (len(betas) + 2) + ["fork"] * (len(betas) + 1)
+    assert {entry["worker_processes"] for entry in diag.telemetry.values()} == {2}
 
 
 def test_participation_mean_law_is_evaluated_before_the_variant_draws(monkeypatch):
@@ -550,8 +571,9 @@ def test_copula_diagnostics_telemetry_stays_out_of_the_report():
     assert set(diag.telemetry) == {"clayton-1", "clayton-2", "jakes"}
     for label, entry in diag.telemetry.items():
         seconds = {"sample_s", "cdf_s"} | ({"ks_s", "kendall_s"} if label != "jakes" else set())
-        assert set(entry) == {"rows", "ports"} | seconds
+        assert set(entry) == {"rows", "ports", "worker_processes"} | seconds
         assert (entry["rows"], entry["ports"]) == (500, 5)
+        assert entry["worker_processes"] == forked.workers(3)
         assert min(entry[name] for name in seconds) >= 0
     assert "telemetry" not in diag.to_json_dict()
 
