@@ -34,14 +34,13 @@ Monte-Carlo gate takes its exact binomial p-values from the same routine.
 
 `optimality_gap_trajectory` evaluates the per-round contraction bound
 psi^T * gap_1 + sum_t psi^(T-t) * residual_t with psi = 1 - lr * pl_constant
-and residual_t combining the partial-participation penalty, the minibatch
-gradient-variance term, and the round's aggregation MSE.
+in [0, 1) and residual_t combining the partial-participation penalty, the
+minibatch gradient-variance term, and the round's aggregation MSE.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -263,7 +262,8 @@ class ConvergenceConstants:
     """Problem constants for the optimality-gap contraction bound.
 
     lr: server/client step size (gamma), in (0, 1)
-    pl_constant: gradient-dominance (PL) constant mu > 0
+    pl_constant: gradient-dominance (PL) constant mu > 0, with the
+        contraction factor psi = 1 - lr * mu in [0, 1)
     smoothness: gradient Lipschitz constant L > 0
     grad_norm_bound: squared-gradient bound kappa >= 0
     grad_variance: per-sample stochastic-gradient variance bound >= 0
@@ -293,13 +293,11 @@ class ConvergenceConstants:
             raise ValueError("n_users must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        psi = self.psi
-        if not (abs(psi) < 1):
-            warnings.warn(
-                f"contraction factor psi={psi:.4g} is not inside (-1, 1); "
-                "the bound will not shrink",
-                stacklevel=2,
-            )
+        # a negative psi lets the recursion undershoot the gap, or alternate
+        # in sign; psi rounds to 1 only when lr * pl_constant < 2**-53
+        if not (0 <= self.psi < 1):
+            raise ValueError(f"pl_constant makes psi = 1 - lr * pl_constant = {self.psi:.4g}, "
+                             "outside [0, 1)")
 
     @property
     def psi(self) -> float:
@@ -338,7 +336,8 @@ def optimality_gap_trajectory(
     Uses the recurrence bound_t = psi * bound_{t-1} + residual_t with
     bound_0 = first_round_gap.  A round with participants = 0 (nobody
     passed the threshold, so the model did not move) neither contracts nor
-    adds residual: bound_t = bound_{t-1}.
+    adds residual: bound_t = bound_{t-1}.  A value that overflows raises
+    ValueError.
     """
     if len(schedule) == 0:
         raise ValueError("schedule must contain at least one round")
@@ -352,5 +351,7 @@ def optimality_gap_trajectory(
             out[t] = running
             continue
         running = psi * running + round_residual(constants, participants, mse)
+        if not math.isfinite(running):
+            raise ValueError(f"the bound overflows at round {t + 1}")
         out[t] = running
     return out

@@ -48,9 +48,9 @@ column as a row of the transposed block and evaluates the Exp(1) CDF as
 -expm1(-g) over the whole sorted block, as ``scipy.stats.kstest`` does
 (numpy's expm1, within an ulp of scipy's); it reports Massart's DKW bound
 as its p-value, a valid p-value at every sample size.  ``kendalltau`` sorts
-and counts (Knight 1966) on dense ranks, bit for bit scipy's tau-b.  The
-max-gain CDF counts are the grid's insertion points in the sorted row
-maxima.
+and counts (Knight 1966) for samples without ties, as the continuous gains
+are, bit for bit scipy's tau-b, and gives NaN on a tie.  The max-gain CDF
+counts are the grid's insertion points in the sorted row maxima.
 """
 
 from __future__ import annotations
@@ -139,6 +139,8 @@ class McPlan:
                 raise ValueError(f"{name} must not be empty")
         if np.min(self.n_grid) < 1:
             raise ValueError("n_grid entries must be >= 1")
+        if np.max(self.n_grid) >= np.iinfo(np.int64).max:  # the samplers need max + 1
+            raise ValueError("n_grid entries must be < 2**63 - 1")
         if np.min(self.gain_grid) < 0:
             raise ValueError("gain_grid entries must be >= 0")
         for name in ("tau_grid", "gain_grid"):
@@ -453,53 +455,29 @@ def _inversions(perm: np.ndarray) -> int:
     return total
 
 
-def _tied_pairs(change: np.ndarray) -> int:
-    """Tied pairs of a sorted sample; ``change`` marks the neighbours that differ."""
-    runs = np.diff(np.flatnonzero(np.r_[True, change, True]))
-    return int((runs * (runs - 1) // 2).sum())
-
-
-def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each entry's dense rank (0 for the smallest value, equal values
-    equal), as int64, and the sample's tied pairs."""
-    order = np.argsort(v)
-    ordered = v[order]
-    change = ordered[1:] != ordered[:-1]
-    ranks = np.empty(v.size, dtype=np.int64)
-    ranks[order[:1]] = 0
-    ranks[order[1:]] = np.cumsum(change)
-    return ranks, _tied_pairs(change)
-
-
 def kendalltau(x, y) -> float:
-    """Kendall's tau-b of two finite samples, bit for bit
-    ``scipy.stats.kendalltau(x, y).statistic``; NaN when either is constant.
+    """Kendall's tau of two samples without ties, bit for bit
+    ``scipy.stats.kendalltau(x, y).statistic`` (tau-b, which is tau-a
+    when nothing ties); NaN when either sample has a tie (a constant one
+    included) or a NaN, or there are fewer than two rows.
 
-    Sort and count (Knight 1966) on dense ranks rx, ry < n: the int64 keys
-    rx n + ry order the rows by (x, y), and the keys ry n + position in
-    that order give each row's y-order, ties by position.  That order is a
-    permutation whose inversions are the discordant pairs: a tie in x or y
-    is never one.  The tie counts come from the sorted runs, and tau from
-    scipy's expression.
+    Sort and count for ungrouped data (Knight 1966): with the rows in x
+    order, the argsort of their y values is a permutation whose inversions
+    are the discordant pairs.
     """
     x, y = np.asarray(x).ravel(), np.asarray(y).ravel()
     n = x.size
     if y.size != n:
         raise ValueError("x and y must have the same size")
-    (rx, xtie), (ry, ytie) = _dense_ranks(x), _dense_ranks(y)
+    order = np.argsort(x)
+    x, y = x[order], y[order]
+    perm = np.argsort(y)
+    y = y[perm]
+    if n < 2 or not (np.all(x[1:] > x[:-1]) and np.all(y[1:] > y[:-1])):
+        return float("nan")  # a tie, or a NaN, which compares false
     tot = n * (n - 1) // 2
-    if xtie == tot or ytie == tot:
-        return float("nan")
-    key = rx * n
-    key += ry
-    order = np.argsort(key)  # equal keys are equal rows: any order of them serves
-    key = key[order]
-    both = _tied_pairs(key[1:] != key[:-1])
-    key = ry[order]
-    key *= n
-    key += np.arange(n)
-    con_minus_dis = tot - xtie - ytie + both - 2 * _inversions(np.argsort(key))
-    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    dis = _inversions(perm)
+    tau = (tot - 2 * dis) / np.sqrt(tot) / np.sqrt(tot)
     return float(min(1.0, max(-1.0, tau)))
 
 

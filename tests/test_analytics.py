@@ -563,8 +563,19 @@ def test_constants_validation():
         assert not caught
 
 
-def test_constants_psi_warning_fires_outside_unit_interval():
-    # lr * mu >= 2 pushes psi to -1 or below: bound no longer shrinks
-    with pytest.warns(UserWarning):
-        c = _constants(lr=0.9, pl_constant=3.0)
-    assert c.psi == pytest.approx(-1.7)
+@pytest.mark.parametrize("lr, pl_constant", [(0.5, 3.0), (0.9, 3.0), (0.5, 1e308), (1e-9, 1e-9)])
+def test_constants_reject_psi_outside_zero_to_one(lr, pl_constant):
+    # psi < 0 lets the recursion undershoot the gap or alternate in sign;
+    # lr * mu below 2**-53 rounds psi to 1, which never contracts
+    with pytest.raises(ValueError, match=r"^pl_constant makes psi = 1 - lr \* pl_constant = .*, outside \[0, 1\)$"):
+        _constants(lr=lr, pl_constant=pl_constant)
+    assert _constants(lr=0.5, pl_constant=2.0).psi == 0.0
+
+
+def test_bound_trajectory_rejects_a_value_that_overflows():
+    # each residual is finite, but by round 5 their sum is not
+    c = _constants(smoothness=1e308)
+    with pytest.raises(ValueError, match="^the bound overflows at round 5$"):
+        optimality_gap_trajectory(c, [(4, 1.0)] * 10, 1.0)
+    with pytest.raises(ValueError, match="^the bound overflows at round 1$"):
+        optimality_gap_trajectory(c, [(4, 10.0)], 1.0)

@@ -343,6 +343,22 @@ def test_malformed_records_exit_2(tmp_path, capsys, text):
     assert not (tmp_path / "a" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("specs, message", [
+    (["bound.lr=0.5", "bound.pl_constant=3"], "bound.pl_constant: pl_constant makes psi"),
+    (["bound.lr=0.9", "bound.pl_constant=3"], "bound.pl_constant: pl_constant makes psi"),
+    (["bound.lr=0.5", "bound.pl_constant=1e308"], "bound.pl_constant: pl_constant makes psi"),
+    (["bound.smoothness=1e308", "bound.mse=10"], "the bound overflows at round 1"),
+])
+def test_a_bound_that_bounds_nothing_exits_2(tmp_path, capsys, specs, message):
+    # psi < 0 makes rounds negative or alternate in sign, and an overflowing
+    # recursion makes them inf: neither is an upper bound, so nothing is written
+    args = [arg for spec in specs for arg in ("--set", spec)]
+    assert main(["bound", "--out", str(tmp_path / "a"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "a").exists()
+
+
 def test_grid_lists_must_have_their_layout(tmp_path, capsys):
     assert main(["port-sweep", "--out", str(tmp_path), "--set", "mc.n_grid=[1,4,8]"]) == 2
     assert "mc.n_grid" in capsys.readouterr().err

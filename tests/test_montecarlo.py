@@ -70,6 +70,9 @@ def test_plan_validation():
     for name in ("tau_grid", "gain_grid"):
         with pytest.raises(ValueError, match=f"{name} entries must be finite"):
             _small_plan(**{name: np.array([1.0, np.inf])})
+    # the samplers compute max(n_grid) + 1 as an int64
+    with pytest.raises(ValueError, match=r"n_grid entries must be < 2\*\*63 - 1"):
+        _small_plan(n_grid=np.array([2**63 - 1]))
 
 
 @pytest.mark.parametrize("name, entries, label", [
@@ -428,37 +431,47 @@ def test_inversion_count_matches_brute_force():
         assert montecarlo._inversions(perm) == brute, n
 
 
-def test_kendalltau_matches_scipy_on_tied_samples():
+def test_kendalltau_is_nan_on_tied_samples():
+    # copula-check passes continuous gains, which do not tie; a tie in
+    # either sample gives NaN, and untied samples still match scipy
     rng = np.random.default_rng(11)
     for _ in range(200):
-        n = int(rng.integers(2, 300))
-        x = rng.integers(0, rng.integers(2, 12), n)
-        y = rng.integers(0, rng.integers(2, 12), n)
+        n = int(rng.integers(12, 300))
+        tied = rng.integers(0, rng.integers(2, 12), n)  # more rows than values
+        untied, other = rng.permutation(n), rng.standard_normal(n)
+        assert np.isnan(montecarlo.kendalltau(tied, untied))
+        assert np.isnan(montecarlo.kendalltau(untied, tied))
+        assert montecarlo.kendalltau(untied, other) == stats.kendalltau(untied, other).statistic
+    for x, y in (([0.0, 1.0], [2.0, 3.0]), ([0.0, 1.0], [3.0, 2.0]), ([3, 1, 2], [0.5, 0.7, 0.1])):
         assert montecarlo.kendalltau(x, y) == stats.kendalltau(x, y).statistic
-    for x, y in (([0.0, 1.0], [2.0, 3.0]), ([0.0, 1.0], [3.0, 2.0]), ([1, 1], [2, 3])):
-        expected = stats.kendalltau(x, y).statistic
-        got = montecarlo.kendalltau(x, y)
-        assert got == expected or (np.isnan(got) and np.isnan(expected))
+    assert np.isnan(montecarlo.kendalltau([1, 1], [2, 3]))
+    assert np.isnan(montecarlo.kendalltau([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]))  # as scipy's
     with pytest.raises(ValueError, match="same size"):  # as scipy's
         montecarlo.kendalltau([1, 2, 3], [1, 2])
 
 
+@pytest.mark.parametrize("rows, seeds", [(100_000, range(1)), (2000, range(20))],
+                         ids=["default", "bench-tiny"])
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 5.0])
-def test_kendalltau_matches_scipy_on_the_default_blocks(beta):
-    # the block copula-check draws for beta at the default plan and seed 0
-    plan = McPlan()
-    stream = np.random.SeedSequence(plan.seed).spawn(len(plan.diag_betas) + 1)[
-        plan.diag_betas.index(beta)]
-    gains = sample_port_gains(Clayton(beta), plan.diag_rows, plan.n_ports, stream).gains
-    x, y = gains[:, 0], gains[:, 1]
-    assert montecarlo.kendalltau(x, y) == stats.kendalltau(x, y).statistic
+def test_kendalltau_matches_scipy_on_the_default_blocks(beta, rows, seeds):
+    # the blocks copula-check draws for beta at the default plan, and at
+    # the bench's small diag_rows over several seeds: none of them ties,
+    # so a sampler that starts drawing ties fails here before copula-check
+    # reports NaN
+    plan = McPlan(diag_rows=rows)
+    for seed in seeds:
+        stream = np.random.SeedSequence(seed).spawn(len(plan.diag_betas) + 1)[
+            plan.diag_betas.index(beta)]
+        gains = sample_port_gains(Clayton(beta), plan.diag_rows, plan.n_ports, stream).gains
+        x, y = gains[:, 0], gains[:, 1]
+        assert montecarlo.kendalltau(x, y) == stats.kendalltau(x, y).statistic, seed
 
 
-@pytest.mark.parametrize("ties", ["x", "y", "pairs", "constant-x", "constant-y"])
+@pytest.mark.parametrize("ties", ["none", "x", "y", "pairs", "constant-x", "constant-y"])
 def test_kendalltau_matches_scipy_past_2_to_the_16(ties):
-    # at n = 70_001 the rank keys rx * n + ry pass 2**32 and _inversions
-    # pads to 2**17; rounding to 0.1 ties one column, or both, and then
-    # repeats (x, y) pairs
+    # at n = 70_001 _inversions pads to 2**17; untied samples match scipy,
+    # and rounding to 0.1 ties one column, or both, and then repeats (x, y)
+    # pairs, which gives NaN, as a constant column does in scipy too
     n = 70_001
     gains = sample_port_gains(Clayton(2.0), n, 2, 5).gains
     x, y = gains[:, 0], gains[:, 1]
@@ -470,9 +483,12 @@ def test_kendalltau_matches_scipy_past_2_to_the_16(ties):
         assert len(set(zip(x.tolist(), y.tolist()))) < n // 10
     if ties.startswith("constant"):
         (x if ties == "constant-x" else y)[:] = 0.5
-    expected = stats.kendalltau(x, y).statistic
+        assert np.isnan(stats.kendalltau(x, y).statistic)
     got = montecarlo.kendalltau(x, y)
-    assert got == expected or (np.isnan(got) and np.isnan(expected) and ties.startswith("constant"))
+    if ties == "none":
+        assert got == stats.kendalltau(x, y).statistic
+    else:
+        assert np.isnan(got)
 
 
 def test_max_gain_counts_are_strict_where_maxima_sit_on_grid_points():
@@ -490,9 +506,12 @@ def test_max_gain_counts_are_strict_where_maxima_sit_on_grid_points():
 
 
 def test_kendalltau_of_a_constant_column_is_nan():
-    # as scipy's, and without a RuntimeWarning (warnings are errors here)
+    # as scipy's, and without a RuntimeWarning (warnings are errors here);
+    # fewer than two rows give NaN too
     assert np.isnan(montecarlo.kendalltau(np.ones(50), np.arange(50.0)))
     assert np.isnan(montecarlo.kendalltau(np.arange(50), np.full(50, 3)))
+    for n in (0, 1):
+        assert np.isnan(montecarlo.kendalltau(np.arange(n), np.arange(n)))
     assert np.isnan(stats.kendalltau(np.ones(50), np.arange(50.0)).statistic)
 
 
