@@ -222,6 +222,9 @@ def jakes_correlation_matrix(n_ports: int, aperture: float) -> np.ndarray:
     return _j0(2.0 * np.pi * dist)
 
 
+_JAKES_CHUNK = 1 << 16  # complex entries mixed at once by _jakes_gains (1 MiB)
+
+
 def _jakes_gains(
     n_users: int, n_ports: int, dep: GaussianJakes, gen: np.random.Generator
 ) -> np.ndarray:
@@ -232,6 +235,14 @@ def _jakes_gains(
     zero, anything below -1e-10 raises :class:`SamplingError`.  Each row is
     h = A z with z ~ CN(0, I) and A A^T the covariance, so the W = 0 rank-1
     case yields exactly equal ports and marginals are Exp(1).
+
+    The real parts of z are drawn into the result, every one before any
+    imaginary part, as ``(x + 1j y) / sqrt(2)`` over the whole block would
+    draw them; each chunk of ``_JAKES_CHUNK // N`` rows then takes its
+    imaginary parts and is mixed in one reused complex buffer and
+    overwritten by its gains.  Every row's arithmetic is the whole-block
+    expression's, so the gains are its bits, in one K x N array plus
+    chunk-sized scratch.
     """
     eigval, eigvec = np.linalg.eigh(jakes_correlation_matrix(n_ports, dep.aperture))
     if eigval.min() < -1e-10:
@@ -243,14 +254,17 @@ def _jakes_gains(
     # degenerate layouts (e.g. zero aperture) come out exactly low-rank
     eigval = np.where(eigval < 1e-12 * eigval.max(), 0.0, eigval)
     factor = eigvec * np.sqrt(eigval)
-    # z = (x + 1j y) / sqrt(2) and |z A^T|^2, built in place: the same
-    # values with half the temporaries of the plain expressions
-    z = np.empty((n_users, n_ports), dtype=complex)
-    z.real = gen.standard_normal(z.shape)
-    z.imag = gen.standard_normal(z.shape)
-    z /= np.sqrt(2.0)
-    gains = np.abs(z @ factor.T)
-    gains **= 2
+    gains = gen.standard_normal((n_users, n_ports))  # every x
+    step = max(_JAKES_CHUNK // n_ports, 1)
+    z = np.empty((min(step, n_users), n_ports), dtype=complex)
+    for start in range(0, n_users, step):
+        rows = gains[start:start + step]
+        part = z[: len(rows)]
+        part.real = rows
+        part.imag = gen.standard_normal(rows.shape)  # the next y, row-major
+        part /= np.sqrt(2.0)
+        np.abs(part @ factor.T, out=rows)
+        rows **= 2
     return gains
 
 

@@ -32,11 +32,15 @@ own per block (rows, ports, sampling, KS, Kendall and max-gain seconds,
 worker processes), ``train`` its own (rounds, skipped rounds, client
 updates and their rate, seconds per round stage, worker processes,
 per-round wall time and norm scale) and ``bound`` its rounds, psi, final
-value, seconds, and the path and sha256 of its ``--records`` file; no
-hashed output contains any of them.  ``train`` runs its variants, and
-``copula-check`` its per-beta and Bessel blocks, in forked worker
-processes (``forked``), up to one per usable CPU, and in-process with one
-usable CPU or no ``fork``; their outputs are identical either way.  The
+value, seconds, and the path and sha256 of its ``--records`` file.  Every
+manifest also records ``peak_rss_mb``: the peak resident set size in MiB
+of the process and of its largest forked worker, maxima over the process
+lifetime, so a caller running several commands in one process sees its
+peak so far.  No hashed output contains any of them.  ``train`` runs its
+variants, and ``copula-check`` its per-beta and Bessel blocks, in forked
+worker processes (``forked``), up to one per usable CPU, and in-process
+with one usable CPU or no ``fork``; their outputs are identical either
+way.  The
 three comparison commands run in-process: their per-variant work is too
 short to pay for a fork.  Exit codes: 0 success,
 1 statistical check failure or training divergence, 2 usage/config error,
@@ -60,6 +64,11 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform: peak RSS is recorded as null
+    resource = None
 
 import numpy as np
 
@@ -574,6 +583,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss_mb() -> dict:
+    """Peak resident set size in MiB of this process and of its waited-for
+    children (the forked workers' largest), each a maximum over the process
+    lifetime so far; null where there is no ``resource`` module."""
+    if resource is None:
+        return {"process": None, "workers": None}
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes on macOS, KiB on Linux
+    return {who: resource.getrusage(which).ru_maxrss * unit / 2**20
+            for who, which in (("process", resource.RUSAGE_SELF), ("workers", resource.RUSAGE_CHILDREN))}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = datetime.now(timezone.utc).isoformat()
@@ -611,6 +631,7 @@ def main(argv=None) -> int:
             "config_sources": source,
             "outputs": outputs,
             "telemetry": telemetry,
+            "peak_rss_mb": _peak_rss_mb(),
         }
         (out_dir / "manifest.json").write_text(_json(manifest))
     except ConfigError as exc:

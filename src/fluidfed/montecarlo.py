@@ -405,22 +405,25 @@ def kstest(gains: np.ndarray) -> tuple[float, float]:
 
     Per column D is ``scipy.stats.kstest(column, "expon")``'s statistic,
     its D+ and D- on the CDF -expm1(-g), within an ulp of scipy's (numpy's
-    expm1 and scipy's Cephes one may round the last bit apart).  The
-    columns are sorted as contiguous rows of the transposed block.  The
-    p-value is Massart's bound (``_ks_p_value``), never below the exact
-    Kolmogorov tail; it falls as D rises, so the largest D has the
-    smallest p-value.
+    expm1 and scipy's Cephes one may round the last bit apart).  One
+    column at a time is copied into a column-sized buffer, sorted and
+    mapped through the CDF there, so the caller's block is never sorted
+    and no block-sized copy is made.  The p-value is Massart's bound
+    (``_ks_p_value``), never below the exact Kolmogorov tail; it falls as
+    D rises, so the largest D has the smallest p-value.
     """
     n = gains.shape[0]
-    cdf = gains.T.copy()  # one row per port; a copy even where .T is contiguous
-    cdf.sort(axis=1)
-    np.negative(cdf, out=cdf)
-    np.expm1(cdf, out=cdf)
-    np.negative(cdf, out=cdf)
     above, below = np.arange(1, n + 1) / n, np.arange(0, n) / n
-    buf = np.empty(n)  # one row's D+, then its D-: no block-sized temporary
-    d = float(np.max([(np.subtract(above, row, out=buf).max(), np.subtract(row, below, out=buf).max())
-                      for row in cdf]))
+    cdf, buf = np.empty(n), np.empty(n)  # one sorted column; its D+, then its D-
+    extremes = []
+    for column in gains.T:
+        cdf[:] = column
+        cdf.sort()
+        np.negative(cdf, out=cdf)
+        np.expm1(cdf, out=cdf)
+        np.negative(cdf, out=cdf)
+        extremes += [np.subtract(above, cdf, out=buf).max(), np.subtract(cdf, below, out=buf).max()]
+    d = float(np.max(extremes))
     return d, _ks_p_value(d, n)
 
 
@@ -455,6 +458,11 @@ def _inversions(perm: np.ndarray) -> int:
     return total
 
 
+def _tied(ascending: np.ndarray) -> bool:
+    """Whether a sorted sample holds a tie, or a NaN, which compares false."""
+    return not np.all(ascending[1:] > ascending[:-1])
+
+
 def kendalltau(x, y) -> float:
     """Kendall's tau of two samples without ties, bit for bit
     ``scipy.stats.kendalltau(x, y).statistic`` (tau-b, which is tau-a
@@ -463,18 +471,24 @@ def kendalltau(x, y) -> float:
 
     Sort and count for ungrouped data (Knight 1966): with the rows in x
     order, the argsort of their y values is a permutation whose inversions
-    are the discordant pairs.
+    are the discordant pairs.  Each sorted sample is checked for ties as
+    soon as it is made and dropped once checked, and the samples and x's
+    sort order once they are read, so the inversion count runs beside the
+    permutation alone.
     """
     x, y = np.asarray(x).ravel(), np.asarray(y).ravel()
     n = x.size
     if y.size != n:
         raise ValueError("x and y must have the same size")
     order = np.argsort(x)
-    x, y = x[order], y[order]
+    if n < 2 or _tied(x[order]):
+        return float("nan")
+    y = y[order]
+    del x, order
     perm = np.argsort(y)
-    y = y[perm]
-    if n < 2 or not (np.all(x[1:] > x[:-1]) and np.all(y[1:] > y[:-1])):
-        return float("nan")  # a tie, or a NaN, which compares false
+    if _tied(y[perm]):
+        return float("nan")
+    del y  # _inversions reads only the permutation
     tot = n * (n - 1) // 2
     dis = _inversions(perm)
     tau = (tot - 2 * dis) / np.sqrt(tot) / np.sqrt(tot)

@@ -109,15 +109,24 @@ def test_clayton_in_place_evaluation_matches_the_plain_expression(beta):
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("aperture", [0.0, 0.5, 3.0])
-def test_jakes_in_place_evaluation_matches_the_plain_expression(aperture):
-    eigval, eigvec = np.linalg.eigh(jakes_correlation_matrix(6, aperture))
+@pytest.mark.parametrize("n_users, n_ports, aperture", [
+    *(pytest.param(300, 6, aperture, id=str(aperture)) for aperture in (0.0, 0.5, 3.0)),
+    # three whole chunks and a short fourth; aperture 0 is the rank-1 case
+    *(pytest.param(3 * (channel._JAKES_CHUNK // n) + 7, n, 0.0, id=f"chunks-N{n}")
+      for n in (1, 10, 64)),
+])
+def test_jakes_in_place_evaluation_matches_the_plain_expression(n_users, n_ports, aperture):
+    eigval, eigvec = np.linalg.eigh(jakes_correlation_matrix(n_ports, aperture))
     eigval = np.where(eigval < 1e-12 * eigval.max(), 0.0, eigval)
-    gen = np.random.default_rng(8)
-    z = (gen.standard_normal((300, 6)) + 1j * gen.standard_normal((300, 6))) / np.sqrt(2.0)
+    plain = np.random.default_rng(8)
+    z = (plain.standard_normal((n_users, n_ports))
+         + 1j * plain.standard_normal((n_users, n_ports))) / np.sqrt(2.0)
     expected = np.abs(z @ (eigvec * np.sqrt(eigval)).T) ** 2
-    got = sample_port_gains(GaussianJakes(aperture), 300, 6, 8).gains
-    assert np.array_equal(got, expected)
+    gen = np.random.default_rng(8)
+    got = sample_port_gains(GaussianJakes(aperture), n_users, n_ports, gen).gains
+    assert got.tobytes() == expected.tobytes()
+    # 2 K N normals drawn, no more and no fewer
+    assert gen.bit_generator.state == plain.bit_generator.state
 
 
 def _ks_distance(a, b):

@@ -495,6 +495,8 @@ def test_manifest_lists_every_output(tmp_path, monkeypatch, command, extra, doct
     assert on_disk and len(manifest["outputs"]) == len(on_disk)
     assert {entry["path"]: entry["sha256"] for entry in manifest["outputs"]} == on_disk
     assert manifest["telemetry"]
+    assert set(manifest["peak_rss_mb"]) == {"process", "workers"}
+    assert manifest["peak_rss_mb"]["process"] > 0
     # every data file has LF line ends, the Monte-Carlo CSVs included
     assert not [p.name for p in out.iterdir() if b"\r" in p.read_bytes()]
 
@@ -1299,6 +1301,20 @@ def test_copula_check_outputs_do_not_depend_on_the_workers(tmp_path, monkeypatch
     assert stderr and all(line.startswith("FAIL ") for line in stderr.splitlines())
     assert "beta=2: kendall tau 0.33" in stdout and stdout.count("(FAIL)") == 1
     assert len(files) == 5
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_manifest_records_the_peak_rss_of_the_process_and_its_workers(tmp_path, monkeypatch):
+    _see_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert main(["copula-check", "--out", str(out), *FAST_MC]) == 0
+    peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+    assert peak["process"] > 0 and peak["workers"] > 0
+    # without getrusage both are null, and the run still succeeds
+    monkeypatch.setattr(cli, "resource", None)
+    assert main(["bound", "--out", str(tmp_path / "bound")]) == 0
+    manifest = json.loads((tmp_path / "bound" / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] == {"process": None, "workers": None}
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2], ids=["in-process", "two-workers"])

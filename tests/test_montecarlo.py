@@ -7,6 +7,7 @@ the acceptance suite.
 import json
 import math
 import os
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -408,6 +409,23 @@ def test_one_sort_kstest_finds_a_stretched_last_column():
     assert abs(max_d - max(d)) <= 2 * np.finfo(float).eps
     assert min_p == _massart(max_d, plan.diag_rows) >= exact
     assert min_p < montecarlo.FAMILY_ALPHA / (len(plan.diag_betas) * plan.n_ports)
+
+
+@pytest.mark.parametrize("bessel", [False, True], ids=["clayton", "bessel"])
+def test_a_copula_check_block_peaks_within_one_and_a_half_gain_matrices(bessel):
+    # a block holds its gain matrix plus chunk- or column-sized scratch: a
+    # whole-block complex draw (Bessel, 5x) or a copy of the block for the
+    # KS sort (Clayton, 2.3x) breaks the bound
+    plan = McPlan()
+    assert (plan.diag_rows, plan.n_ports) == (100_000, 10)
+    dep = GaussianJakes(plan.jakes_aperture) if bessel else Clayton(2.0)
+    tracemalloc.start()
+    try:
+        montecarlo._diag_block(plan, [dep], np.random.SeedSequence(3).spawn(1), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * plan.diag_rows * plan.n_ports * 8
 
 
 @pytest.mark.parametrize("n", [2, 10, 140, 141, 2000, 100_000])
