@@ -19,8 +19,9 @@ sample_port_gains : the K x N gain matrix under a DependenceSpec
     (Independent, Clayton, PerfectDependence or GaussianJakes)
 sample_best_gains, first_qualifying_port : each user's best-port gain, or
     first port reaching a gain threshold, equal in law to reducing
-    sample_port_gains, from one draw per user where the law allows (an
-    independent best gain maps the largest of N uniforms)
+    sample_port_gains, from one draw per user where the law allows (a best
+    gain maps the smallest of N latent unit exponentials, Exp(1)/N; for
+    independent ports that is inverse-CDF sampling of (1 - e^-x)^N)
 select_ports : each user's best-port gain from a sampled gain matrix
 jakes_correlation_matrix : the port covariance of the Gaussian model
 
@@ -124,6 +125,31 @@ def log1mexp(x):
         return np.where(x < np.log(2.0), np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
 
 
+_SOFTPLUS_CHUNK = 1 << 13  # entries mapped at once by _softplus (64 KiB of scratch)
+
+
+def _softplus(t: np.ndarray) -> np.ndarray:
+    """ln(1 + e^t) in place, as max(t, 0) + log1p(exp(-|t|)): the branch
+    ``np.logaddexp(0, t)`` takes, on numpy's vectorized exp and log1p
+    instead of its scalar loop.  ``_SOFTPLUS_CHUNK`` entries at a time go
+    through one scratch buffer, so no block-sized temporary is made.  ``t``
+    must be C-contiguous, so that its flat reshape is a view."""
+    if not t.flags.c_contiguous:
+        raise ValueError("_softplus maps a C-contiguous array in place")
+    flat = t.reshape(-1)
+    scratch = np.empty(min(_SOFTPLUS_CHUNK, flat.size))
+    for start in range(0, flat.size, _SOFTPLUS_CHUNK):
+        part = flat[start:start + _SOFTPLUS_CHUNK]
+        tail = scratch[: part.size]
+        np.abs(part, out=tail)
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.maximum(part, 0.0, out=part)
+        part += tail
+    return t
+
+
 def _clayton_gains(exps: np.ndarray, log_v: np.ndarray, beta: float) -> np.ndarray:
     """Exp(1) power gains whose ports follow a Clayton(beta) copula, from
     latent unit exponentials ``exps`` (overwritten) and frailties ``log_v``.
@@ -136,14 +162,14 @@ def _clayton_gains(exps: np.ndarray, log_v: np.ndarray, beta: float) -> np.ndarr
     rises, so a row's maximum is the map of its minimum E, and a gain
     reaches t iff E <= e* = V (m^-beta - 1), m = 1 - e^-t.
     """
-    # gains = -log(-expm1(-logaddexp(0, log E - log V) / beta)), evaluated
-    # in place: one buffer instead of a temporary per step keeps large
-    # blocks in cache, and every step rounds exactly as the expression does
+    # gains = -log(-expm1(-softplus(log E - log V) / beta)), evaluated in
+    # place: one buffer instead of a temporary per step keeps large blocks
+    # in cache, and every step rounds exactly as the expression does
     gains = exps
     with np.errstate(divide="ignore"):
         np.log(gains, out=gains)
     gains -= log_v
-    np.logaddexp(0.0, gains, out=gains)
+    _softplus(gains)
     gains /= -beta
     np.expm1(gains, out=gains)
     np.negative(gains, out=gains)
@@ -262,7 +288,10 @@ def _jakes_gains(
         part = z[: len(rows)]
         part.real = rows
         part.imag = gen.standard_normal(rows.shape)  # the next y, row-major
-        part /= np.sqrt(2.0)
+        # numpy divides a complex by a real scalar as a product with its
+        # reciprocal, so scaling the float view gives the same bits
+        scaled = part.view(np.float64)
+        scaled *= 1.0 / np.sqrt(2.0)
         np.abs(part @ factor.T, out=rows)
         rows **= 2
     return gains
@@ -277,16 +306,28 @@ def _first_success(gen: np.random.Generator, p: np.ndarray, n_ports: int) -> np.
     return np.where(hit, first, n_ports)
 
 
+def _least_exponential(gen: np.random.Generator, n_users: int, n_ports: int) -> np.ndarray:
+    """Per user, the smallest of ``n_ports`` unit exponentials, drawn as Exp(1)/N."""
+    exps = gen.standard_exponential(size=n_users)
+    exps /= n_ports
+    return exps
+
+
 def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce: str,
           threshold: float | None = None) -> np.ndarray:
     """The K x N gains of ``dep``, or per row (``reduce``) their maximum or
     the first port reaching ``threshold`` (n_ports for none), equal in law
-    to reducing the matrix.  Given a Clayton row's frailty V its ports are
-    independent, so its smallest latent exponential is Exp(1)/N and its
-    first port Geometric(p(V)) - 1, p(V) = 1 - exp(-e*); an independent
-    row's is Geometric(e^-t) - 1, and its best gain the Exp(1) quantile
-    -ln(1 - u) of the largest of its N uniforms (still N draws per user,
-    drawn port-major).  Other reductions reduce the matrix."""
+    to reducing the matrix.  An independent port's gain g = -ln(1 - e^-E)
+    falls as its unit exponential E rises, and so does a Clayton port's
+    given its row's frailty V, whose ports are then independent: a row's
+    best gain is the map of its smallest E, Exp(1)/N, one draw per user.
+    For an independent row that draw is the inverse CDF of (1 - e^-x)^N
+    at U = e^-E, the law the cdf-mse and pmf-users closed forms rest on, so
+    only the row-max law tests in tests/test_channel.py tie it to N ports.
+    A first port is one Geometric(p) - 1 draw per user, p = e^-t for an
+    independent row and p(V) = 1 - exp(-e*) for a Clayton one.  An fpa
+    row's best gain is its one Exp(1) draw; other reductions reduce the
+    matrix, a (K, 1) one for an fpa first port."""
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
     if n_ports < 1:
@@ -298,11 +339,7 @@ def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce:
         if reduce == "first":
             return _first_success(gen, np.full(n_users, np.exp(-threshold)), n_ports)
         if reduce == "best":
-            # N uniforms per user, port-major so the max runs over contiguous
-            # rows; the increasing Exp(1) quantile -ln(1 - u) commutes with it
-            gains = gen.random((n_ports, n_users)).max(axis=0)[:, None]
-            np.negative(gains, out=gains)
-            np.log1p(gains, out=gains)
+            gains = log1mexp(_least_exponential(gen, n_users, n_ports))
             np.negative(gains, out=gains)
         else:
             gains = gen.standard_exponential(size=(n_users, n_ports))
@@ -319,16 +356,19 @@ def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce:
             with np.errstate(over="ignore"):
                 cutoff = np.exp(_clayton_log_cutoff(log_v, dep.beta, threshold))
             return _first_success(gen, -np.expm1(-cutoff), n_ports)
-        exps = gen.standard_exponential(size=(n_users, 1 if reduce == "best" else n_ports))
         if reduce == "best":
-            exps /= n_ports  # the row minimum of N unit exponentials
-        gains = _clayton_gains(exps, log_v[:, None], dep.beta)
+            gains = _clayton_gains(_least_exponential(gen, n_users, n_ports), log_v, dep.beta)
+        else:
+            exps = gen.standard_exponential(size=(n_users, n_ports))
+            gains = _clayton_gains(exps, log_v[:, None], dep.beta)
     elif isinstance(dep, PerfectDependence):
-        gains = gen.standard_exponential(size=(n_users, 1))
+        gains = gen.standard_exponential(size=n_users if reduce == "best" else (n_users, 1))
         if reduce == "gains":
             gains = np.repeat(gains, n_ports, axis=1)
     elif isinstance(dep, GaussianJakes):
         gains = _jakes_gains(n_users, n_ports, dep, gen)
+        if reduce == "best":
+            gains = gains.max(axis=1)  # NaN and inf survive the maximum
     else:
         raise TypeError(f"unknown dependence spec: {dep!r}")
     if not np.all(np.isfinite(gains)):
@@ -337,7 +377,7 @@ def _draw(dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike, reduce:
         reaches = gains >= threshold
         first = reaches.argmax(axis=1)  # also 0 where no port reaches it
         return np.where(reaches[np.arange(n_users), first], first, n_ports)
-    return gains.max(axis=1) if reduce == "best" else gains
+    return gains
 
 
 def sample_port_gains(
@@ -350,7 +390,10 @@ def sample_port_gains(
 def sample_best_gains(
     dep: DependenceSpec, n_users: int, n_ports: int, rng: RngLike
 ) -> np.ndarray:
-    """Each user's best-port gain, in law ``sample_port_gains(...).gains.max(axis=1)``."""
+    """Each user's best-port gain, in law ``sample_port_gains(...).gains.max(axis=1)``:
+    one draw per user for independent, Clayton and fpa ports (the first
+    two map Exp(1)/N, for independent ports the inverse CDF of
+    (1 - e^-x)^N), the row maxima of the whole matrix for Jakes."""
     return _draw(dep, n_users, n_ports, rng, "best")
 
 

@@ -9,16 +9,16 @@ false alarm on correct code with probability at most FAMILY_ALPHA (the
 participation mean checks count as one more point per variant); reports
 record it as meta["family_alpha"] and aggregate the points and the sup gap.
 
-Determinism: trials run in fixed-size blocks of
-max(1, BLOCK_VALUES // (K * n)) trials, n being the number of ports
-sampled per user.  Block b of variant v draws from
+Determinism: trials run in fixed-size blocks of max(1, BLOCK_USERS // K)
+trials.  Block b of variant v draws from
 SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b] with one sampler call
 for (rows * K) users of n ports, reduced to integer counts per grid
-point.  The layout depends only on (seed, K, n, trials).  The CDF and PMF
+point.  The layout depends only on (seed, K, trials).  The CDF and PMF
 experiments draw each block's best-port gains through
 ``sample_best_gains``, the port sweep each user's first port that reaches
 the threshold through ``first_qualifying_port``: the reduced gain matrix
-in law, not bit for bit.
+in law, not bit for bit, from one value per user (Jakes alone draws its
+whole K x n matrix), so a block's per-user arrays hold BLOCK_USERS values.
 
 Experiments
 -----------
@@ -83,7 +83,7 @@ from .channel import (
 from .ota import OtaConfig, gain_threshold
 
 __all__ = [
-    "BLOCK_VALUES",
+    "BLOCK_USERS",
     "FAMILY_ALPHA",
     "McPlan",
     "GridPointCheck",
@@ -99,8 +99,9 @@ __all__ = [
     "kendalltau",
 ]
 
-# gain values drawn per sampler call (trials per block x K x ports)
-BLOCK_VALUES = 1 << 16
+# users drawn per sampler call (trials per block x K): a 64 KiB array of
+# one float64 per user, under glibc's 128 KiB mmap threshold
+BLOCK_USERS = 1 << 13
 FAMILY_ALPHA = 1e-3
 DEFAULT_VARIANTS = (Independent(), Clayton(1.0), Clayton(2.0), PerfectDependence())
 
@@ -271,7 +272,7 @@ def _compare(plan, xs, n_sampled, draw, statistic, law, meta, mean_law=None) -> 
     Returns {variant label: ComparisonReport}.
     """
     k = plan.n_users
-    per = max(1, BLOCK_VALUES // (k * n_sampled))
+    per = max(1, BLOCK_USERS // k)
     rows = [min(per, plan.trials - start) for start in range(0, plan.trials, per)]
     dists = [GainDistribution(plan.n_ports, dep) for dep in plan.variants]
     alpha = FAMILY_ALPHA / (len(dists) * (len(xs) + (mean_law is not None)))

@@ -1,5 +1,6 @@
 """Port-gain sampler tests: marginals, dependence, correlation structure."""
 
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -95,18 +96,61 @@ def test_same_seed_reproduces_gains_exactly():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n_users", [300, 2 * channel._SOFTPLUS_CHUNK // 7 + 11])
 @pytest.mark.parametrize("beta", [1e-4, 1.0, 2.0, 1e3])
-def test_clayton_in_place_evaluation_matches_the_plain_expression(beta):
-    # reference: the latent-frailty formula as one expression, same draws
+def test_clayton_in_place_evaluation_matches_the_plain_expression(beta, n_users):
+    # reference: the latent-frailty formula as one expression, same draws;
+    # the larger block spans three softplus chunks, split inside rows
     gen = np.random.default_rng(5)
-    log_v = np.log(gen.standard_gamma(1.0 / beta + 1.0, size=300))
-    log_v += beta * np.log(gen.uniform(size=300))
-    e = gen.standard_exponential(size=(300, 7))
+    log_v = np.log(gen.standard_gamma(1.0 / beta + 1.0, size=n_users))
+    log_v += beta * np.log(gen.uniform(size=n_users))
+    e = gen.standard_exponential(size=(n_users, 7))
     with np.errstate(divide="ignore"):
-        log_u = -np.logaddexp(0.0, np.log(e) - log_v[:, None]) / beta
+        t = np.log(e) - log_v[:, None]
+    log_u = -(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))) / beta
     expected = -np.log(-np.expm1(log_u))
-    got = sample_port_gains(Clayton(beta), 300, 7, 5).gains
-    assert np.array_equal(got, expected)
+    got = sample_port_gains(Clayton(beta), n_users, 7, 5).gains
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_softplus_is_within_four_unit_roundoffs_of_an_mpmath_oracle():
+    # relative error <= 4 u = 2^-51 wherever ln(1 + e^t) is a normal number
+    # (t >= -708.4); below, it is e^t on the subnormal grid, within one
+    # spacing 2^-1074 (both measured under 2 u and half a spacing)
+    t = np.concatenate([np.linspace(-745.0, 745.0, 6001),
+                        np.random.default_rng(0).uniform(-40.0, 40.0, 4000)])
+    got = t.copy()
+    assert channel._softplus(got) is got
+    with mp.workprec(80):
+        for x, g in zip(t, got):
+            exact = mp.log1p(mp.exp(mp.mpf(float(x))))
+            error = abs(mp.mpf(float(g)) - exact)
+            if exact >= mp.mpf(2) ** -1022:
+                assert error <= exact * mp.mpf(2) ** -51, x
+            else:
+                assert error <= mp.mpf(2) ** -1074, x
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
+    expected = [np.log(2.0)] * 4 + [np.inf, 0.0, np.nan]
+    np.testing.assert_array_equal(channel._softplus(special), expected)
+
+
+def test_softplus_allocates_one_chunk_of_scratch():
+    block = np.zeros(1 << 20)  # 8 MiB
+    tracemalloc.start()
+    try:
+        channel._softplus(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * channel._SOFTPLUS_CHUNK + 4096
+    assert np.all(block == np.log(2.0))
+
+
+def test_softplus_rejects_an_array_it_cannot_map_in_place():
+    block = np.zeros((4, 6))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        channel._softplus(block.T)
+    assert np.all(block == 0.0)
 
 
 @pytest.mark.parametrize("n_users, n_ports, aperture", [
@@ -181,20 +225,13 @@ def _one_sample_band(n, alpha=1e-6):
     return np.sqrt(np.log(2.0 / alpha) / (2 * n))
 
 
-def _independent_best_gains(n_ports, seed, chunks=10, rows=100_000):
-    """``chunks * rows`` independent best gains, a block of N x rows
-    uniforms at a time."""
-    streams = np.random.SeedSequence(seed).spawn(chunks)
-    return np.concatenate([sample_best_gains(Independent(), rows, n_ports, s) for s in streams])
-
-
 @pytest.mark.parametrize("n_ports", [1, 3, 10, 64])
 def test_independent_best_gains_follow_the_max_of_n_exponentials(n_ports):
-    # the Exp(1) quantile of the largest of N uniforms, against the law
-    # (1 - e^-x)^N itself: within the band at 1e-6 per case (1M rows, band
-    # 0.0027), and outside it for N - 1 ports, whose distance is at least
-    # max F^(N-1) (1 - F), 0.0058 at N = 64
-    best = _independent_best_gains(n_ports, 21)
+    # the map of Exp(1)/N, against the law (1 - e^-x)^N itself: within the
+    # band at 1e-6 per case (1M rows, band 0.0027), and outside it for
+    # N - 1 ports, whose distance is at least max F^(N-1) (1 - F), 0.0058
+    # at N = 64, too close for the two-sample check below
+    best = sample_best_gains(Independent(), 1_000_000, n_ports, 21)
     assert best.dtype == np.float64
     band = _one_sample_band(best.size)
 
@@ -203,19 +240,21 @@ def test_independent_best_gains_follow_the_max_of_n_exponentials(n_ports):
 
     assert _ks_to_law(best, law) <= band
     if n_ports > 1:
-        assert _ks_to_law(_independent_best_gains(n_ports - 1, 21), law) > band
+        assert _ks_to_law(sample_best_gains(Independent(), 1_000_000, n_ports - 1, 21), law) > band
     one = sample_best_gains(Independent(), 300, n_ports, 21)
     assert one.shape == (300,)
     assert sample_best_gains(Independent(), 300, n_ports, np.random.SeedSequence(21)).tobytes() \
         == one.tobytes()
 
 
+ONE_DRAW = [Independent(), *(Clayton(beta) for beta in (1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 30.0, 200.0))]
+
+
 @pytest.mark.parametrize("n_ports", [1, 3, 10, 64])
-@pytest.mark.parametrize("beta", [1e-3, 0.05, 0.5, 1.0, 2.0, 5.0, 30.0, 200.0])
-def test_clayton_best_gains_follow_the_row_max_law(beta, n_ports):
+@pytest.mark.parametrize("dep", ONE_DRAW, ids=repr)
+def test_best_gains_follow_the_row_max_law(dep, n_ports):
     # one Exp(1)/N per row through the gain map, against the full matrix's
     # row maxima from other draws: equal in law at 1e-6 per case
-    dep = Clayton(beta)
     best = sample_best_gains(dep, LAW_ROWS, n_ports, 21)
     assert best.shape == (LAW_ROWS,) and best.dtype == np.float64
     full = _row_max_of_full_matrix(dep, LAW_ROWS, n_ports, 22)
@@ -225,11 +264,12 @@ def test_clayton_best_gains_follow_the_row_max_law(beta, n_ports):
 
 
 @pytest.mark.parametrize("n_ports", [3, 10])
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
-def test_best_gain_law_check_rejects_an_n_minus_1_shortcut(beta, n_ports):
+@pytest.mark.parametrize("dep", [Independent(), Clayton(0.5), Clayton(1.0), Clayton(2.0)], ids=repr)
+def test_best_gain_law_check_rejects_an_n_minus_1_shortcut(dep, n_ports):
     # the shortcut Exp(1)/(N - 1) is the N - 1 port sampler; its distance
-    # is 0.021-0.12 here, but under 0.008 at N = 64 or beta = 30
-    dep, band = Clayton(beta), _same_law_band(POWER_ROWS)
+    # is 0.021-0.15 here, but under 0.008 at N = 64 or beta = 30 (N = 1
+    # has no shortcut)
+    band = _same_law_band(POWER_ROWS)
     full = _row_max_of_full_matrix(dep, POWER_ROWS, n_ports, 22)
     assert _ks_distance(sample_best_gains(dep, POWER_ROWS, n_ports, 21), full) <= band
     assert _ks_distance(sample_best_gains(dep, POWER_ROWS, n_ports - 1, 21), full) > band
@@ -251,10 +291,9 @@ def _poisoned(method, value):
 @pytest.mark.parametrize(
     "dep, method, value, samplers",
     [
-        (Independent(), "standard_exponential", np.nan, "gains"),
+        (Independent(), "standard_exponential", np.nan, "gains best"),
         (Independent(), "standard_exponential", np.inf, "gains"),
-        (Independent(), "random", np.nan, "best"),
-        (Independent(), "random", 1.0, "best"),  # -ln(1 - u) = inf
+        (Independent(), "standard_exponential", 0.0, "best"),  # -ln(1 - e^-0) = inf
         (PerfectDependence(), "standard_exponential", np.nan, "gains best first"),
         (Clayton(2.0), "standard_exponential", np.nan, "gains best"),
         (Clayton(2.0), "standard_exponential", 0.0, "gains best"),
@@ -264,10 +303,9 @@ def _poisoned(method, value):
     ],
 )
 def test_best_gains_raise_where_the_full_sampler_raises(dep, method, value, samplers):
-    # every sampler that draws by ``method`` raises on a poisoned draw: the
-    # independent best gain draws uniforms and no exponentials, independent
-    # and Clayton first ports no exponentials, and a Clayton first port
-    # checks ln V, since V = inf gives a finite p = 1
+    # every sampler that draws by ``method`` raises on a poisoned draw:
+    # independent and Clayton first ports draw no exponentials, and a
+    # Clayton first port checks ln V, since V = inf gives a finite p = 1
     calls = {
         "gains": lambda rng: sample_port_gains(dep, 6, 4, rng),
         "best": lambda rng: sample_best_gains(dep, 6, 4, rng),

@@ -20,7 +20,7 @@ from fluidfed import montecarlo as mc
 from fluidfed.cli import ConfigError, load_config, main, parse_variant
 from fluidfed.channel import Clayton, GaussianJakes, Independent, PerfectDependence, SamplingError
 from fluidfed.fedlearn import FlConfig
-from fluidfed.montecarlo import BLOCK_VALUES, DEFAULT_VARIANTS, McPlan
+from fluidfed.montecarlo import BLOCK_USERS, DEFAULT_VARIANTS, McPlan
 from fluidfed.ota import OtaConfig
 
 FAST_MC = [
@@ -853,51 +853,58 @@ def test_train_outputs_match_frozen_sha256(tmp_path, extra, golden):
 # independent best gain came to be drawn as the Exp(1) quantile of each
 # user's largest uniform, port-major (a new RNG layout; only the
 # independent variant's empirical values moved, and every pass flag held;
-# cdf-wide-betas did not move).  sweep-fast's empirical sweep is
-# 0.0 at every point, so it cannot see the sampler; sweep-two-users, taken
-# with the geometric first ports, can: its empirical values all lie
-# strictly between 0 and 1
+# cdf-wide-betas did not move).  The cdf-mse and pmf-users rows were taken
+# again when trial blocks came to hold BLOCK_USERS users whatever the port
+# count, and the independent best gain came to be drawn as the map of one
+# Exp(1)/N per user, with the Clayton map on a vectorized softplus (a new
+# RNG layout): only the empirical values, sup_gap and the mean check's
+# empirical mean moved, every pass flag held, and cdf-fast's independent
+# CSV did not move; the port-sweep rows did not move, as their 400 trials
+# are one block in both layouts, nor did copula-check.  sweep-fast's
+# empirical sweep is 0.0 at every point, so it cannot see the sampler;
+# sweep-two-users, taken with the geometric first ports, can: its empirical
+# values all lie strictly between 0 and 1
 MC_WIDE_BETAS = ["--set", "system.K=40", "--set", "system.N=33",
                  "--set", 'mc.variants=["independent","clayton:0.05","clayton:30","fpa"]']
 MC_GOLDEN = [
     (
         "cdf-mse", [],
         {
-            "cdf_mse_clayton-1.csv": "b8f940a3a46d3063eb338c8bae0c6d331e212bf19cd0640f53734d73df29dfa2",
-            "cdf_mse_clayton-2.csv": "b65facbf6c07cbe02cb4346669ddea177608568d7d6cb2f5752cf24864e07083",
-            "cdf_mse_fpa.csv": "ac88e45b2b2e39bf2e3deb9315edf9622e86775b66b4eec9473e97f3b1202149",
+            "cdf_mse_clayton-1.csv": "bd99fc721e7fc61525bd2cf4efd2826ee7f6d02d612d87d413618b4fbdcbd9b9",
+            "cdf_mse_clayton-2.csv": "cbc1ba72b1c2454c3b965be523ba8450afe5b61448826c17ad7a26d5272a9587",
+            "cdf_mse_fpa.csv": "e937e6c1a224ffe00892dbd2ae607debaa4d99ef5bb609647661b0c070f88384",
             "cdf_mse_independent.csv": "0b4cd66c29ec89c61f665bdefd37768d21c6874485803724c373c312302c2638",
-            "cdf_mse_report.json": "c4ad6ca8b08b21dfaa7dffb84e467dfd607e47254793abe4ff63ef9cfbfe2ac4",
+            "cdf_mse_report.json": "ddbac71c9e465cd1ad711161197e27d3f970fa5705b06d55617bbe5c89dbf7c2",
         },
     ),
     (
         "cdf-mse", MC_WIDE_BETAS,
         {
-            "cdf_mse_clayton-0.05.csv": "36865e752d0df6198ed8d125992740c8461ed34838207ceb28e0733a19c606f5",
-            "cdf_mse_clayton-30.csv": "0b66c69b2822803da1c68137624cd5dd13a09b54db4c4efa3ec28bb36a1036fb",
-            "cdf_mse_fpa.csv": "037367980faabcd320e84819c8e19e9a5a85d2e9888b9bb11fb6a30595991fb2",
-            "cdf_mse_independent.csv": "c29ef0d3d6966209c2acfc67008ba534f51715db91ee5b2b0938872fb15e597b",
-            "cdf_mse_report.json": "7a00765297738ddaebe5bb091112a41cf9cfcc28f6f7ecc5bc27ddfdcc8cf001",
+            "cdf_mse_clayton-0.05.csv": "859876a89681a10e7209019e49e4b254e127e69d950e91f1622a3dea0ca9aa05",
+            "cdf_mse_clayton-30.csv": "6f44ed20ce5782e48b57f0f11331183ac98db65b87caafaae12e777be9a80535",
+            "cdf_mse_fpa.csv": "7a3f037e580da3285a01f0588d95a29745cd1d9cdd079216bcce36845552be2a",
+            "cdf_mse_independent.csv": "802b709c30edb7501bea1623a7e720050255168a586f219f41ffdbb93a7dfdc3",
+            "cdf_mse_report.json": "b83284d600838eef6794f7cb63ba9579a689ace9119de5fc1643d4f9547c6402",
         },
     ),
     (
         "pmf-users", [],
         {
-            "pmf_users_clayton-1.csv": "528b4290bd2019fe90e46671792b29c70507a560fe353d8d169152bbe7acf38e",
-            "pmf_users_clayton-2.csv": "214cfcebd807b83dda34a512c221c58811e80edf94a71c359a723e6f4a032940",
-            "pmf_users_fpa.csv": "25b9195935d72313ba80faed8b01d430023f46e7ca9e008d7c3abc65d6b0b60f",
-            "pmf_users_independent.csv": "db0de131d428124f4e5964da0d8f8742eab6dac985a7057eab421cbedcce482a",
-            "pmf_users_report.json": "a7530f7193cea4aee5728a63fd2047ee549be154851c54182f9c9466342c7d2c",
+            "pmf_users_clayton-1.csv": "99c3b11344d4bca13ac6ff429ab346ed6d01d6e0645f7c4801807efb2bf2b9e6",
+            "pmf_users_clayton-2.csv": "9e7539603988144ce6673a76b9967b3c98c035925930047e51e59a790c6c731d",
+            "pmf_users_fpa.csv": "96c86e4b3988ace7982c7ac67d194d97b0d0ee316bdacb02b1478230984ba1b7",
+            "pmf_users_independent.csv": "b13f179803af72a5563b4f388814483521e78aac2e3105e92d199d3278c5e975",
+            "pmf_users_report.json": "0b75ad3668542fd0b5a9261bbb3b8104abb9e0aa451c84e52e289d63870452e1",
         },
     ),
     (
         "pmf-users", MC_WIDE_BETAS,
         {
-            "pmf_users_clayton-0.05.csv": "9ae162f3312ec29d2d4ede0abdb3c81f330b8cc4e277f828804b3c044dc94b52",
-            "pmf_users_clayton-30.csv": "6bc45bf18b8919b99618c67db787dcbb7c88a1e4e90662b0bd512c3bdba9f417",
-            "pmf_users_fpa.csv": "c42507a0b376147617d531816383981796deaa94a01894a7ea42ee8be398db27",
-            "pmf_users_independent.csv": "fee2eecfd8627556809df34e2cafad5602ef5245271a06164cdf1a5e0d7d61b4",
-            "pmf_users_report.json": "b3c34a06031214e2a4958e476ad2ff594b4b11cfd0f58d9aa9ce4e7198a09ffd",
+            "pmf_users_clayton-0.05.csv": "d211ab5017c79acf19c04fd96a18835259d258ceda1c467eba8a562495ef88dc",
+            "pmf_users_clayton-30.csv": "ef328d8506af20c51fa85be00e985dfea6d77cf4ad2d403ef9ceb1569016aa46",
+            "pmf_users_fpa.csv": "c5e82a2be8a5ec8e5e5b60de18eabf85283f7e520e77204a549cf4d681f80895",
+            "pmf_users_independent.csv": "35e4eb3f673d60ac7c38db35a39708a6c0f9820322ff625ebf4563dc21b0063d",
+            "pmf_users_report.json": "e442bad6fad52f23c61363f53675bc8dfa4f3bec54ac307bde0c262f6aa538fe",
         },
     ),
     # port-sweep frozen with the rows above, copula-check before the config
@@ -950,28 +957,37 @@ def test_mc_outputs_match_frozen_sha256(tmp_path, command, extra, golden):
 # sizes show (copula-check's 100k rows and four betas, train's five
 # variants).  The copula-check report was taken again when kstest's Exp(1)
 # CDF moved from a Cephes expm1 port to numpy's expm1: only
-# max_ks_statistic and min_p_value moved, D by 1.1e-16 (clayton-0.5)
+# max_ks_statistic and min_p_value moved, D by 1.1e-16 (clayton-0.5).  The
+# cdf-mse, pmf-users and port-sweep digests were taken again when trial
+# blocks came to hold BLOCK_USERS users (25 blocks per variant instead of
+# 31, or 62 for the sweep) and the independent best gain came to be one
+# Exp(1)/N draw per user: only the empirical values, sup_gap and the mean
+# check's empirical mean moved, every pass flag held, and the sweep's fpa
+# CSV did not move.  train's Clayton files were taken again when the
+# Clayton map moved to a vectorized softplus: mse, eta and train_loss moved
+# in their last digits (at most 1.1e-15 relative), participants and
+# test_acc did not; copula-check and the other train files did not move
 DEFAULT_GOLDEN = {
     "cdf-mse": {
-        "cdf_mse_clayton-1.csv": "99efaa80ce19259b96c1261fab4eb16ca2a113d1b043cb5f306b2e659799c5b7",
-        "cdf_mse_clayton-2.csv": "866dd7dc7b078806dd343406dd322f1831f1fe85e9dc9c85d2199db44222b140",
-        "cdf_mse_fpa.csv": "3d129f08db6b5612cdf60ffbef09df9cf40b218d253bcc773faade5222142c3f",
-        "cdf_mse_independent.csv": "35de4ec91cf33c2fdb90e9cbdc95c711a9aac8029a84080a773b548da41e53bf",
-        "cdf_mse_report.json": "7fee3f258047e3bda96d0521bcc7894a28ca122fc7ba5a18b2b6cf67bdb6df69",
+        "cdf_mse_clayton-1.csv": "f1dc249f624afe3daf7657678fc431f23d541b22c007086303090a971fe37165",
+        "cdf_mse_clayton-2.csv": "5406c167c9add32155eade6ff8ccf9bcb8bfbf7bc33a4b989ac84580a3720a02",
+        "cdf_mse_fpa.csv": "5d3bb65c718ef1c49d72e530f595744871209afc001e444317a98c524f563ac5",
+        "cdf_mse_independent.csv": "25793962a57d6e2b82263097ae97e0cfec12f5ea4f213ac3f433a00f867a2532",
+        "cdf_mse_report.json": "99ed249a4e5f5dcf44d0f877aab8879207bc702c9e6ea58aa539cfc201b20370",
     },
     "pmf-users": {
-        "pmf_users_clayton-1.csv": "874fe8a4b70da5f1cd2c6732c68908550ec7c38a190a52ebc1f7a65abf05cb83",
-        "pmf_users_clayton-2.csv": "9bf20b39efa1cc697b8f13a2b25f5716931172f0c15fa28c0ed651f9ae30ff69",
-        "pmf_users_fpa.csv": "39890a9cb0ad7e1b7b45854c5ba043e03471311cea786aeae56a15153e678882",
-        "pmf_users_independent.csv": "cc74e6b749dc4f9348fc4bf5fa88001b0f709bd3a80c50e7a17efe7724164c4c",
-        "pmf_users_report.json": "7b52924c5a69b1de385564db6ec3b871793d470a8de6367821925ea2682c86a8",
+        "pmf_users_clayton-1.csv": "e3e87d963a78b6b1e9e6de8470c601b5c568ec2ff8063b1e7049b0290573b020",
+        "pmf_users_clayton-2.csv": "37e20e9db4b4b2aff87afe1f075f37a883810bea1a145249e08899f9bf8d9a43",
+        "pmf_users_fpa.csv": "bbb2b300f9b3965956373d05efe7fe431521560ccc7377c005078f218769fb51",
+        "pmf_users_independent.csv": "b4541afc35374990b4a75448c3c62621d1dd48ea74d201dda2e60663e3a9e417",
+        "pmf_users_report.json": "63d8bd4edac7f4805c576121cba10dfe6f717c4271e559b5086fa5e474bb0c02",
     },
     "port-sweep": {
-        "port_sweep_clayton-1.csv": "ff33800ff9847b73354fb8da2368a0825913cb9f29289df0bf573ccad858016c",
-        "port_sweep_clayton-2.csv": "51c703e2ccf6a849b993fc6dc3c78ff28f3164094cf63ac1077e37422afd9b02",
+        "port_sweep_clayton-1.csv": "c7916040182b29216acbba6e66bfd7237d2b10e4ce6505b201d485a2df40a2dc",
+        "port_sweep_clayton-2.csv": "9e406c2e485a6e4a4d02b2cae549cfa53f8e577edc53ba033666b59796273984",
         "port_sweep_fpa.csv": "41dcff2dc5b7490526fe004328fa99d83b09411d772652ea8ecff168bb78a1f3",
-        "port_sweep_independent.csv": "c7f4aa977748cadc185e19a78f38f3678b3f13f345b92242e3fb07f0e1017812",
-        "port_sweep_report.json": "dabf0950f4c5cf3d993740326f6a9623bd671f445c85954756f213a664da069c",
+        "port_sweep_independent.csv": "fa8f7a292b1d281aa1cf9f4a7fbd5e95345d00205733a10ba053083fd9f73c26",
+        "port_sweep_report.json": "f9d3345e4b2dfc7b8b035d834a5b4e5f50bce6b730a6915104b7c4ba6304bc9f",
     },
     "copula-check": {
         "copula_check_clayton-0.5.csv": "510bb9f8734a73ea8a29272415cea005b784bd881492add6581de234b8ba3993",
@@ -981,10 +997,10 @@ DEFAULT_GOLDEN = {
         "copula_check_report.json": "ce1de668f10853d37c1775c59d0e85b687fb4edb6476a3fd8251808fd26accff",
     },
     "train": {
-        "train_clayton-1.csv": "68f06f6d8529e878f7e34df0fa4072a77d5e16ca595fa9d248ce828f9d6b3ba5",
-        "train_clayton-1.jsonl": "10c8f91788dd0b3402585080957ee8c211109529a99d7773e874630a7531148f",
-        "train_clayton-2.csv": "15f44476a82eeec76846eb9713e134052c8d3a79b47cf8dd78f2ce6a7c0616ca",
-        "train_clayton-2.jsonl": "51f70fb02a5ff96621dcc79ee27c64aa265e66c329c7b9f03eed6f4ac2621261",
+        "train_clayton-1.csv": "6d9d0aa5129979e621287f85eddd0f63d40303e205d86bb390a3a56d45fdf02d",
+        "train_clayton-1.jsonl": "7fe6e69b61f58f181eb0712056f9590547fd07299ff0220ef7518459ccf62fb7",
+        "train_clayton-2.csv": "4bb6a7f7d7e3b17b09782b6268675349079f497a29d1d45d23421261e96c26a4",
+        "train_clayton-2.jsonl": "6c27eac641d43be5cf0fc5cd8b0e209e7e79b15997b6cbf5d3fe15ebc2cb0cb4",
         "train_fpa.csv": "c2a142fd9cad6f2c598f74f141d5cc329033e131f7e8a9e7ee9f6c25d1cf7e04",
         "train_fpa.jsonl": "004d85b5feb84fc99c4e86812d7eec91c575dbb0f24bb6adc2a7d575e61c8f48",
         "train_ideal.csv": "719310e0ab948e8144601e59ff585eb776c755db05e487aa241cb24ed361e17f",
@@ -1011,17 +1027,18 @@ def test_bound_output_matches_frozen_sha256(tmp_path):
     assert digest == "ac5a0ac9c8c29fc289b2b1d923fd1a1f22e98eb71861dfd3f61c14c78d1acc56"
 
 
-# a block of BLOCK_VALUES gains holds 327 trials of K=20 users x 10 ports,
-# or 546 at the sweep's 6 ports, so 400 trials take 2 blocks, or 1
-@pytest.mark.parametrize("command, blocks", [("cdf-mse", 2), ("pmf-users", 2), ("port-sweep", 1)])
-def test_mc_manifest_records_telemetry(tmp_path, command, blocks):
-    assert main([command, "--out", str(tmp_path), *FAST_MC]) == 0
+# a block of BLOCK_USERS users holds 409 trials of K=20 users, or 204 of
+# K=40, whatever the port count, so 400 trials take 1 block, or 2
+@pytest.mark.parametrize("command", ["cdf-mse", "pmf-users", "port-sweep"])
+@pytest.mark.parametrize("n_users, blocks", [(20, 1), (40, 2)])
+def test_mc_manifest_records_telemetry(tmp_path, command, n_users, blocks):
+    assert main([command, "--out", str(tmp_path), *FAST_MC, "--set", f"system.K={n_users}"]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     report_name = f"{command.replace('-', '_')}_report.json"
     report = json.loads((tmp_path / report_name).read_text())
     telemetry = manifest["telemetry"]
     assert set(telemetry) == set(report) == {"independent", "clayton-1", "clayton-2", "fpa"}
-    assert BLOCK_VALUES // 200 == 327 and BLOCK_VALUES // 120 == 546
+    assert BLOCK_USERS // 20 == 409 and BLOCK_USERS // 40 == 204
     for label, block in telemetry.items():
         assert block["trials"] == 400
         assert block["blocks"] == blocks

@@ -26,7 +26,7 @@ from fluidfed.channel import (
     sample_port_gains,
 )
 from fluidfed.montecarlo import (
-    BLOCK_VALUES,
+    BLOCK_USERS,
     ComparisonReport,
     CopulaDiagnostics,
     GridPointCheck,
@@ -104,10 +104,10 @@ def test_trial_streams_are_distinct_and_reproducible():
 
 def _direct_trials(plan, v, n_sampled, draw):
     """Variant v's (trials, K) per-user values, drawn by ``draw`` straight
-    from the stated layout: blocks of max(1, BLOCK_VALUES // (K n)) trials,
+    from the stated layout: blocks of max(1, BLOCK_USERS // K) trials,
     block b from SeedSequence(seed).spawn(V)[v].spawn(n_blocks)[b]."""
     k = plan.n_users
-    per = max(1, BLOCK_VALUES // (k * n_sampled))
+    per = max(1, BLOCK_USERS // k)
     n_blocks = -(-plan.trials // per)
     root = np.random.SeedSequence(plan.seed).spawn(len(plan.variants))[v]
     dep = plan.variants[v]
@@ -119,9 +119,10 @@ def _direct_trials(plan, v, n_sampled, draw):
 
 
 def test_blocks_follow_the_stated_seed_path(monkeypatch):
-    # trials=5000 at K=8 spans 4 blocks of N=5 ports and 5 blocks of the
-    # sweep's 8 ports; the per-trial loop below is the reference reduction
-    # of each block's draws (the samplers' laws are tested in test_channel)
+    # trials=5000 at K=8 spans 5 blocks of 1024 trials, the last one short,
+    # whether the draws have N=5 ports or the sweep's 8; the per-trial loop
+    # below is the reference reduction of each block's draws (the samplers'
+    # laws are tested in test_channel)
     plan = _small_plan(trials=5000)
     calls = []
 
@@ -148,7 +149,7 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
 
     for v, label in enumerate(dep.label for dep in plan.variants):
         best, n_blocks = _direct_trials(plan, v, plan.n_ports, sample_best_gains)
-        assert best.shape == (5000, 8) and n_blocks == 4
+        assert best.shape == (5000, 8) and n_blocks == 5
         scores, heard = [], []
         for trial in best:
             scores.append(np.sort(1.0 / (plan.p_max * trial))[plan.s_target - 1])
@@ -170,9 +171,9 @@ def test_blocks_follow_the_stated_seed_path(monkeypatch):
         )
     # cdf and pmf draw the same blocks through sample_best_gains, the sweep
     # through first_qualifying_port; none builds a full matrix
-    per = BLOCK_VALUES // 40
+    assert BLOCK_USERS // 8 == 1024
     best = "sample_best_gains"
-    cdf_calls = [(best, per * 8, 5)] * 3 + [(best, (5000 - 3 * per) * 8, 5)]
+    cdf_calls = [(best, 1024 * 8, 5)] * 4 + [(best, (5000 - 4 * 1024) * 8, 5)]
     first = "first_qualifying_port"
     sweep_calls = [(first, 1024 * 8, 8)] * 4 + [(first, (5000 - 4 * 1024) * 8, 8)]
     assert calls == cdf_calls * 4 + cdf_calls * 4 + sweep_calls * 4
@@ -593,6 +594,23 @@ def test_copula_diagnostics_build_the_closed_form_table_before_the_first_fork(mo
     diag = run_copula_diagnostics(_small_plan(diag_betas=betas, diag_rows=500))
     assert calls == ["channel_gain_cdf"] * (len(betas) + 2) + ["fork"] * (len(betas) + 1)
     assert {entry["worker_processes"] for entry in diag.telemetry.values()} == {2}
+
+
+@pytest.mark.parametrize("run", [run_mse_cdf_experiment, run_participation_experiment,
+                                 run_port_sweep], ids=lambda run: run.__name__)
+def test_wide_experiment_peak_memory_stays_under_one_block_matrix(run):
+    # K = 200, N = 64: blocks of 40 trials, 8000 users, whose one value per
+    # user is 62.5 KiB; a block's whole 8000 x 64 gain matrix would be
+    # 3.9 MiB (measured peaks 0.3-0.7 MiB)
+    plan = McPlan(n_users=200, n_ports=64, trials=200, n_grid=np.arange(1, 65))
+    run(plan)  # first-call allocations stay out of the measured peak
+    tracemalloc.start()
+    try:
+        run(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 def test_participation_mean_law_is_evaluated_before_the_variant_draws(monkeypatch):
